@@ -47,7 +47,7 @@ from .exponents import (
     harmonic_sum,
     rec,
 )
-from .extrapolation import LinearStep, multilinear_plan
+from .extrapolation import multilinear_plan
 from .reports import PlanReport
 from .weights import WeightClassSpec, cjn_index
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,10 +28,9 @@ import numpy as np
 from . import applications as app
 from . import verifier as ver
 from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange, SearchFailed, UnknownSpec
-from .exponents import Exponent, exp_str
+from .exponents import Exponent, exp_str, harmonic_sum
 from .extrapolation import (
     ExtrapolationRange,
-    case_select,
     dual_range,
     proof_exponents,
     target_exponent,
@@ -58,17 +56,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command path, output format, grid, seed."""
-
-    command: str
-    emit: str
-    seed: int | None
-    L: float
-    N: list[int]
 
 
 def _exp(text: str) -> Exponent:
@@ -103,48 +90,43 @@ def _weight_descriptor(text: str):
     )
 
 
-def _read_weight_csv(path: str, grid: Grid | None = None) -> GridWeight:
-    xs, vals = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "x":
-                continue
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
-    xs = np.asarray(xs)
-    vals = np.asarray(vals)
-    if xs.size < 2:
+def _read_csv(path: str) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """Grid and real / imaginary columns of an `x,re[,im]` sample file.
+
+    The x column must be a uniform midpoint grid; a missing im column
+    reads as zero.
+    """
+    rows = []
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.reader(fh):
+                if not row or row[0].startswith("#") or row[0] == "x":
+                    continue
+                rows.append([float(row[0]), float(row[1]), float(row[2]) if len(row) > 2 else 0.0])
+    except OSError as e:
+        raise DomainError(f"{path}: cannot read: {e.strerror}")
+    except (IndexError, ValueError):
+        raise DomainError(f"{path}: data row {len(rows) + 1}: need numeric x and value columns")
+    if len(rows) < 2:
         raise DomainError(f"{path}: need at least two samples")
+    xs, re_part, im_part = np.array(rows).T
     steps = np.diff(xs)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise DomainError(f"{path}: grid spacing is not uniform")
     h = float(steps[0])
-    L = (xs[-1] + h / 2) if xs[0] < 0 else None
-    inferred = Grid(float(abs(xs[0]) + h / 2), xs.size)
+    return Grid(float(abs(xs[0]) + h / 2), xs.size), re_part, im_part
+
+
+def _read_weight_csv(path: str, grid: Grid | None = None) -> GridWeight:
+    inferred, vals, _ = _read_csv(path)
     if grid is not None:
         inferred.require_same(grid, "weight file grid")
     return GridWeight(vals, inferred)
 
 
 def _read_function_csv(path: str) -> GridFunction:
-    xs, re_part, im_part = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#") or row[0] == "x":
-                continue
-            xs.append(float(row[0]))
-            re_part.append(float(row[1]))
-            im_part.append(float(row[2]) if len(row) > 2 else 0.0)
-    xs = np.asarray(xs)
-    steps = np.diff(xs)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise DomainError(f"{path}: grid spacing is not uniform")
-    h = float(steps[0])
-    grid = Grid(float(abs(xs[0]) + h / 2), xs.size)
-    vals = np.asarray(re_part)
-    if any(im_part):
-        vals = vals + 1j * np.asarray(im_part)
-    return GridFunction(vals, grid)
+    grid, re_part, im_part = _read_csv(path)
+    return GridFunction(re_part + 1j * im_part if im_part.any() else re_part, grid)
 
 
 def _write_function_csv(fn: GridFunction, out=None) -> None:
@@ -209,12 +191,8 @@ def _cmd_plan_extrapolate(args) -> int:
     return 0
 
 
-def _grid_of(args) -> list:
-    return args.grid if getattr(args, "grid", None) else None
-
-
 def _cmd_plan_bht(args) -> int:
-    qs = _grid_of(args)
+    qs = args.grid
     if qs and args.emit == "csv":
         rows = []
         for q1 in qs:
@@ -372,83 +350,47 @@ def _cmd_rdf_demo(args) -> int:
     return 0 if certified else INFEASIBLE_EXIT
 
 
-def _family_spec(args, arity: int = 2) -> FamilySpec:
-    return FamilySpec(kind=args.family, count=args.count, arity=arity)
-
-
-def _report_from_ratio(cmd, rr) -> dict:
-    return envelope(
-        cmd,
-        feasible=rr.verdict != "DIVERGENT",
+def _cmd_verify_sweep(args) -> int:
+    """verify bht | vv | iterated | mz: one ratio sweep, one report."""
+    if args.cmd == "mz":
+        qs = [Exponent.parse(tok) for tok in args.q.split(",")]
+    elif args.cmd == "bht" and args.plan_file:
+        try:
+            with open(args.plan_file) as fh:
+                saved = json.load(fh)
+            qs = [Exponent.parse(saved["data"][k]) for k in ("q1", "q2")]
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise DomainError(f"{args.plan_file}: not a readable plan report ({e})")
+    else:
+        qs = [args.q1, args.q2]
+    if None in qs:
+        raise DomainError("provide --q1/--q2 or --plan-file")
+    a = getattr(args, "a", None) or Fraction(0)
+    ws = [PowerWeight(-a / q.frac) if a != 0 else "unit" for q in qs]
+    spec = FamilySpec(kind=args.family, count=args.count, arity=2)
+    common = dict(seed=args.seed, resolutions=args.N, L=args.L)
+    if args.cmd == "bht":
+        rr = ver.ratio_sweep("bht", *qs, harmonic_sum(qs), *ws, spec, **common)
+    elif args.cmd == "vv":
+        rr = ver.vv_sweep(*qs, args.s1, args.s2, *ws, spec, K=args.K, **common)
+    elif args.cmd == "iterated":
+        rr = ver.iterated_vv_sweep(
+            (args.t1, args.t2), (args.s1, args.s2), qs, spec, J=args.J, K=args.K, **common
+        )
+    else:
+        rr = ver.mz_sweep(qs, args.r, ws, spec, args.surrogate, K=args.K, **common)
+    feasible = rr.verdict != "DIVERGENT"
+    rep = envelope(
+        f"verify {args.cmd}",
+        feasible=feasible,
         data=rr.as_dict(),
         certified=[],
         caveats=[rr.caveat],
         seed=rr.seed,
         grid={"L": rr.config.get("L"), "N": rr.resolutions},
     )
-
-
-def _cmd_verify_bht(args) -> int:
-    if args.plan_file:
-        import json
-
-        with open(args.plan_file) as fh:
-            saved = json.load(fh)
-        q1 = Exponent.parse(saved["data"]["q1"])
-        q2 = Exponent.parse(saved["data"]["q2"])
-    else:
-        q1, q2 = args.q1, args.q2
-    if q1 is None or q2 is None:
-        raise DomainError("provide --q1/--q2 or --plan-file")
-    a = args.a or Fraction(0)
-    w1 = PowerWeight(-a / q1.frac) if a != 0 else "unit"
-    w2 = PowerWeight(-a / q2.frac) if a != 0 else "unit"
-    from .exponents import harmonic_sum
-
-    rr = ver.ratio_sweep(
-        "bht", q1, q2, harmonic_sum([q1, q2]), w1, w2,
-        _family_spec(args), seed=args.seed, resolutions=args.N, L=args.L,
-    )
-    rep = _report_from_ratio("verify bht", rr)
-    rows = [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)]
-    _emit(rep, args.emit, rows)
-    return 0 if rr.verdict != "DIVERGENT" else INFEASIBLE_EXIT
-
-
-def _cmd_verify_vv(args) -> int:
-    a = args.a or Fraction(0)
-    w1 = PowerWeight(-a / args.q1.frac) if a != 0 else "unit"
-    w2 = PowerWeight(-a / args.q2.frac) if a != 0 else "unit"
-    rr = ver.vv_sweep(
-        args.q1, args.q2, args.s1, args.s2, w1, w2,
-        _family_spec(args), K=args.K, seed=args.seed, resolutions=args.N, L=args.L,
-    )
-    rep = _report_from_ratio("verify vv", rr)
-    rows = [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)]
-    _emit(rep, args.emit, rows)
-    return 0 if rr.verdict != "DIVERGENT" else INFEASIBLE_EXIT
-
-
-def _cmd_verify_iterated(args) -> int:
-    rr = ver.iterated_vv_sweep(
-        (args.t1, args.t2), (args.s1, args.s2), (args.q1, args.q2),
-        _family_spec(args), J=args.J, K=args.K, seed=args.seed,
-        resolutions=args.N, L=args.L,
-    )
-    rep = _report_from_ratio("verify iterated", rr)
     _emit(rep, args.emit, [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)])
-    return 0 if rr.verdict != "DIVERGENT" else INFEASIBLE_EXIT
-
-
-def _cmd_verify_mz(args) -> int:
-    qjs = [Exponent.parse(tok) for tok in args.q.split(",")]
-    rr = ver.mz_sweep(
-        qjs, args.r, ["unit", "unit"], _family_spec(args), args.surrogate,
-        seed=args.seed, resolutions=args.N, K=args.K, L=args.L,
-    )
-    rep = _report_from_ratio("verify mz", rr)
-    _emit(rep, args.emit, [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)])
-    return 0 if rr.verdict != "DIVERGENT" else INFEASIBLE_EXIT
+    return 0 if feasible else INFEASIBLE_EXIT
 
 
 def _cmd_verify_truncation(args) -> int:
@@ -578,7 +520,7 @@ def build_parser() -> _Parser:
     vb.add_argument("--a", type=_frac, default=None)
     vb.add_argument("--plan-file", default=None)
     _add_common(vb, grid_default="4096,8192")
-    vb.set_defaults(handler=_cmd_verify_bht)
+    vb.set_defaults(handler=_cmd_verify_sweep)
 
     vv = vf_sub.add_parser("vv")
     for flag in ("--q1", "--q2", "--s1", "--s2"):
@@ -586,7 +528,7 @@ def build_parser() -> _Parser:
     vv.add_argument("--a", type=_frac, default=None)
     vv.add_argument("--K", type=int, default=4)
     _add_common(vv, grid_default="2048,4096")
-    vv.set_defaults(handler=_cmd_verify_vv)
+    vv.set_defaults(handler=_cmd_verify_sweep)
 
     vi = vf_sub.add_parser("iterated")
     for flag in ("--q1", "--q2", "--s1", "--s2", "--t1", "--t2"):
@@ -594,7 +536,7 @@ def build_parser() -> _Parser:
     vi.add_argument("--J", type=int, default=2)
     vi.add_argument("--K", type=int, default=2)
     _add_common(vi, grid_default="1024,2048")
-    vi.set_defaults(handler=_cmd_verify_iterated)
+    vi.set_defaults(handler=_cmd_verify_sweep)
 
     vm = vf_sub.add_parser("mz")
     vm.add_argument("--q", required=True)
@@ -602,7 +544,7 @@ def build_parser() -> _Parser:
     vm.add_argument("--surrogate", choices=ver.SURROGATES, default="tensor-hilbert")
     vm.add_argument("--K", type=int, default=4)
     _add_common(vm, grid_default="1024,2048")
-    vm.set_defaults(handler=_cmd_verify_mz)
+    vm.set_defaults(handler=_cmd_verify_sweep)
 
     vt = vf_sub.add_parser("truncation")
     vt.add_argument("--q", type=_exp, required=True)

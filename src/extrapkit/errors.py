@@ -73,10 +73,6 @@ class DivergentProbe(ExtrapkitError):
     """A probe ratio exceeded the configured ceiling."""
 
 
-class ZeroDenominator(ExtrapkitError):
-    """A ratio denominator vanished (member skipped, not fatal in sweeps)."""
-
-
 class CertificationFailed(ExtrapkitError):
     """One or more numeric certificates failed; lists each failure."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DomainError, GridMismatch
 
 __all__ = ["Grid"]
 
@@ -25,10 +25,10 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not (self.L > 0):
-            raise ValueError(f"half-width must be positive, got {self.L}")
+        if not (0 < self.L < np.inf):
+            raise DomainError(f"half-width must be positive and finite, got {self.L}")
         if self.N < 2 or self.N % 2 != 0:
-            raise ValueError(f"sample count must be even and >= 2, got {self.N}")
+            raise DomainError(f"sample count must be even and >= 2, got {self.N}")
 
     @property
     def h(self) -> float:

@@ -23,12 +23,12 @@ the support, away from truncation boundary effects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, TruncationInvalid, UnknownSpec
+from .errors import DomainError, TruncationInvalid, UnknownSpec
 from .exponents import Exponent, ExponentLike, as_exponent
 from .grid import Grid
 from .weights import GridWeight
@@ -82,10 +82,6 @@ class GridFunction:
 
     def abs(self) -> "GridFunction":
         return GridFunction(np.abs(self.samples), self.grid)
-
-    @classmethod
-    def from_callable(cls, fn, grid: Grid) -> "GridFunction":
-        return cls(np.asarray(fn(grid.x())), grid)
 
     @classmethod
     def indicator(cls, a: float, b: float, grid: Grid) -> "GridFunction":
@@ -156,7 +152,6 @@ def _sliding_max(v: np.ndarray, m: int) -> np.ndarray:
     blocks = ext.reshape(-1, m)
     run_right = np.maximum.accumulate(blocks, axis=1).ravel()  # block prefix max
     run_left = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    out = np.empty(n, dtype=v.dtype)
     idx = np.arange(n)
     starts = idx - m + 1
     out = np.where(starts < 0, run_right[idx], np.maximum(run_left[np.maximum(starts, 0)], run_right[idx]))

@@ -35,7 +35,7 @@ checked to a configurable quadrature slack (default 1%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +47,7 @@ from .errors import (
     NormBoundTooSmall,
 )
 from .exponents import Exponent, ExponentLike, as_exponent, conjugate, rec
-from .extrapolation import Case, ExtrapolationRange, ProofExponents, target_exponent
-from .grid import Grid
+from .extrapolation import Case, ExtrapolationRange, ProofExponents, proof_exponents, target_exponent
 from .gridfn import GridFunction, TestFamily, maximal, measure_norm, weighted_norm
 from .weights import GridWeight, WeightClassSpec, estimate_class_constants
 
@@ -376,8 +375,6 @@ def verify_case1_weight(
     constants of W^{p0} at the given depth, and (iv) a bitwise replay of the
     defining identity W^{q0} = H1^{-alpha q0/s} H2 w^q.
     """
-    from .extrapolation import proof_exponents  # local to avoid cycle at import
-
     p = as_exponent(p)
     pe_again = proof_exponents(rng, p)
     if pe_again != pe:

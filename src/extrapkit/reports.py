@@ -15,14 +15,16 @@ can rely on a single shape:
       "data": {...}
     }
 
-Exponents and rationals serialize as exact strings ("3/2", "inf"); floats
-pass through as JSON numbers.
+Exponents and rationals serialize as exact strings ("3/2", "inf"); finite
+floats pass through as JSON numbers, non-finite ones as the strings "nan",
+"inf" and "-inf" (JSON has no literal for them).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -38,10 +40,12 @@ __all__ = ["SCHEMA", "PlanReport", "envelope", "to_jsonable", "dumps"]
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert package values to JSON-encodable ones."""
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, (Exponent, Fraction)):
         return exp_str(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -54,8 +58,6 @@ def to_jsonable(obj: Any) -> Any:
         return to_jsonable(dataclasses.asdict(obj))
     if hasattr(obj, "as_dict"):
         return to_jsonable(obj.as_dict())
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return "inf" if obj > 0 else "-inf"
     return obj
 
 

@@ -1,13 +1,27 @@
 """Empirical ratio sweeps for weighted scalar / vector-valued /
 Marcinkiewicz-Zygmund inequalities on seeded families.
 
-A sweep realizes a deterministic test family at each resolution in turn,
-computes the ratio
+All four sweeps run through one engine.  At each resolution in turn it
+realizes a deterministic test family and the weights, groups consecutive
+members into blocks, aggregates each block through an aggregation tree,
+and computes the ratio
 
     || op(members) ||_target / product of factor norms
 
-per member, and classifies the sup ratio's behaviour under resolution
-doubling:
+per block.  The tree is a list of levels from the inside out, each
+(size, (s1, s2, s_out)): a level takes the l^s1 / l^s2 / l^s_out norm of
+`size` consecutive entries of the f / g / op-output columns.  A block
+holds the product of the sizes; a trailing partial block is dropped.  A
+flag says whether op runs on every (f_i, g_j) pair of an innermost group
+or only on (f_i, g_i):
+
+    sweep               levels                  op on
+    ratio_sweep         (none)                  (f_i, g_i)
+    vv_sweep            [(K, s)]                (f_i, g_i)
+    iterated_vv_sweep   [(K, s), (J, t)]        (f_i, g_i)
+    mz_sweep            [(K, (r, r, r))]        every (f_i, g_j)
+
+The sup ratio's behaviour under resolution doubling is classified as
 
     BOUNDED-STABLE  sup changes < 10% under one doubling
     DIVERGENT       grows >= 50% per doubling, twice in a row
@@ -19,25 +33,21 @@ never proof; every report carries that caveat.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from fractions import Fraction
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
-from .errors import DomainError, UnknownSpec, UnknownSurrogate
-from .exponents import Exponent, ExponentLike, as_exponent, exp_str, harmonic_sum, rec
+from .errors import DomainError, ExtrapkitError, UnknownSpec, UnknownSurrogate
+from .exponents import ExponentLike, as_exponent, exp_str, harmonic_sum
 from .grid import Grid
 from .gridfn import (
     FamilySpec,
     GridFunction,
-    TestFamily,
     bht,
     hilbert,
     make_family,
-    measure_norm,
     truncate,
     weighted_norm,
 )
@@ -109,19 +119,7 @@ class RatioReport:
     caveat: str = EVIDENCE_CAVEAT
 
     def as_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "ratios": self.ratios,
-            "sup_ratio": self.sup_ratio,
-            "resolutions": self.resolutions,
-            "sup_by_resolution": self.sup_by_resolution,
-            "stability": self.stability,
-            "verdict": self.verdict,
-            "skipped": self.skipped,
-            "seed": self.seed,
-            "config": self.config,
-            "caveat": self.caveat,
-        }
+        return asdict(self)
 
 
 def _verdict(sups: list) -> tuple[str, float]:
@@ -134,14 +132,6 @@ def _verdict(sups: list) -> tuple[str, float]:
     if stability < STABLE_TOL:
         return "BOUNDED-STABLE", stability
     return "UNSTABLE", stability
-
-
-def _pool_map(fn, items):
-    threads = int(os.environ.get("EXTRAPKIT_THREADS", "1") or "1")
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))  # order-preserving
-    return [fn(it) for it in items]
 
 
 # --------------------------------------------------------------------------
@@ -168,56 +158,85 @@ def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
     return acc ** (1.0 / s)
 
 
+def _floats(*exps) -> tuple:
+    return tuple(float(e.frac) for e in exps)
+
+
 # --------------------------------------------------------------------------
-# sweeps
+# the sweep engine
 # --------------------------------------------------------------------------
 
 
-def _sweep_core(
-    op, q1, q2, q, w1_desc, w2_desc, spec, seed, resolutions, L, block,
-    block_exps=None,
-):
-    """Shared scalar/vector engine.  block=1: scalar; block=K: l^s blocks
-    with block_exps = (s1, s2, s_out) as floats."""
-    q1, q2, q = as_exponent(q1), as_exponent(q2), as_exponent(q)
+def _block_arrays(op, block, levels, pairs):
+    """(op output, f, g) samples of one block, aggregated through `levels`."""
+    inner = levels[0][0] if levels else 1
+    outs = []
+    for k in range(0, len(block), inner):
+        grp = block[k : k + inner]
+        todo = [(f, g) for f, _ in grp for _, g in grp] if pairs else grp
+        outs += [op(f, g).samples for f, g in todo]
+    cols = [outs, [f.samples for f, _ in block], [g.samples for _, g in block]]
+    for depth, (size, (s1, s2, s_out)) in enumerate(levels):
+        # with pairs, an innermost group of `size` members gave size**2 outputs
+        widths = (size * size if pairs and depth == 0 else size, size, size)
+        cols = [
+            [_aggregate(col[k : k + m], s) for k in range(0, len(col), m)]
+            for col, m, s in zip(cols, widths, (s_out, s1, s2))
+        ]
+    return [col[0] for col in cols]
+
+
+def _sweep(
+    op, op_name, exps, weights, spec, seed, resolutions, L, config,
+    levels=(), pairs=False,
+) -> RatioReport:
+    """The one per-resolution loop behind every sweep.
+
+    `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
+    = (w1, w2) descriptors; `levels` and `pairs` as in the module docstring.
+    """
+    if any(n < 1 for n, _ in levels):
+        raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
+    q1, q2, q = map(as_exponent, exps)
+    size = math.prod(n for n, _ in levels)
     sups, ratios, skipped = [], [], []
-    s1 = s2 = s_out = None
-    if block > 1:
-        s1, s2, s_out = (float(e) for e in block_exps)
     for N in resolutions:
         grid = Grid(L, N)
-        fam = make_family(spec, seed, grid)
-        w1 = realize_weight(w1_desc, grid)
-        w2 = realize_weight(w2_desc, grid)
+        members = make_family(spec, seed, grid).members
+        w1, w2 = (realize_weight(d, grid) for d in weights)
         w = w1 * w2
-        groups = [
-            fam.members[i : i + block] for i in range(0, len(fam.members), block)
-        ]
-        groups = [grp for grp in groups if len(grp) == block]
         ratios, skipped = [], []
-
-        def member_ratio(grp):
-            outs = [op(fm[0], fm[1]).samples for fm in grp]
-            fs = [fm[0].samples for fm in grp]
-            gs = [fm[1].samples for fm in grp]
-            if block == 1:
-                num = weighted_norm(GridFunction(np.abs(outs[0]), grid), w, q)
-                d1 = weighted_norm(GridFunction(np.abs(fs[0]), grid), w1, q1)
-                d2 = weighted_norm(GridFunction(np.abs(gs[0]), grid), w2, q2)
-            else:
-                num = weighted_norm(GridFunction(_aggregate(outs, s_out), grid), w, q)
-                d1 = weighted_norm(GridFunction(_aggregate(fs, s1), grid), w1, q1)
-                d2 = weighted_norm(GridFunction(_aggregate(gs, s2), grid), w2, q2)
-            return num, d1, d2
-
-        for idx, (num, d1, d2) in enumerate(_pool_map(member_ratio, groups)):
+        for idx, k in enumerate(range(0, len(members) - size + 1, size)):
+            out, f, g = (
+                GridFunction(a, grid)
+                for a in _block_arrays(op, members[k : k + size], levels, pairs)
+            )
+            num = weighted_norm(out, w, q)
+            d1 = weighted_norm(f, w1, q1)
+            d2 = weighted_norm(g, w2, q2)
             if d1 == 0 or d2 == 0:
                 skipped.append(idx)
                 continue
             ratios.append(num / (d1 * d2))
         sups.append(max(ratios) if ratios else 0.0)
     verdict, stability = _verdict(sups)
-    return ratios, sups, skipped, verdict, stability
+    return RatioReport(
+        op=op_name,
+        ratios=ratios,
+        sup_ratio=max(ratios) if ratios else 0.0,
+        resolutions=list(resolutions),
+        sup_by_resolution=sups,
+        stability=stability,
+        verdict=verdict,
+        skipped=skipped,
+        seed=seed,
+        config=config,
+    )
+
+
+# --------------------------------------------------------------------------
+# sweeps
+# --------------------------------------------------------------------------
 
 
 def ratio_sweep(
@@ -242,9 +261,6 @@ def ratio_sweep(
     """
     op_name = op if isinstance(op, str) else getattr(op, "__name__", "custom")
     op_fn = _op_by_name(op) if isinstance(op, str) else op
-    ratios, sups, skipped, verdict, stability = _sweep_core(
-        op_fn, q1, q2, q, w1_desc, w2_desc, family_spec, seed, resolutions, L, 1
-    )
     config = {
         "q1": exp_str(as_exponent(q1)),
         "q2": exp_str(as_exponent(q2)),
@@ -256,17 +272,9 @@ def ratio_sweep(
         "L": L,
         "weights_in_class": _class_check(op_name, q1, q2, w1_desc, w2_desc),
     }
-    return RatioReport(
-        op=op_name,
-        ratios=ratios,
-        sup_ratio=max(ratios) if ratios else 0.0,
-        resolutions=list(resolutions),
-        sup_by_resolution=sups,
-        stability=stability,
-        verdict=verdict,
-        skipped=skipped,
-        seed=seed,
-        config=config,
+    return _sweep(
+        op_fn, op_name, (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        seed, resolutions, L, config,
     )
 
 
@@ -278,7 +286,7 @@ def _class_check(op_name, q1, q2, w1_desc, w2_desc):
         return None
     try:
         plan = bht_plan(q1, q2)
-    except Exception:
+    except ExtrapkitError:
         return False
     ok = True
     for desc, spec, qi in (
@@ -303,7 +311,6 @@ def vv_sweep(
     seed: int = 7,
     resolutions=(4096, 8192),
     L: float = 8.0,
-    check_plan: bool = True,
 ) -> RatioReport:
     """l^s-aggregated sweep over K-member blocks of the family.
 
@@ -311,16 +318,10 @@ def vv_sweep(
     degenerates to the scalar one).  Feasibility of the (q, s) tuple is
     certified through the vector-valued planner before sweeping.
     """
-    if check_plan:
-        bht_vv_plan(q1, q2, s1, s2)
+    bht_vv_plan(q1, q2, s1, s2)
     s1e, s2e = as_exponent(s1), as_exponent(s2)
     s_out = harmonic_sum([s1e, s2e])
     q = harmonic_sum([as_exponent(q1), as_exponent(q2)])
-    ratios, sups, skipped, verdict, stability = _sweep_core(
-        _op_by_name("bht"), q1, q2, q, w1_desc, w2_desc,
-        family_spec, seed, resolutions, L, K,
-        block_exps=(s1e.frac, s2e.frac, s_out.frac),
-    )
     config = {
         "q1": exp_str(as_exponent(q1)),
         "q2": exp_str(as_exponent(q2)),
@@ -332,17 +333,10 @@ def vv_sweep(
         "family": family_spec.kind,
         "L": L,
     }
-    return RatioReport(
-        op="bht",
-        ratios=ratios,
-        sup_ratio=max(ratios) if ratios else 0.0,
-        resolutions=list(resolutions),
-        sup_by_resolution=sups,
-        stability=stability,
-        verdict=verdict,
-        skipped=skipped,
-        seed=seed,
-        config=config,
+    return _sweep(
+        _op_by_name("bht"), "bht", (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        seed, resolutions, L, config,
+        levels=[(K, _floats(s1e, s2e, s_out))],
     )
 
 
@@ -370,58 +364,22 @@ def iterated_vv_sweep(
     q1, q2 = map(as_exponent, qs)
     bht_vv_plan(q1, q2, s1, s2)
     bht_vv_plan(q1, q2, t1, t2)
-    t_out = harmonic_sum([t1, t2]).frac
-    s_out = harmonic_sum([s1, s2]).frac
-    q = harmonic_sum([q1, q2])
-
-    sups, final_ratios, skipped = [], [], []
-    for N in resolutions:
-        grid = Grid(L, N)
-        fam = make_family(family_spec, seed, grid)
-        w1 = realize_weight(w1_desc, grid)
-        w2 = realize_weight(w2_desc, grid)
-        w = w1 * w2
-        need = J * K
-        blocks = [
-            fam.members[i : i + need] for i in range(0, len(fam.members), need)
-        ]
-        blocks = [blk for blk in blocks if len(blk) == need]
-        final_ratios, skipped = [], []
-        for idx, blk in enumerate(blocks):
-            inner_out, inner_f, inner_g = [], [], []
-            for j in range(J):
-                grp = blk[j * K : (j + 1) * K]
-                inner_out.append(_aggregate([bht(fm[0], fm[1]).samples for fm in grp], float(s_out)))
-                inner_f.append(_aggregate([fm[0].samples for fm in grp], float(s1.frac)))
-                inner_g.append(_aggregate([fm[1].samples for fm in grp], float(s2.frac)))
-            num = weighted_norm(GridFunction(_aggregate(inner_out, float(t_out)), grid), w, q)
-            d1 = weighted_norm(GridFunction(_aggregate(inner_f, float(t1.frac)), grid), w1, q1)
-            d2 = weighted_norm(GridFunction(_aggregate(inner_g, float(t2.frac)), grid), w2, q2)
-            if d1 == 0 or d2 == 0:
-                skipped.append(idx)
-                continue
-            final_ratios.append(num / (d1 * d2))
-        sups.append(max(final_ratios) if final_ratios else 0.0)
-    verdict, stability = _verdict(sups)
-    return RatioReport(
-        op="bht",
-        ratios=final_ratios,
-        sup_ratio=max(final_ratios) if final_ratios else 0.0,
-        resolutions=list(resolutions),
-        sup_by_resolution=sups,
-        stability=stability,
-        verdict=verdict,
-        skipped=skipped,
-        seed=seed,
-        config={
-            "t": [exp_str(t1), exp_str(t2)],
-            "s": [exp_str(s1), exp_str(s2)],
-            "q": [exp_str(q1), exp_str(q2)],
-            "J": J,
-            "K": K,
-            "family": family_spec.kind,
-            "L": L,
-        },
+    config = {
+        "t": [exp_str(t1), exp_str(t2)],
+        "s": [exp_str(s1), exp_str(s2)],
+        "q": [exp_str(q1), exp_str(q2)],
+        "J": J,
+        "K": K,
+        "family": family_spec.kind,
+        "L": L,
+    }
+    return _sweep(
+        _op_by_name("bht"), "bht", (q1, q2, harmonic_sum([q1, q2])), (w1_desc, w2_desc),
+        family_spec, seed, resolutions, L, config,
+        levels=[
+            (K, _floats(s1, s2, harmonic_sum([s1, s2]))),
+            (J, _floats(t1, t2, harmonic_sum([t1, t2]))),
+        ],
     )
 
 
@@ -458,60 +416,21 @@ def mz_sweep(
         raise DomainError("the sweep drives two coordinates (m = 2)")
     plan = mz_plan(qjs, r)  # raises Infeasible when r is outside (1, 2) u {2}
     q1, q2 = map(as_exponent, qjs)
-    rf = float(as_exponent(r).frac)
-    q = harmonic_sum([q1, q2])
+    r = as_exponent(r)
     T = _surrogate_by_name(surrogate)
-
-    sups, final_ratios, skipped = [], [], []
-    for N in resolutions:
-        grid = Grid(L, N)
-        fam = make_family(family_spec, seed, grid)
-        w1 = realize_weight(wjs[0], grid)
-        w2 = realize_weight(wjs[1], grid)
-        w = w1 * w2
-        members = fam.members
-        blocks = [members[i : i + K] for i in range(0, len(members), K)]
-        blocks = [b for b in blocks if len(b) == K]
-        final_ratios, skipped = [], []
-        for idx, blk in enumerate(blocks):
-            f_list = [fm[0] for fm in blk]
-            g_list = [fm[1] for fm in blk]
-            acc = np.zeros(grid.N)
-            for fi in f_list:
-                for gj in g_list:
-                    acc += np.abs(T(fi, gj).samples) ** rf
-            num = weighted_norm(GridFunction(acc ** (1.0 / rf), grid), w, q)
-            d1 = weighted_norm(
-                GridFunction(_aggregate([fi.samples for fi in f_list], rf), grid), w1, q1
-            )
-            d2 = weighted_norm(
-                GridFunction(_aggregate([gj.samples for gj in g_list], rf), grid), w2, q2
-            )
-            if d1 == 0 or d2 == 0:
-                skipped.append(idx)
-                continue
-            final_ratios.append(num / (d1 * d2))
-        sups.append(max(final_ratios) if final_ratios else 0.0)
-    verdict, stability = _verdict(sups)
-    return RatioReport(
-        op=f"mz:{surrogate}",
-        ratios=final_ratios,
-        sup_ratio=max(final_ratios) if final_ratios else 0.0,
-        resolutions=list(resolutions),
-        sup_by_resolution=sups,
-        stability=stability,
-        verdict=verdict,
-        skipped=skipped,
-        seed=seed,
-        config={
-            "q": [exp_str(q1), exp_str(q2)],
-            "r": exp_str(as_exponent(r)),
-            "surrogate": surrogate,
-            "K": K,
-            "base_case": plan.data.get("base_case"),
-            "family": family_spec.kind,
-            "L": L,
-        },
+    config = {
+        "q": [exp_str(q1), exp_str(q2)],
+        "r": exp_str(r),
+        "surrogate": surrogate,
+        "K": K,
+        "base_case": plan.data.get("base_case"),
+        "family": family_spec.kind,
+        "L": L,
+    }
+    return _sweep(
+        T, f"mz:{surrogate}", (q1, q2, harmonic_sum([q1, q2])), wjs, family_spec,
+        seed, resolutions, L, config,
+        levels=[(K, _floats(r, r, r))], pairs=True,
     )
 
 

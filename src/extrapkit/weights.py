@@ -25,13 +25,13 @@ All closed forms are one-dimensional: on R (n = 1),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, SearchFailed
-from .exponents import INF, Exponent, ExponentLike, as_exponent, rec
+from .exponents import Exponent, ExponentLike, as_exponent, rec
 from .grid import Grid
 
 __all__ = [
@@ -162,10 +162,6 @@ class GridWeight:
     @classmethod
     def unit(cls, grid: Grid) -> "GridWeight":
         return cls(np.ones(grid.N), grid)
-
-    @classmethod
-    def from_callable(cls, fn, grid: Grid) -> "GridWeight":
-        return cls(np.asarray(fn(grid.x()), dtype=float), grid)
 
     def power(self, e) -> "GridWeight":
         """Pointwise self**e for a rational (possibly signed) exponent."""

@@ -236,3 +236,59 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["feasible"] is True
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [None, [["x", "re"], ["0.5", "1.0"]], [["x", "re"], ["-0.5", "1.0"], ["0.5"]],
+     [["x", "re"], ["-0.5", "1.0"], ["0.5", "one"]]],
+    ids=["missing-file", "one-row", "short-row", "non-numeric"],
+)
+@pytest.mark.parametrize("cmd", ["weights", "operator"])
+def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
+    path = tmp_path / "in.csv"
+    if rows is not None:
+        _write_rows(path, rows)
+    if cmd == "weights":
+        argv = ["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2", "--depth", "2"]
+    else:
+        argv = ["operator", "apply", "--op", "hilbert", "--in", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bht", "--q1", "2", "--q2", "2", "--N", "3"],
+        ["verify", "bht", "--q1", "2", "--q2", "2", "--L", "inf", "--N", "256"],
+        ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--K", "0",
+         "--count", "2", "--N", "256"],
+        ["verify", "bht", "--plan-file", "no-such-plan.json", "--N", "256"],
+    ],
+    ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file"],
+)
+def test_bad_verify_input_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_numbers_serialize_as_strings():
+    from extrapkit.reports import dumps, envelope, to_jsonable
+
+    values = [float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+              np.float64("inf"), np.float64("-inf"), np.array([np.nan, 1.5])]
+    want = ["nan", "inf", "-inf", "nan", "inf", "-inf", ["nan", 1.5]]
+    assert to_jsonable(values) == want
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    rep = envelope("test", feasible=True, data={"v": values})
+    assert json.loads(dumps(rep), parse_constant=reject)["data"] == {"v": want}

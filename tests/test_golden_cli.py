@@ -1,0 +1,132 @@
+"""Golden CLI outputs: a fixed list of seeded invocations at small N.
+
+Each case's exit code and output are compared with the file recorded in
+tests/golden/: every field exactly, floats to a relative 1e-12.  The
+files were recorded before the sweep engine and the verify handlers were
+merged, so a refactor that changes any report shows up here.
+
+Re-record (only when a report is meant to change):
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# name -> argv; paths are relative to tests/golden/, the working directory
+CASES = {
+    "verify_bht_unit": ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "4",
+                        "--seed", "3", "--N", "512,1024"],
+    "verify_bht_power": ["verify", "bht", "--q1", "2", "--q2", "2", "--a", "1/4",
+                         "--count", "4", "--N", "512,1024"],
+    "verify_bht_modulated": ["verify", "bht", "--q1", "3", "--q2", "3/2", "--a", "1/8",
+                             "--family", "modulated", "--count", "4", "--seed", "5",
+                             "--N", "256,512,1024"],
+    "verify_vv_k1": ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2",
+                     "--K", "1", "--count", "4", "--N", "512,1024"],
+    "verify_vv_k4": ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "3/2",
+                     "--a", "1/4", "--K", "4", "--count", "8", "--seed", "11",
+                     "--N", "512,1024"],
+    "verify_iterated": ["verify", "iterated", "--q1", "2", "--q2", "2", "--s1", "2",
+                        "--s2", "2", "--t1", "3", "--t2", "3", "--J", "2", "--K", "2",
+                        "--count", "8", "--N", "512,1024"],
+    "verify_mz_tensor": ["verify", "mz", "--q", "3,3", "--r", "3/2", "--count", "8",
+                         "--K", "4", "--N", "512,1024"],
+    "verify_mz_product": ["verify", "mz", "--q", "3,3", "--r", "2", "--surrogate",
+                          "product-identity", "--count", "6", "--K", "3", "--seed", "2",
+                          "--N", "512,1024", "--emit", "csv"],
+    "verify_truncation": ["verify", "truncation", "--q", "2", "--w", "power:1/8",
+                          "--ncuts", "1/2,1,2,4,8", "--N", "512"],
+    "weights_estimate": ["weights", "estimate", "--file", "weight.csv", "--ap", "2",
+                         "--rh", "2", "--depth", "5"],
+    "plan_bht_grid_csv": ["plan", "bht", "--q1", "2", "--q2", "2", "--grid", "4/3,2,3",
+                          "--emit", "csv"],
+    "rdf_demo": ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2",
+                 "--p", "3", "--w", "power:1/8", "--N", "256"],
+}
+
+
+def _run(argv):
+    from extrapkit.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    text = buf.getvalue()
+    try:
+        out = json.loads(text)
+    except json.JSONDecodeError:
+        out = list(csv.reader(io.StringIO(text)))
+    return {"argv": list(argv), "exit": code, "stdout": out}
+
+
+def _same(got, want, path="$"):
+    """First difference between two decoded outputs, or None."""
+    if isinstance(want, float) or isinstance(got, float):
+        if not (isinstance(got, (int, float)) and isinstance(want, (int, float))):
+            return f"{path}: {got!r} != {want!r}"
+        if got == want or math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0):
+            return None
+        return f"{path}: {got!r} != {want!r}"
+    if isinstance(want, str) and isinstance(got, str) and got != want:
+        try:  # CSV cells are strings; compare numeric ones as floats
+            g, w = float(got), float(want)
+        except ValueError:
+            return f"{path}: {got!r} != {want!r}"
+        return _same(g, w, path)
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or list(got) != list(want):
+            return f"{path}: keys {list(got) if isinstance(got, dict) else got!r} != {list(want)}"
+        for k in want:
+            diff = _same(got[k], want[k], f"{path}.{k}")
+            if diff:
+                return diff
+        return None
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return f"{path}: {got!r} != {want!r}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            diff = _same(g, w, f"{path}[{i}]")
+            if diff:
+                return diff
+        return None
+    if type(got) is not type(want) or got != want:
+        return f"{path}: {got!r} != {want!r}"
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    with open(GOLDEN / f"{name}.json") as fh:
+        want = json.load(fh)
+    got = _run(CASES[name])
+    assert got["argv"] == want["argv"]
+    assert _same(got, want) is None, _same(got, want)
+
+
+def test_same_flags_float_drift():
+    assert _same({"a": [1.0, "x"]}, {"a": [1.0 + 1e-15, "x"]}) is None
+    assert _same({"a": [1.0]}, {"a": [1.0 + 1e-9]}) is not None
+    assert _same({"a": 1}, {"a": 1.0 + 1e-9}) is not None
+    assert _same({"a": "3/2"}, {"a": "2"}) is not None
+    assert _same({"a": 1, "b": 2}, {"b": 2, "a": 1}) is not None
+
+
+if __name__ == "__main__":
+    os.chdir(GOLDEN)
+    for name, argv in CASES.items():
+        with open(f"{name}.json", "w") as fh:
+            json.dump(_run(argv), fh, indent=1)
+            fh.write("\n")
+        print(name, file=sys.stderr)
