@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, GammaInvalid, Infeasible, InfeasibleBase
+from .errors import DomainError, GammaInvalid, Infeasible, InfeasibleBase, require
 from .exponents import (
     INF,
     Exponent,
@@ -67,6 +67,21 @@ __all__ = [
 
 HALF = Fraction(1, 2)
 THREE_HALVES = Fraction(3, 2)
+
+
+def _window(plan) -> dict:
+    """Flat r_i^-, r_i^+ and weight-class index keys of a BHT or Section-5 plan."""
+    w1, w2 = plan.weight_specs
+    return {
+        "r1_minus": plan.r_minus[0],
+        "r2_minus": plan.r_minus[1],
+        "r1_plus": plan.r_plus[0],
+        "r2_plus": plan.r_plus[1],
+        "ap_index_1": w1.p,
+        "rh_index_1": w1.s,
+        "ap_index_2": w2.p,
+        "rh_index_2": w2.s,
+    }
 
 
 def _check_open_exponent(name: str, x: Exponent) -> Fraction:
@@ -103,22 +118,8 @@ class BHTPlan:
 
     def as_dict(self) -> dict:
         return {
-            "q1": self.q1,
-            "q2": self.q2,
-            "s1": self.s1,
-            "s2": self.s2,
-            "p1": self.p1,
-            "p2": self.p2,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "r1_minus": self.r_minus[0],
-            "r2_minus": self.r_minus[1],
-            "r1_plus": self.r_plus[0],
-            "r2_plus": self.r_plus[1],
-            "ap_index_1": self.weight_specs[0].p,
-            "rh_index_1": self.weight_specs[0].s,
-            "ap_index_2": self.weight_specs[1].p,
-            "rh_index_2": self.weight_specs[1].s,
+            **{k: getattr(self, k) for k in ("q1", "q2", "s1", "s2", "p1", "p2", "eta1", "eta2")},
+            **_window(self),
             "q": self.q,
             "p": self.p,
             "s": self.s,
@@ -143,8 +144,10 @@ def bht_base_class(p1: ExponentLike, p2: ExponentLike):
         WeightClassSpec(Exponent((f1 + 1) / 2), Exponent(2)),
         WeightClassSpec(Exponent((f2 + 1) / 2), Exponent(2)),
     )
-    # index round-trip: the cjn transform returns the plain A index
-    assert cjn_index(specs[0].p, 2) == p1 and cjn_index(specs[1].p, 2) == p2
+    require(
+        cjn_index(specs[0].p, 2) == p1 and cjn_index(specs[1].p, 2) == p2,
+        "index round-trip: the cjn transform must return the plain A index",
+    )
     return specs
 
 
@@ -180,7 +183,10 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
             cap = min(cap, 1 / sf[i], 1 - 1 / sf[i], HALF - abs(1 / sf[i] - 1 / qf[i]))
         caps.append(cap)
     eta = _eta_rule(budget, caps)
-    assert eta > 0 and 2 * eta < budget and all(eta < c for c in caps)
+    require(
+        eta > 0 and 2 * eta < budget and all(eta < c for c in caps),
+        f"eta = {eta} must satisfy 0 < eta < every cap and 2 eta < budget = {budget}",
+    )
     certified.append("eta-constraints")
 
     inv_p = [2 * (maxes[i] - HALF + eta) for i in range(2)]
@@ -285,13 +291,6 @@ class PowerRange:
         a = Fraction(a)
         return (self.includes_zero and a == 0) or self.a_minus < a < self.a_plus
 
-    def as_dict(self) -> dict:
-        return {
-            "a_minus": self.a_minus,
-            "a_plus": self.a_plus,
-            "includes_zero": self.includes_zero,
-        }
-
 
 def bht_power_range(q1: ExponentLike, q2: ExponentLike) -> PowerRange:
     """Scalar power-weight window:
@@ -305,7 +304,7 @@ def bht_power_range(q1: ExponentLike, q2: ExponentLike) -> PowerRange:
     f1, f2 = plan.q1.frac, plan.q2.frac
     a_minus = 1 - min(max(Fraction(1), f1 / 2), max(Fraction(1), f2 / 2))
     a_plus = min(Fraction(1), f1 / 2, f2 / 2)
-    assert a_minus <= 0 < a_plus
+    require(a_minus <= 0 < a_plus, f"power window: need a_- <= 0 < a_+, got {a_minus}, {a_plus}")
     return PowerRange(a_minus, a_plus)
 
 
@@ -377,30 +376,12 @@ class Section5Plan:
     certified: tuple[str, ...]
 
     def as_dict(self) -> dict:
+        names = ("m1", "m2", "mt1", "mt2", "eta1", "eta2",
+                 "p1", "p2", "p", "theta1", "theta2", "theta3")
         return {
-            "gamma1": self.gamma[0],
-            "gamma2": self.gamma[1],
-            "gamma3": self.gamma[2],
-            "m1": self.m1,
-            "m2": self.m2,
-            "mt1": self.mt1,
-            "mt2": self.mt2,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "p1": self.p1,
-            "p2": self.p2,
-            "p": self.p,
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "theta3": self.theta3,
-            "r1_minus": self.r_minus[0],
-            "r2_minus": self.r_minus[1],
-            "r1_plus": self.r_plus[0],
-            "r2_plus": self.r_plus[1],
-            "ap_index_1": self.weight_specs[0].p,
-            "rh_index_1": self.weight_specs[0].s,
-            "ap_index_2": self.weight_specs[1].p,
-            "rh_index_2": self.weight_specs[1].s,
+            **{f"gamma{i}": g for i, g in enumerate(self.gamma, start=1)},
+            **{k: getattr(self, k) for k in names},
+            **_window(self),
             "certified": list(self.certified),
         }
 
@@ -489,7 +470,7 @@ def section5_plan(
 
     mt1 = 2 * m1 / (1 - g[2])
     mt2 = 2 * m2 / (1 - g[2])
-    assert mt1 + mt2 > 1
+    require(mt1 + mt2 > 1, f"mt1 + mt2 = {mt1 + mt2} must exceed 1")
 
     if abs(mt1 - mt2) < 1:
         eta1 = HALF + (mt1 - mt2) / 2
@@ -502,8 +483,10 @@ def section5_plan(
             eta1, eta2 = 1 - eps, eps
         else:
             eta1, eta2 = eps, 1 - eps
-    assert eta1 + eta2 == 1 and 0 < eta1 < 1 and 0 < eta2 < 1
-    assert eta1 < mt1 and eta2 < mt2
+    require(
+        eta1 + eta2 == 1 and 0 < eta1 < min(1, mt1) and 0 < eta2 < min(1, mt2),
+        f"eta choice ({eta1}, {eta2}) must sum to 1 with 0 < eta_i < min(1, mt_i)",
+    )
     certified.append("eta-choice")
 
     # open p interval, midpoint in reciprocal coordinates
@@ -518,8 +501,8 @@ def section5_plan(
     p1, p2 = from_rec(inv_p1), from_rec(inv_p2)
     inv_p = inv_p1 + inv_p2
     p = from_rec(inv_p)
-    assert p1 > 2 and p2 > 2 and inv_p < 1
-    assert inv_p1 / eta1 == inv_p and inv_p2 / eta2 == inv_p  # p = p_i eta_i
+    require(p1 > 2 and p2 > 2 and inv_p < 1, f"need p1, p2 > 2 and p > 1, got {p1}, {p2}, {p}")
+    require(inv_p1 / eta1 == inv_p and inv_p2 / eta2 == inv_p, "need p = p_i eta_i")
 
     theta1 = (1 - g[0]) / 2 / (1 - inv_p1)  # p_1' * (1-gamma_1)/2
     theta2 = (1 - g[1]) / 2 / (1 - inv_p2)
@@ -527,7 +510,7 @@ def section5_plan(
     specs, r_minus, r_plus, p_check = section5_weight_classes(
         p1, p2, (theta1, theta2, theta3)
     )
-    assert p_check == p
+    require(p_check == p, f"weight classes give p = {p_check}, not {p}")
     certified.append("p1-2-3:conds")
 
     for i, (si, qi) in enumerate(pairs):
@@ -588,7 +571,6 @@ def mz_plan(qjs, r: ExponentLike) -> PlanReport:
     }
     if r == 2:
         return PlanReport(
-            kind="mz",
             feasible=True,
             data={**base_data, "base_case": True, "steps": []},
             certified=["r=2-base-case"],
@@ -600,7 +582,6 @@ def mz_plan(qjs, r: ExponentLike) -> PlanReport:
     base = Exponent((1 + r.frac) / 2)
     steps = multilinear_plan([base] * m, [1] * m, [INF] * m, qjs)
     return PlanReport(
-        kind="mz",
         feasible=True,
         data={
             **base_data,

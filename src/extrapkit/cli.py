@@ -10,9 +10,16 @@ Subcommands:
 
 Exponents on the command line are exact rationals ("2", "3/2", "inf");
 floating literals are rejected.  Reports are JSON envelopes on stdout
-(--emit csv switches tabular payloads to CSV).  Exit codes: 0 feasible /
-certified, 2 infeasible or certification failure (report still emitted),
-1 usage errors.
+(--emit csv switches tabular payloads to CSV).
+
+Each handler returns (fields, rows): the `envelope` keyword fields and a
+callable that builds the CSV rows (None when the command has no table).
+`main` alone adds the command name, turns a planner's infeasibility or a
+failed certificate into an infeasible report, prints the envelope or the
+CSV table, and picks the exit code: 0 when the report is feasible, 2 when
+it is not (the report is still printed), 1 for usage errors and bad input.
+Only `operator apply`, whose output is a function CSV, and the
+`rdf demo --trace` file are written by their handlers.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 
 from . import applications as app
 from . import verifier as ver
-from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange, SearchFailed, UnknownSpec
+from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange, SearchFailed
 from .exponents import Exponent, exp_str, harmonic_sum
 from .extrapolation import (
     ExtrapolationRange,
@@ -129,38 +136,14 @@ def _read_function_csv(path: str) -> GridFunction:
     return GridFunction(re_part + 1j * im_part if im_part.any() else re_part, grid)
 
 
-def _write_function_csv(fn: GridFunction, out=None) -> None:
-    wr = csv.writer(out if out is not None else sys.stdout)
-    x = fn.grid.x()
-    complex_out = np.iscomplexobj(fn.samples)
-    wr.writerow(["x", "re", "im"] if complex_out else ["x", "re"])
-    for i in range(fn.grid.N):
-        v = fn.samples[i]
-        if complex_out:
-            wr.writerow([f"{x[i]:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-        else:
-            wr.writerow([f"{x[i]:.17g}", f"{v:.17g}"])
-
-
-def _emit(report: dict, emit: str, rows: list[dict] | None = None) -> None:
-    if emit == "csv" and rows:
-        wr = csv.writer(sys.stdout)
-        keys = list(rows[0].keys())
-        wr.writerow(keys)
-        for row in rows:
-            wr.writerow([to_jsonable(row.get(k)) for k in keys])
-    else:
-        print(dumps(report))
-
-
-def _flatten(d: dict, prefix: str = "") -> dict:
+def _flatten(obj, prefix: str = "") -> dict:
+    """One CSV row: the JSON form of `obj` with nested dicts as dotted keys."""
     out = {}
-    for k, v in d.items():
-        key = f"{prefix}{k}"
+    for k, v in to_jsonable(obj).items():
         if isinstance(v, dict):
-            out.update(_flatten(v, key + "."))
+            out.update(_flatten(v, f"{prefix}{k}."))
         else:
-            out[key] = to_jsonable(v)
+            out[f"{prefix}{k}"] = v
     return out
 
 
@@ -169,140 +152,109 @@ def _flatten(d: dict, prefix: str = "") -> dict:
 # --------------------------------------------------------------------------
 
 
-def _cmd_plan_extrapolate(args) -> int:
+def _cmd_plan_extrapolate(args):
     rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
     pe = proof_exponents(rng, args.p)
     qm, qp = dual_range(rng)
     data = {
-        "case": pe.case.value,
+        "case": pe.case,  # leads the keys; the proof exponents below repeat it
         "q_minus": qm,
         "q_plus": qp,
         "target_q": target_exponent(args.p, rng),
         "shift": rng.shift,
-        **pe.as_dict(),
+        **to_jsonable(pe),
     }
-    rep = envelope(
-        "plan extrapolate",
-        feasible=True,
-        data=data,
-        certified=list(pe.certified),
-    )
-    _emit(rep, args.emit, [_flatten(to_jsonable(data))])
-    return 0
+    return {"feasible": True, "data": data, "certified": pe.certified}, lambda: [_flatten(data)]
 
 
-def _cmd_plan_bht(args) -> int:
-    qs = args.grid
-    if qs and args.emit == "csv":
-        rows = []
-        for q1 in qs:
-            for q2 in qs:
-                row = {"q1": exp_str(q1), "q2": exp_str(q2)}
-                try:
-                    plan = app.bht_plan(q1, q2)
-                    pr = app.bht_power_range(q1, q2)
-                    row.update(_flatten(to_jsonable(plan.as_dict())))
-                    row.update(_flatten(to_jsonable(pr.as_dict())))
-                    row["feasible"] = True
-                except Infeasible as e:
-                    row.update({"feasible": False, "reason": str(e)})
-                rows.append(row)
-        keys = sorted({k for r in rows for k in r}, key=str)
-        rows = [{k: r.get(k, "") for k in keys} for r in rows]
-        _emit({}, "csv", rows)
-        return 0
-    if args.s1 is not None or args.s2 is not None:
-        if args.s1 is None or args.s2 is None:
-            raise DomainError("provide both --s1 and --s2 for a vector-valued plan")
-        plan = app.bht_vv_plan(args.q1, args.q2, args.s1, args.s2)
-        pr = app.bht_vv_power_range(args.q1, args.q2, args.s1, args.s2)
-        cmd = "plan bht-vv"
-    else:
-        plan = app.bht_plan(args.q1, args.q2)
-        pr = app.bht_power_range(args.q1, args.q2)
-        cmd = "plan bht"
-    data = {**plan.as_dict(), "power_range": pr.as_dict()}
-    rep = envelope(cmd, feasible=True, data=data, certified=list(plan.certified))
-    _emit(rep, args.emit, [_flatten(to_jsonable(data))])
-    return 0
+def _bht(q1, q2, s1=None, s2=None):
+    """The plan and power window for (q1, q2), vector-valued when s1 is given."""
+    if s1 is None:
+        return app.bht_plan(q1, q2), app.bht_power_range(q1, q2)
+    return app.bht_vv_plan(q1, q2, s1, s2), app.bht_vv_power_range(q1, q2, s1, s2)
 
 
-def _cmd_plan_section5(args) -> int:
+def _grid_rows(qs) -> list[dict]:
+    """One CSV row per scalar (q1, q2) in qs x qs, infeasible pairs included."""
+    rows = []
+    for q1 in qs:
+        for q2 in qs:
+            row = {"q1": exp_str(q1), "q2": exp_str(q2)}
+            try:
+                plan, pr = _bht(q1, q2)
+                row.update({**_flatten(plan), **_flatten(pr), "feasible": True})
+            except Infeasible as e:
+                row.update({"feasible": False, "reason": str(e)})
+            rows.append(row)
+    keys = sorted({k for r in rows for k in r}, key=str)
+    return [{k: r.get(k, "") for k in keys} for r in rows]
+
+
+def _cmd_plan_bht(args):
+    if args.grid:
+        if args.emit != "csv":
+            raise DomainError("--grid tabulates plans and needs --emit csv")
+        return {"feasible": True, "data": {}}, lambda: _grid_rows(args.grid)
+    if (args.s1 is None) != (args.s2 is None):
+        raise DomainError("provide both --s1 and --s2 for a vector-valued plan")
+    plan, pr = _bht(args.q1, args.q2, args.s1, args.s2)
+    data = {**plan.as_dict(), "power_range": pr}
+    fields = {"feasible": True, "data": data, "certified": plan.certified}
+    if args.s1 is not None:
+        fields["command"] = "plan bht-vv"
+    return fields, lambda: [_flatten(data)]
+
+
+def _cmd_plan_section5(args):
     plan = app.section5_plan(args.q1, args.q2, args.s1, args.s2, args.g1, args.g2, args.g3)
-    rep = envelope(
-        "plan section5",
-        feasible=True,
-        data=plan.as_dict(),
-        certified=list(plan.certified),
-    )
-    _emit(rep, args.emit, [_flatten(to_jsonable(plan.as_dict()))])
-    return 0
+    return {"feasible": True, "data": plan, "certified": plan.certified}, lambda: [_flatten(plan)]
 
 
-def _cmd_plan_mz(args) -> int:
-    qjs = [Exponent.parse(tok) for tok in args.q.split(",")]
-    plan = app.mz_plan(qjs, args.r)
-    rep = envelope(
-        "plan mz",
-        feasible=plan.feasible,
-        data=plan.data,
-        certified=plan.certified,
-        caveats=plan.caveats,
-    )
-    rows = [
-        _flatten(to_jsonable(step)) for step in plan.data.get("steps", [])
-    ] or [_flatten(to_jsonable(plan.data))]
-    _emit(rep, args.emit, rows)
-    return 0
+def _cmd_plan_mz(args):
+    plan = app.mz_plan([Exponent.parse(tok) for tok in args.q.split(",")], args.r)
+    # the r = 2 base case has no steps: its one row is the flattened data
+    return vars(plan), lambda: [_flatten(s) for s in plan.data["steps"]] or [_flatten(plan.data)]
 
 
-def _cmd_weights_check(args) -> int:
+def _cmd_weights_check(args):
     spec = WeightClassSpec(args.ap, args.rh)
     member, reasons = power_membership(PowerWeight(args.alpha), spec)
-    rep = envelope(
-        "weights check",
-        feasible=member,
-        data={"alpha": args.alpha, "ap": spec.p, "rh": spec.s, "member": member, "reasons": reasons},
-    )
-    _emit(rep, args.emit)
-    return 0
+    data = {"alpha": args.alpha, "ap": spec.p, "rh": spec.s, "member": member, "reasons": reasons}
+    return {"feasible": member, "data": data}, None
 
 
-def _cmd_weights_estimate(args) -> int:
+def _cmd_weights_estimate(args):
     w = _read_weight_csv(args.file)
     spec = WeightClassSpec(args.ap, args.rh)
     rows = []
     for d in range(1, args.depth + 1):
         ap_c, rh_c = estimate_class_constants(w, spec, d)
         rows.append({"depth": d, "ap_const": ap_c, "rh_const": rh_c})
-    rep = envelope(
-        "weights estimate",
-        feasible=all(np.isfinite(r["ap_const"]) and np.isfinite(r["rh_const"]) for r in rows),
-        data={"file": args.file, "ap": spec.p, "rh": spec.s, "constants": rows},
-        grid={"L": w.grid.L, "N": w.grid.N},
-    )
-    _emit(rep, args.emit, rows)
-    return 0
+    fields = {
+        "feasible": all(np.isfinite(r["ap_const"]) and np.isfinite(r["rh_const"]) for r in rows),
+        "data": {"file": args.file, "ap": spec.p, "rh": spec.s, "constants": rows},
+        "grid": {"L": w.grid.L, "N": w.grid.N},
+    }
+    return fields, lambda: rows
 
 
-def _cmd_operator_apply(args) -> int:
+def _cmd_operator_apply(args) -> None:
+    """Writes the output function as an `x,re[,im]` CSV itself; main emits no report."""
     f = _read_function_csv(getattr(args, "in"))
-    if args.op == "maximal":
-        out = maximal(f)
-    elif args.op == "hilbert":
-        out = hilbert(f)
-    elif args.op == "bht":
+    if args.op == "bht":
         if args.in2 is None:
             raise DomainError("--op bht needs --in2")
-        g = _read_function_csv(args.in2)
-        out = bht(f, g, args.tmin, args.tmax)
+        out = bht(f, _read_function_csv(args.in2), args.tmin, args.tmax)
     else:
-        raise UnknownSpec(f"unknown operator {args.op!r}")
-    _write_function_csv(out)
-    return 0
+        out = (maximal if args.op == "maximal" else hilbert)(f)
+    cols = [out.samples.real, out.samples.imag] if np.iscomplexobj(out.samples) else [out.samples]
+    wr = csv.writer(sys.stdout)
+    wr.writerow(["x", "re", "im"][: 1 + len(cols)])
+    for vals in zip(out.grid.x(), *cols):
+        wr.writerow([f"{v:.17g}" for v in vals])
 
 
-def _cmd_rdf_demo(args) -> int:
+def _cmd_rdf_demo(args):
     if args.case != "I":
         raise DomainError("the demo builds the two-sided construction (case I)")
     rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
@@ -316,41 +268,30 @@ def _cmd_rdf_demo(args) -> int:
         po = build_proof_objects(f, g, w, pe, rng, args.p)
         report = verify_case1_weight(po, pe, rng, args.p, w)
         certified = True
-        data = {
-            "proof_exponents": pe.as_dict(),
-            "objects": po.as_dict(),
-            "weight_report": report,
-        }
+        data = {"proof_exponents": pe, "objects": po, "weight_report": report}
         reason = None
     except CertificationFailed as e:
         certified = False
-        data = {"proof_exponents": pe.as_dict(), "failures": [str(x) for x in e.failures]}
+        data = {"proof_exponents": pe, "failures": [str(x) for x in e.failures]}
         reason = str(e)
-    rep = envelope(
-        "rdf demo",
-        feasible=certified,
-        data=data,
-        certified=list(pe.certified) + (["H-certificates"] if certified else []),
-        seed=args.seed,
-        grid={"L": args.L, "N": args.N[0]},
-        reason=reason,
-    )
-    print(dumps(rep))
     if args.trace and certified:
         with open(args.trace, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"])
-            x = grid.x()
-            for i in range(grid.N):
-                wr.writerow(
-                    [x[i], po.h1.samples[i], po.H1.samples[i], po.h2.samples[i],
-                     po.H2.samples[i], po.mu1.samples[i], po.mu2.samples[i],
-                     po.W.samples[i]]
-                )
-    return 0 if certified else INFEASIBLE_EXIT
+            objs = (po.h1, po.H1, po.h2, po.H2, po.mu1, po.mu2, po.W)
+            wr.writerows(zip(grid.x(), *(o.samples for o in objs)))
+    fields = {
+        "feasible": certified,
+        "data": data,
+        "certified": list(pe.certified) + (["H-certificates"] if certified else []),
+        "seed": args.seed,
+        "grid": {"L": args.L, "N": args.N[0]},
+        "reason": reason,
+    }
+    return fields, None
 
 
-def _cmd_verify_sweep(args) -> int:
+def _cmd_verify_sweep(args):
     """verify bht | vv | iterated | mz: one ratio sweep, one report."""
     if args.cmd == "mz":
         qs = [Exponent.parse(tok) for tok in args.q.split(",")]
@@ -379,36 +320,30 @@ def _cmd_verify_sweep(args) -> int:
         )
     else:
         rr = ver.mz_sweep(qs, args.r, ws, spec, args.surrogate, K=args.K, **common)
-    feasible = rr.verdict != "DIVERGENT"
-    rep = envelope(
-        f"verify {args.cmd}",
-        feasible=feasible,
-        data=rr.as_dict(),
-        certified=[],
-        caveats=[rr.caveat],
-        seed=rr.seed,
-        grid={"L": rr.config.get("L"), "N": rr.resolutions},
-    )
-    _emit(rep, args.emit, [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)])
-    return 0 if feasible else INFEASIBLE_EXIT
+    fields = {
+        "feasible": rr.verdict != "DIVERGENT",
+        "data": rr,
+        "caveats": [rr.caveat],
+        "seed": rr.seed,
+        "grid": {"L": rr.config.get("L"), "N": rr.resolutions},
+    }
+    return fields, lambda: [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)]
 
 
-def _cmd_verify_truncation(args) -> int:
+def _cmd_verify_truncation(args):
     grid = Grid(args.L, args.N[0])
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=1), args.seed, grid)
     f = fam.members[0][0].abs()
     w = ver.realize_weight(args.w, grid)
     cuts = [float(Fraction(tok)) for tok in args.ncuts.split(",")]
     rows = ver.truncation_study(f, w, args.q, cuts)
-    rep = envelope(
-        "verify truncation",
-        feasible=all(r["within_bound"] for r in rows),
-        data={"rows": rows, "q": args.q},
-        seed=args.seed,
-        grid={"L": args.L, "N": args.N[0]},
-    )
-    _emit(rep, args.emit, rows)
-    return 0
+    fields = {
+        "feasible": all(r["within_bound"] for r in rows),
+        "data": {"rows": rows, "q": args.q},
+        "seed": args.seed,
+        "grid": {"L": args.L, "N": args.N[0]},
+    }
+    return fields, lambda: rows
 
 
 # --------------------------------------------------------------------------
@@ -557,22 +492,29 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place that emits a report and picks the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if result is None:  # operator apply wrote its own output
+            return 0
+        fields, rows = result
+        table = rows() if rows is not None and args.emit == "csv" else None
     except (Infeasible, InvalidRange, OutOfRange, SearchFailed, CertificationFailed) as e:
-        rep = envelope(
-            f"{args.group} {getattr(args, 'cmd', '')}".strip(),
-            feasible=False,
-            data={},
-            reason=str(e),
-        )
-        print(dumps(rep))
-        return INFEASIBLE_EXIT
+        fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None
     except ExtrapkitError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_EXIT
+    if table:
+        wr = csv.writer(sys.stdout)
+        keys = list(table[0])
+        wr.writerow(keys)
+        for row in table:
+            wr.writerow([to_jsonable(row.get(k)) for k in keys])
+    else:
+        print(dumps(envelope(**{"command": f"{args.group} {args.cmd}", **fields})))
+    return 0 if fields["feasible"] else INFEASIBLE_EXIT
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 Planner errors (Infeasible, InvalidRange, ...) always carry the violated
 condition in their message so CLI reports can surface it verbatim.
+Invariants that a certificate rests on are checked with `require`, which
+raises CertificationFailed and, unlike `assert`, survives `python -O`.
 """
 
 
@@ -79,3 +81,9 @@ class CertificationFailed(ExtrapkitError):
     def __init__(self, failures):
         self.failures = list(failures)
         super().__init__("; ".join(str(f) for f in self.failures))
+
+
+def require(ok: bool, failure: str) -> None:
+    """Raise CertificationFailed([failure]) unless `ok`."""
+    if not ok:
+        raise CertificationFailed([failure])

@@ -49,6 +49,7 @@ from .errors import (
     InvalidRange,
     OutOfRange,
     StepInvalid,
+    require,
 )
 from .exponents import (
     INF,
@@ -137,7 +138,7 @@ def dual_range(rng: ExtrapolationRange) -> tuple[Exponent, Exponent]:
     else:
         q_minus = from_rec(rec(rng.p_minus) - rng.shift)
     q_plus = from_rec(rec(rng.p_plus) - rng.shift)
-    assert q_minus <= rng.q0 <= q_plus, "dual endpoints must bracket q0"
+    require(q_minus <= rng.q0 <= q_plus, "dual endpoints must bracket q0")
     return q_minus, q_plus
 
 
@@ -191,23 +192,6 @@ class ProofExponents:
     sigma: Fraction
     certified: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "q": self.q,
-            "tau": self.tau,
-            "tau_prime": self.tau_prime,
-            "s": self.s,
-            "alpha": self.alpha,
-            "phi": self.phi,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "sigma": self.sigma,
-            "certified": list(self.certified),
-        }
-
 
 def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
     """Derive and certify every proof exponent for Cases I-III.
@@ -229,26 +213,24 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
 
     tau = (a - b) / (u - b)
     tau_prime = (a - b) / (a - u)
-    assert tau > 1 and tau_prime > 1
-    assert 1 / tau + 1 / tau_prime == 1
+    require(tau > 1 and tau_prime > 1, f"need tau, tau' > 1, got {tau}, {tau_prime}")
+    require(1 / tau + 1 / tau_prime == 1, "tau and tau' must be conjugate")
 
     certified: list[str] = []
 
     # s from display (s1), certified against display (s2).
     s = q0f * qf * (1 / qf - (1 / tau) * (a - 1 / p0f))
     s_alt = q0f * qf * (1 / q0f - (1 - 1 / tau) * (1 / p0f - b))
-    if s != s_alt:
-        raise AssertionError(f"s displays disagree: {s} vs {s_alt}")
+    require(s == s_alt, f"s displays disagree: {s} vs {s_alt}")
     certified.append("s1=s2")
 
-    if not (0 < s <= min(qf, q0f)):
-        raise AssertionError(f"s={s} outside (0, min(q, q0)]")
+    require(0 < s <= min(qf, q0f), f"s={s} outside (0, min(q, q0)]")
     if case is Case.I:
-        assert s < min(qf, q0f), "Case I needs s < min(q, q0) strictly"
+        require(s < min(qf, q0f), "Case I needs s < min(q, q0) strictly")
     elif case is Case.II:
-        assert s == q0f, "Case II needs s = q0"
+        require(s == q0f, "Case II needs s = q0")
     else:
-        assert s == qf, "Case III needs s = q"
+        require(s == qf, "Case III needs s = q")
     certified.append("s-bounds")
 
     # alpha = s/(q0/s)' = s*(1 - s/q0); valid uniformly (0 in Case II).
@@ -259,8 +241,7 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
         phi: Exponent = INF
     else:
         phi = Exponent(_conj_ratio(qf / s) * q0f / p0f)
-        if case is Case.I and not phi > 1:
-            raise AssertionError(f"phi={phi} must exceed 1 in Case I")
+        require(case is not Case.I or phi > 1, f"phi={phi} must exceed 1 in Case I")
 
     cpp = Fraction(1) if rng.p_plus.is_inf else _conj_ratio(rng.p_plus.frac / pf)
     delta = qf / tau
@@ -276,22 +257,19 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
     # 1/(r)' = 1 - 1/r (all terms below are finite rationals).
     lhs1 = p0f * (1 - s / q0f)  # alpha*p0/s
     rhs1 = (qf / tau) * (p0f * a - 1)
-    if lhs1 != rhs1:
-        raise AssertionError(f"exp1 failed: {lhs1} != {rhs1}")
+    require(lhs1 == rhs1, f"exp1 failed: {lhs1} != {rhs1}")
     certified.append("exp1")
 
     lhs2 = (p0f / q0f) * (1 - s / qf)  # (p0/q0) / (q/s)'
     rhs2 = (1 / tau_prime) * (1 - p0f * b)  # (1/tau') / (p_+/p0)'
-    if lhs2 != rhs2:
-        raise AssertionError(f"exp2 failed: {lhs2} != {rhs2}")
+    require(lhs2 == rhs2, f"exp2 failed: {lhs2} != {rhs2}")
     certified.append("exp2")
 
     lhs3 = qf * p0f / q0f
     rhs3 = ((sigma + qf) / tau_prime) * (1 - p0f * b) + (
         qf / tau - (pf / tau) * cpp
     ) * (1 - p0f * a)
-    if lhs3 != rhs3:
-        raise AssertionError(f"exp3 failed: {lhs3} != {rhs3}")
+    require(lhs3 == rhs3, f"exp3 failed: {lhs3} != {rhs3}")
     certified.append("exp3")
 
     return ProofExponents(
@@ -340,7 +318,7 @@ def reduce_case4(
     )
     eps_final = min(eps.frac, cap / 2)
     reduced = ExtrapolationRange(Exponent(eps_final), rng.p_plus, rng.p0, rng.q0)
-    assert case_select(reduced) in (Case.I, Case.III)
+    require(case_select(reduced) in (Case.I, Case.III), "reduced range must select Case I or III")
     return reduced
 
 
@@ -423,5 +401,5 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
         aggregate = agg_next
 
     expected = harmonic_sum(qjs)
-    assert aggregate == expected, f"final aggregate {aggregate} != {expected}"
+    require(aggregate == expected, f"final aggregate {aggregate} != {expected}")
     return steps

@@ -349,6 +349,8 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
     Supports stay inside [-L/2, L/2].  Same (spec, seed) => identical family
     bit for bit.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     x = grid.x()
     L = grid.L

@@ -17,12 +17,19 @@ can rely on a single shape:
 
 Exponents and rationals serialize as exact strings ("3/2", "inf"); finite
 floats pass through as JSON numbers, non-finite ones as the strings "nan",
-"inf" and "-inf" (JSON has no literal for them).
+"inf" and "-inf" (JSON has no literal for them).  Enums serialize as their
+value; a dataclass through its `as_dict` when it has one (to flatten or
+omit fields), otherwise through `dataclasses.asdict`.
+
+PlanReport is the result of a planner that reports rather than raises
+(`mz_plan`): its fields are the envelope's keyword fields, so the CLI
+passes `vars(report)` straight to `envelope`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -46,41 +53,30 @@ def to_jsonable(obj: Any) -> Any:
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, (Exponent, Fraction)):
         return exp_str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "as_dict"):
-            return to_jsonable(obj.as_dict())
-        return to_jsonable(dataclasses.asdict(obj))
     if hasattr(obj, "as_dict"):
         return to_jsonable(obj.as_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return to_jsonable(dataclasses.asdict(obj))
     return obj
 
 
 @dataclass
 class PlanReport:
-    """Structured planner result: exponents, classes, verdict, certificates."""
+    """Structured planner result: the envelope fields below `command`."""
 
-    kind: str
     feasible: bool
     data: dict = field(default_factory=dict)
     certified: list = field(default_factory=list)
     caveats: list = field(default_factory=list)
     reason: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "feasible": self.feasible,
-            "data": self.data,
-            "certified": self.certified,
-            "caveats": self.caveats,
-            "reason": self.reason,
-        }
 
 
 def envelope(

@@ -34,12 +34,12 @@ never proof; every report carries that caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
-from .errors import DomainError, ExtrapkitError, UnknownSpec, UnknownSurrogate
+from .errors import DomainError, ExtrapkitError, UnknownSpec, UnknownSurrogate, require
 from .exponents import ExponentLike, as_exponent, exp_str, harmonic_sum
 from .grid import Grid
 from .gridfn import (
@@ -117,9 +117,6 @@ class RatioReport:
     seed: int
     config: dict
     caveat: str = EVIDENCE_CAVEAT
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _verdict(sups: list) -> tuple[str, float]:
@@ -199,6 +196,8 @@ def _sweep(
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
     q1, q2, q = map(as_exponent, exps)
     size = math.prod(n for n, _ in levels)
+    if size > spec.count:
+        raise DomainError(f"block size {size} exceeds the family count {spec.count}: nothing to measure")
     sups, ratios, skipped = [], [], []
     for N in resolutions:
         grid = Grid(L, N)
@@ -459,7 +458,7 @@ def truncation_study(
         nrm = weighted_norm(fn, w, q)
         ball_mass = float((wq * (np.abs(x) <= c)).sum() * f.grid.h)
         bound = c * ball_mass ** (1.0 / qf)
-        assert nrm >= prev - 1e-12, "truncation norms must be nondecreasing"
+        require(nrm >= prev - 1e-12, "truncation norms must be nondecreasing")
         prev = nrm
         rows.append({"n_cut": c, "norm": nrm, "bound": bound, "within_bound": nrm <= bound * (1 + 1e-9)})
     return rows

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +312,27 @@ def test_mz_rejects_bad_targets():
         mz_plan([1, 3], Fraction(3, 2))
     with pytest.raises(DomainError):
         mz_plan([], Fraction(3, 2))
+
+
+# -- checks that python -O keeps ---------------------------------------------
+
+_BROKEN_ETA = """
+import extrapkit.applications as app
+from extrapkit.errors import CertificationFailed
+
+assert False, "assert statements must be stripped in this run"
+app._eta_rule = lambda budget, caps: 0
+try:
+    app.bht_plan(2, 2)
+except CertificationFailed as e:
+    print("CertificationFailed:", e)
+"""
+
+
+def test_violated_invariant_raises_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_ETA],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CertificationFailed: eta = 0 must satisfy")

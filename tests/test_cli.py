@@ -271,8 +271,14 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
         ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--K", "0",
          "--count", "2", "--N", "256"],
         ["verify", "bht", "--plan-file", "no-such-plan.json", "--N", "256"],
+        ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--K", "4",
+         "--count", "2", "--N", "256,512"],
+        ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "2", "--N", "256", "--seed", "-1"],
+        ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
+         "--N", "256", "--seed", "-1"],
     ],
-    ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file"],
+    ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file", "block-over-count",
+         "negative-seed", "rdf-negative-seed"],
 )
 def test_bad_verify_input_exit_1(capsys, argv):
     assert main(argv) == 1
@@ -292,3 +298,25 @@ def test_non_finite_numbers_serialize_as_strings():
 
     rep = envelope("test", feasible=True, data={"v": values})
     assert json.loads(dumps(rep), parse_constant=reject)["data"] == {"v": want}
+
+
+def test_plan_bht_grid_needs_csv(capsys):
+    argv = ["plan", "bht", "--q1", "2", "--q2", "2", "--grid", "2,3"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "--grid" in out.err
+    code, text = run_cli(argv + ["--emit", "csv"], capsys)
+    assert code == 0 and len(list(csv.reader(io.StringIO(text)))) == 1 + 4
+
+
+def test_infeasible_report_exits_2(tmp_path, capsys):
+    code, rep = run_json(["weights", "check", "--alpha=-1/2", "--ap", "2", "--rh", "2"], capsys)
+    assert code == 2 and rep["feasible"] is False and rep["data"]["member"] is False
+    # a subnormal weight is positive and finite, but its A_2 constant overflows
+    x = Grid(2.0, 64).x()
+    path = tmp_path / "w.csv"
+    _write_rows(path, [["x", "re"]] + [[repr(float(v)), "1e-320" if abs(v) < 0.5 else "1"] for v in x])
+    code, rep = run_json(["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2",
+                          "--depth", "2"], capsys)
+    assert code == 2 and rep["feasible"] is False
+    assert rep["data"]["constants"][0]["ap_const"] == "inf"

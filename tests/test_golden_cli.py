@@ -2,8 +2,10 @@
 
 Each case's exit code and output are compared with the file recorded in
 tests/golden/: every field exactly, floats to a relative 1e-12.  The
-files were recorded before the sweep engine and the verify handlers were
-merged, so a refactor that changes any report shows up here.
+verify, rdf and weights-estimate files were recorded before the sweep
+engine and the verify handlers were merged; the plan, CSV, weights-check
+and operator files before the handlers stopped building their own
+reports.  A refactor that changes any report shows up here.
 
 Re-record (only when a report is meant to change):
 
@@ -53,6 +55,29 @@ CASES = {
                           "--emit", "csv"],
     "rdf_demo": ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2",
                  "--p", "3", "--w", "power:1/8", "--N", "256"],
+    "plan_extrapolate": ["plan", "extrapolate", "--pm", "1", "--pp", "inf", "--p0", "2",
+                         "--q0", "2", "--p", "3"],
+    "plan_extrapolate_csv": ["plan", "extrapolate", "--pm", "1", "--pp", "6", "--p0", "2",
+                             "--q0", "3", "--p", "3", "--emit", "csv"],
+    "plan_bht": ["plan", "bht", "--q1", "2", "--q2", "3"],
+    "plan_bht_csv": ["plan", "bht", "--q1", "3/2", "--q2", "4", "--emit", "csv"],
+    "plan_bht_vv": ["plan", "bht-vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "3/2"],
+    "plan_bht_vv_csv": ["plan", "bht-vv", "--q1", "3", "--q2", "2", "--s1", "2", "--s2", "2",
+                        "--emit", "csv"],
+    "plan_bht_with_s": ["plan", "bht", "--q1", "2", "--q2", "2", "--s1", "3/2", "--s2", "2"],
+    "plan_section5_csv": ["plan", "section5", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2",
+                          "--g1", "1/4", "--g2", "1/4", "--g3", "1/2", "--emit", "csv"],
+    "plan_mz": ["plan", "mz", "--q", "3,3", "--r", "3/2"],
+    "plan_mz_csv": ["plan", "mz", "--q", "3,3/2,4", "--r", "3/2", "--emit", "csv"],
+    "plan_mz_base_csv": ["plan", "mz", "--q", "3,3", "--r", "2", "--emit", "csv"],
+    "plan_bht_infeasible": ["plan", "bht", "--q1", "4/3", "--q2", "4/3"],
+    "weights_check_csv": ["weights", "check", "--alpha", "1/4", "--ap", "2", "--rh", "2",
+                          "--emit", "csv"],
+    "weights_estimate_csv": ["weights", "estimate", "--file", "weight.csv", "--ap", "2",
+                             "--rh", "2", "--depth", "3", "--emit", "csv"],
+    "verify_truncation_csv": ["verify", "truncation", "--q", "2", "--ncuts", "1,2,4",
+                              "--N", "256", "--emit", "csv"],
+    "operator_hilbert": ["operator", "apply", "--op", "hilbert", "--in", "weight.csv"],
 }
 
 
