@@ -21,7 +21,7 @@ Layers:
 * :mod:`extrapkit.cli` -- the `extrapkit` command.
 """
 
-from .exponents import INF, Exponent, Reciprocal, conjugate, harmonic_sum
+from .exponents import INF, Exponent, conjugate, harmonic_sum
 from .extrapolation import (
     Case,
     ExtrapolationRange,

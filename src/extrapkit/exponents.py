@@ -20,7 +20,6 @@ exponents themselves are confined to [0, inf].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -29,7 +28,6 @@ from .errors import DomainError
 __all__ = [
     "Exponent",
     "INF",
-    "Reciprocal",
     "as_exponent",
     "conjugate",
     "harmonic_sum",
@@ -226,43 +224,28 @@ def as_exponent(x: ExponentLike) -> Exponent:
     return x if isinstance(x, Exponent) else Exponent(x)
 
 
-@dataclass(frozen=True)
-class Reciprocal:
-    """1/p as an exact rational.
-
-    All feasibility systems in the planners are affine in this form, so it is
-    the working representation there.  The embedded value may be any rational
-    (signed differences are legal); conversion back to an exponent requires a
-    nonnegative value and is lossless.
-    """
-
-    inv: Fraction
-
-    @classmethod
-    def of(cls, p: ExponentLike) -> "Reciprocal":
-        p = as_exponent(p)
-        if p.is_inf:
-            return cls(Fraction(0))
-        if p.frac == 0:
-            raise DomainError("1/0 = inf is not representable as a Reciprocal")
-        return cls(Fraction(1, 1) / p.frac)
-
-    def to_exponent(self) -> Exponent:
-        if self.inv < 0:
-            raise DomainError(f"reciprocal {self.inv} is negative")
-        if self.inv == 0:
-            return INF
-        return Exponent(1 / self.inv)
-
-
 def rec(p: ExponentLike) -> Fraction:
-    """1/p as a plain Fraction (p > 0 required; 1/inf = 0)."""
-    return Reciprocal.of(p).inv
+    """1/p as a plain Fraction (p > 0 required; 1/inf = 0).
+
+    Planner systems are affine in reciprocals, so this is the working form
+    there; reciprocal differences may be signed.
+    """
+    p = as_exponent(p)
+    if p.is_inf:
+        return Fraction(0)
+    if p.frac == 0:
+        raise DomainError("1/0 = inf is not representable as a reciprocal")
+    return 1 / p.frac
 
 
 def from_rec(t: Fraction) -> Exponent:
-    """Inverse of :func:`rec`: the exponent with reciprocal t >= 0."""
-    return Reciprocal(Fraction(t)).to_exponent()
+    """Inverse of :func:`rec`: the exponent with reciprocal t >= 0 (0 gives inf)."""
+    t = Fraction(t)
+    if t < 0:
+        raise DomainError(f"reciprocal {t} is negative")
+    if t == 0:
+        return INF
+    return Exponent(1 / t)
 
 
 def conjugate(p: ExponentLike) -> Exponent:

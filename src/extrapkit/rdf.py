@@ -10,8 +10,11 @@ stays below B^k, the construction guarantees
 
     G <= R G,    ||R G|| <= 2 ||G||,    M(R G) <= 2 B * (R G),
 
-i.e. R G is a pointwise majorant with an A_1-type bound; all three are
-certified numerically on every run.
+i.e. R G is a pointwise majorant with an A_1-type bound.  The first two
+are certified numerically on every run (the R-majorant and R-doubling
+certificates below); the third is only measured: `a1_ratio` = max M(RG)/RG
+is reported and compared with nothing.  ROADMAP item 2 plans its
+certificate for the truncated series.
 
 On top of the iteration the engine builds the proof objects for the
 two-sided construction (the `Case I` regime of the planner):
@@ -30,7 +33,7 @@ with the five certificates
     H2-norm: ||H2||_{L^{(q/s)'}(w^q)} <= 2^(1/beta)
     H2-pt:   h2 <= H2
 
-checked to a configurable quadrature slack (default 1%).
+checked to a 1% quadrature slack.
 """
 
 from __future__ import annotations
@@ -48,11 +51,10 @@ from .errors import (
 )
 from .exponents import Exponent, ExponentLike, as_exponent, conjugate, rec
 from .extrapolation import Case, ExtrapolationRange, ProofExponents, proof_exponents, target_exponent
-from .gridfn import GridFunction, TestFamily, maximal, measure_norm, weighted_norm
+from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
 from .weights import GridWeight, WeightClassSpec, estimate_class_constants
 
 __all__ = [
-    "IterationConfig",
     "IterationResult",
     "ProofObjects",
     "rdf_iterate",
@@ -65,32 +67,9 @@ DEFAULT_TERMS = 24
 POINTWISE_SLACK = 1e-9
 NORM_SLACK = 0.01
 GROWTH_SLACK = 1e-6
-
-
-@dataclass(frozen=True)
-class IterationConfig:
-    """Data for one iteration run: the weighted space and the series length.
-
-    `weight` is the measure density of the space (already fully powered) and
-    `exponent` its Lebesgue index; `norm_bound` stands in for the maximal
-    operator norm on that space.  The truncation tail 2^-K is recorded in
-    every result.
-    """
-
-    norm_bound: float
-    weight: GridWeight
-    exponent: Exponent
-    terms: int = DEFAULT_TERMS
-
-    def __post_init__(self):
-        if not (self.norm_bound >= 1):
-            raise DomainError(f"norm bound must be >= 1, got {self.norm_bound}")
-        if self.terms < 1:
-            raise DomainError(f"need at least one series term, got {self.terms}")
-        e = as_exponent(self.exponent)
-        object.__setattr__(self, "exponent", e)
-        if not e.is_inf and e.frac <= 0:
-            raise DomainError("iteration space exponent must be positive")
+PROBE_CEILING = 1e8
+PROBE_SAFETY = 2.0
+BOUND_ATTEMPTS = 5
 
 
 @dataclass
@@ -103,24 +82,40 @@ class IterationResult:
     term_norms: list
 
 
-def rdf_iterate(G: GridFunction, cfg: IterationConfig) -> IterationResult:
+def rdf_iterate(
+    G: GridFunction,
+    norm_bound: float,
+    weight: GridWeight,
+    exponent: ExponentLike,
+    terms: int = DEFAULT_TERMS,
+) -> IterationResult:
     """Truncated majorant series with certified geometric decay.
 
-    Raises NormBoundTooSmall when the observed ||M^k G|| growth exceeds
-    norm_bound^k (the series would not be summable as configured).
+    `weight` is the measure density of the space (already fully powered) and
+    `exponent` its Lebesgue index; `norm_bound` stands in for the maximal
+    operator norm on that space.  Raises NormBoundTooSmall when the observed
+    ||M^k G|| growth exceeds norm_bound^k (the series would not be summable
+    as configured).
     """
+    if not (norm_bound >= 1):
+        raise DomainError(f"norm bound must be >= 1, got {norm_bound}")
+    if terms < 1:
+        raise DomainError(f"need at least one series term, got {terms}")
+    exponent = as_exponent(exponent)
+    if not exponent.is_inf and exponent.frac <= 0:
+        raise DomainError("iteration space exponent must be positive")
     if np.iscomplexobj(G.samples) or np.any(G.samples < 0):
         raise DomainError("iteration input must be nonnegative")
-    G.grid.require_same(cfg.weight.grid)
-    base_norm = measure_norm(G, cfg.weight, cfg.exponent)
+    G.grid.require_same(weight.grid)
+    base_norm = measure_norm(G, weight, exponent)
     term = G
     total = G.samples.copy()
     term_norms = [base_norm]
-    scale = 2.0 * cfg.norm_bound
-    for k in range(1, cfg.terms):
+    scale = 2.0 * norm_bound
+    for k in range(1, terms):
         term = GridFunction(maximal(term).samples / scale, G.grid)
         total += term.samples
-        tn = measure_norm(term, cfg.weight, cfg.exponent)
+        tn = measure_norm(term, weight, exponent)
         term_norms.append(tn)
         if base_norm > 0 and tn > base_norm * 2.0**-k * (1.0 + GROWTH_SLACK):
             raise NormBoundTooSmall(
@@ -133,43 +128,36 @@ def rdf_iterate(G: GridFunction, cfg: IterationConfig) -> IterationResult:
         function=out,
         a1_ratio=float(np.max(mratio)),
         input_norm=base_norm,
-        output_norm=measure_norm(out, cfg.weight, cfg.exponent),
-        tail_bound=2.0 ** -cfg.terms,
+        output_norm=measure_norm(out, weight, exponent),
+        tail_bound=2.0 ** -terms,
         term_norms=term_norms,
     )
 
 
-def estimate_maximal_norm(
-    p: ExponentLike,
-    w: GridWeight,
-    probes: TestFamily | list,
-    *,
-    ceiling: float = 1e8,
-    safety: float = 2.0,
-) -> float:
+def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float:
     """Empirical upper bound for ||M|| on L^p(w) (w the measure density).
 
-    Takes the max ratio ||Mf||/||f|| over the probe functions plus a
-    constant probe, times a safety factor; the result is >= 1 and monotone
-    in the probe set.  DivergentProbe is raised if any ratio exceeds the
-    ceiling.
+    Takes the max ratio ||Mf||/||f|| over the probe functions, floored at 1,
+    times a safety factor of 2; the result is >= 2 and monotone in the probe
+    set.  The floor is the ratio of a constant probe: on the grid M1 = 1
+    exactly (every interval average of ones is an exact 1.0), so constants
+    need no maximal call.  DivergentProbe is raised if any ratio exceeds
+    the ceiling.
     """
     p = as_exponent(p)
     if p.is_inf or p <= 1:
         raise DomainError(f"maximal norm estimate needs 1 < p < inf, got {p}")
-    fns = probes.functions() if isinstance(probes, TestFamily) else list(probes)
-    fns = [GridFunction(np.ones(w.grid.N), w.grid)] + fns
     best = 1.0
-    for fn in fns:
+    for fn in probes:
         fn = fn.abs()
         denom = measure_norm(fn, w, p)
         if denom == 0:
             continue
         ratio = measure_norm(maximal(fn), w, p) / denom
-        if ratio > ceiling:
-            raise DivergentProbe(f"probe ratio {ratio:.3e} exceeds ceiling {ceiling:.3e}")
+        if ratio > PROBE_CEILING:
+            raise DivergentProbe(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
         best = max(best, ratio)
-    return max(1.0, safety * best)
+    return PROBE_SAFETY * best
 
 
 # --------------------------------------------------------------------------
@@ -191,8 +179,8 @@ class ProofObjects:
     C2: float  # 2^(1/beta)
     certificates: dict
     norm_bounds: tuple[float, float]
-    r1: IterationResult = None
-    r2: IterationResult = None
+    r1: IterationResult
+    r2: IterationResult
 
     def as_dict(self) -> dict:
         return {
@@ -201,8 +189,8 @@ class ProofObjects:
             "certificates": self.certificates,
             "norm_bound_1": self.norm_bounds[0],
             "norm_bound_2": self.norm_bounds[1],
-            "a1_ratio_mu1": self.r1.a1_ratio if self.r1 else None,
-            "a1_ratio_mu2": self.r2.a1_ratio if self.r2 else None,
+            "a1_ratio_mu1": self.r1.a1_ratio,
+            "a1_ratio_mu2": self.r2.a1_ratio,
         }
 
 
@@ -217,19 +205,14 @@ def build_proof_objects(
     pe: ProofExponents,
     rng: ExtrapolationRange,
     p: ExponentLike,
-    *,
-    h2: GridFunction | None = None,
-    probes: list | None = None,
-    terms: int = DEFAULT_TERMS,
-    norm_slack: float = NORM_SLACK,
 ) -> ProofObjects:
     """Construct and certify the majorant pair (H1, H2) for one scenario.
 
     f, g must be nonnegative and nonzero; `pe` must come from the planner's
-    two-sided regime (Case I).  When h2 is not supplied, the extremal dual
-    function (f/||f||)^{q-s} is used, which saturates its norm constraint.
-    Raises CertificationFailed listing any certificate that misses its bound
-    by more than the slack.
+    two-sided regime (Case I).  h2 is the extremal dual function
+    (f/||f||)^{q-s}, which saturates its norm constraint.  Raises
+    CertificationFailed listing any certificate that misses its bound by
+    more than the slack.
     """
     if pe.case is not Case.I:
         raise DomainError("proof objects are built in the two-sided regime (Case I)")
@@ -251,13 +234,8 @@ def build_proof_objects(
     dual_term = g.samples**float(ratio) * _pw(w, ratio - 1) / ng ** float(ratio)
     h1 = GridFunction(f.samples / nf + dual_term, grid)
 
-    if h2 is None:
-        h2 = GridFunction((f.samples / nf) ** float(qf - pe.s), grid)
-    else:
-        grid.require_same(h2.grid)
-        if np.any(h2.samples < 0):
-            raise DomainError("h2 must be nonnegative")
-    # normalize h2 in L^{(q/s)'}(w^q)
+    # h2, normalized in L^{(q/s)'}(w^q)
+    h2 = GridFunction((f.samples / nf) ** float(qf - pe.s), grid)
     qs_conj = conjugate(Exponent(qf / pe.s))
     w_q = w.power(qf)
     nh2 = measure_norm(h2, w_q, qs_conj)
@@ -265,42 +243,31 @@ def build_proof_objects(
         raise DomainError("h2 must be nonzero")
     h2 = GridFunction(h2.samples / nh2, grid)
 
-    # iteration spaces
+    def _majorant(h: GridFunction, power: Fraction, w_exp: Fraction, space_p: Fraction, v: GridWeight):
+        """seed = h^power w^w_exp, r = R seed on L^space_p(v), mu = max(r, tiny),
+        H = r^(1/power) w^(-w_exp/power); the norm bound doubles after each
+        NormBoundTooSmall, and the last of BOUND_ATTEMPTS attempts re-raises."""
+        seed = GridFunction(h.samples ** float(power) * _pw(w, w_exp), grid)
+        bound = estimate_maximal_norm(space_p, v, [seed])
+        for attempt in range(1, BOUND_ATTEMPTS + 1):
+            try:
+                r = rdf_iterate(seed, bound, v, space_p)
+                break
+            except NormBoundTooSmall:
+                if attempt == BOUND_ATTEMPTS:
+                    raise
+                bound *= 2.0  # rare: probe estimate too optimistic; retry
+        mu = GridWeight(np.maximum(r.function.samples, np.finfo(float).tiny), grid)
+        H = GridFunction(r.function.samples ** float(1 / power) * _pw(w, -w_exp / power), grid)
+        return seed, r, bound, mu, H
+
+    # R1 runs on L^tau(w^{p (p_+/p)'}), R2 on L^tau'(w^{-sigma})
     cpp = Fraction(1) if rng.p_plus.is_inf else (
         (rng.p_plus.frac / pf) / (rng.p_plus.frac / pf - 1)
     )
-    v1 = w.power(pf * cpp)
-    v2 = w.power(-pe.sigma)
-    probes = list(probes or [])
-
-    def _iterate(seed_fn: GridFunction, space_p: Fraction, v: GridWeight):
-        bound = estimate_maximal_norm(
-            Exponent(space_p), v, probes + [seed_fn]
-        )
-        for _ in range(4):
-            try:
-                cfg = IterationConfig(bound, v, Exponent(space_p), terms)
-                return rdf_iterate(seed_fn, cfg), bound
-            except NormBoundTooSmall:
-                bound *= 2.0  # rare: probe estimate too optimistic; retry
-        cfg = IterationConfig(bound, v, Exponent(space_p), terms)
-        return rdf_iterate(seed_fn, cfg), bound
-
-    seed1 = GridFunction(h1.samples ** float(pe.delta) * _pw(w, pe.epsilon), grid)
-    r1, bound1 = _iterate(seed1, pe.tau, v1)
-    mu1 = GridWeight(np.maximum(r1.function.samples, np.finfo(float).tiny), grid)
-    H1 = GridFunction(
-        r1.function.samples ** float(1 / pe.delta) * _pw(w, -pe.epsilon / pe.delta),
-        grid,
-    )
-
+    seed1, r1, bound1, mu1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, w.power(pf * cpp))
     beta = pe.beta.frac
-    seed2 = GridFunction(h2.samples ** float(beta) * _pw(w, pe.gamma), grid)
-    r2, bound2 = _iterate(seed2, pe.tau_prime, v2)
-    mu2 = GridWeight(np.maximum(r2.function.samples, np.finfo(float).tiny), grid)
-    H2 = GridFunction(
-        r2.function.samples ** float(1 / beta) * _pw(w, -pe.gamma / beta), grid
-    )
+    seed2, r2, bound2, mu2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
 
     C1 = 2.0 ** float(1 + 1 / pe.delta)
     C2 = 2.0 ** float(1 / beta)
@@ -310,7 +277,7 @@ def build_proof_objects(
     failures = []
 
     def _norm_cert(tag, value, bound):
-        ok = value <= bound * (1 + norm_slack)
+        ok = value <= bound * (1 + NORM_SLACK)
         certs[tag] = {"value": value, "bound": bound, "ok": ok}
         if not ok:
             failures.append(f"{tag}: {value:.6g} > {bound:.6g}")
@@ -370,10 +337,11 @@ def verify_case1_weight(
 ) -> dict:
     """Re-verify the exponent bookkeeping and the constructed weight's classes.
 
-    Returns a report with (i) the exact identity re-check, (ii) empirical
-    A_1 ratios of mu1/mu2, (iii) estimated A_{p0/p_-} and RH_{(p_+/p0)'}
-    constants of W^{p0} at the given depth, and (iv) a bitwise replay of the
-    defining identity W^{q0} = H1^{-alpha q0/s} H2 w^q.
+    Returns a report with (i) the exact identity re-check, (ii) the
+    empirical A_1 ratios of mu1/mu2 that the iteration measured, (iii)
+    estimated A_{p0/p_-} and RH_{(p_+/p0)'} constants of W^{p0} at the given
+    depth, and (iv) a bitwise replay of the defining identity
+    W^{q0} = H1^{-alpha q0/s} H2 w^q.
     """
     p = as_exponent(p)
     pe_again = proof_exponents(rng, p)
@@ -388,21 +356,13 @@ def verify_case1_weight(
     if not bitwise:
         raise CertificationFailed(["W^{q0} replay differs from stored array"])
 
-    grid = w.grid
-    mu1_ratio = float(
-        np.max(maximal(GridFunction(po.mu1.samples, grid)).samples / po.mu1.samples)
-    )
-    mu2_ratio = float(
-        np.max(maximal(GridFunction(po.mu2.samples, grid)).samples / po.mu2.samples)
-    )
-
     ap_index = Exponent(rng.p0.frac * rec(rng.p_minus))
     rh_index = (
         Exponent("inf")
         if rng.p_plus == rng.p0
         else conjugate(rng.p_plus / rng.p0)
     )
-    w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), grid)
+    w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), w.grid)
     ap_c, rh_c = estimate_class_constants(
         w_p0, WeightClassSpec(ap_index, rh_index), depth
     )
@@ -416,8 +376,8 @@ def verify_case1_weight(
         "identities": list(pe.certified),
         "re_derived_equal": True,
         "W_q0_bitwise": bitwise,
-        "a1_ratio_mu1": mu1_ratio,
-        "a1_ratio_mu2": mu2_ratio,
+        "a1_ratio_mu1": po.r1.a1_ratio,
+        "a1_ratio_mu2": po.r2.a1_ratio,
         "W_p0_ap_index": ap_index,
         "W_p0_rh_index": rh_index,
         "W_p0_ap_const": ap_c,

@@ -440,7 +440,9 @@ def truncation_study(
 
     For each cutoff: ||f_N||_{L^q(w^q)} together with the bound
     N * (w^q-mass of B(0, N))^{1/q}; the norm column is monotone
-    nondecreasing and ends at ||f|| once the cutoff dominates.
+    nondecreasing and ends at ||f|| once the cutoff dominates.  f_N keeps
+    only f <= N on |x| <= N, so the bound holds up to rounding; a norm that
+    decreases or exceeds its bound raises CertificationFailed.
     """
     q = as_exponent(q)
     if q.is_inf:
@@ -459,6 +461,7 @@ def truncation_study(
         ball_mass = float((wq * (np.abs(x) <= c)).sum() * f.grid.h)
         bound = c * ball_mass ** (1.0 / qf)
         require(nrm >= prev - 1e-12, "truncation norms must be nondecreasing")
+        require(nrm <= bound * (1 + 1e-9), f"truncation norm {nrm:.6g} exceeds its bound {bound:.6g}")
         prev = nrm
-        rows.append({"n_cut": c, "norm": nrm, "bound": bound, "within_bound": nrm <= bound * (1 + 1e-9)})
+        rows.append({"n_cut": c, "norm": nrm, "bound": bound})
     return rows

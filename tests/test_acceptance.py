@@ -240,7 +240,7 @@ def test_criterion_08_rdf_certificates():
         f, gfn = fam.members[0][0].abs(), fam.members[0][1].abs()
         alpha = weights[i % len(weights)]
         w = GridWeight.unit(grid) if alpha is None else PowerWeight(alpha).on_grid(grid)
-        po = build_proof_objects(f, gfn, w, pe, rng, p, norm_slack=0.01)
+        po = build_proof_objects(f, gfn, w, pe, rng, p)
         for tag in ("H1-norm", "H1-f", "H1-pt3", "H2-norm", "H2-pt"):
             assert po.certificates[tag]["ok"], (i, tag)
         # R G >= G exactly, ||R G|| <= 2 ||G|| within 1%

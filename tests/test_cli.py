@@ -320,3 +320,34 @@ def test_infeasible_report_exits_2(tmp_path, capsys):
                           "--depth", "2"], capsys)
     assert code == 2 and rep["feasible"] is False
     assert rep["data"]["constants"][0]["ap_const"] == "inf"
+
+
+def test_plan_bht_vv_grid_tabulates_vector_valued_plans(capsys):
+    argv = ["plan", "bht-vv", "--q1", "2", "--q2", "2", "--s1", "3/2", "--s2", "3/2",
+            "--grid", "2,3", "--emit", "csv"]
+    code, text = run_cli(argv, capsys)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert code == 0 and len(rows) == 4
+    assert all(r["s1"] == "3/2" and r["s2"] == "3/2" and r["s"] == "3/4" for r in rows)
+    assert "1/s-lt-3/2" in rows[0]["certified"]
+    # each row is the plan `plan bht-vv` prints for that (q1, q2)
+    code, one = run_cli(argv[:-4] + ["--emit", "csv"], capsys)
+    single = next(csv.DictReader(io.StringIO(one)))
+    assert all(rows[0][k] == v for k, v in single.items() if not k.startswith("power_range."))
+
+
+def test_rdf_demo_case_has_one_value(capsys):
+    argv = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
+            "--N", "256", "--case", "II"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_truncation_over_bound_exits_2(monkeypatch, capsys):
+    from extrapkit import verifier
+
+    monkeypatch.setattr(verifier, "truncate", lambda fn, c: fn * 1e6)
+    code, rep = run_json(["verify", "truncation", "--q", "2", "--ncuts", "1,2", "--N", "256"], capsys)
+    assert code == 2 and rep["feasible"] is False and "exceeds its bound" in rep["reason"]

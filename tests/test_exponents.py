@@ -9,11 +9,12 @@ from extrapkit.errors import DomainError
 from extrapkit.exponents import (
     INF,
     Exponent,
-    Reciprocal,
     as_exponent,
     conjugate,
     exp_str,
+    from_rec,
     harmonic_sum,
+    rec,
 )
 
 finite_exponents = st.fractions(min_value=0, max_value=100).map(Exponent)
@@ -110,11 +111,11 @@ def test_harmonic_sum_commutes_and_associates(a, b, c):
 
 @given(st.fractions(min_value=Fraction(1, 100), max_value=100))
 def test_reciprocal_form_roundtrip(v):
-    r = Reciprocal.of(Exponent(v))
-    assert r.to_exponent() == Exponent(v)
-    assert Reciprocal.of(r.to_exponent()) == r
+    r = rec(Exponent(v))
+    assert from_rec(r) == Exponent(v)
+    assert rec(from_rec(r)) == r
 
 
 def test_reciprocal_form_negative_rejected():
     with pytest.raises(DomainError):
-        Reciprocal(Fraction(-1, 2)).to_exponent()
+        from_rec(Fraction(-1, 2))

@@ -5,7 +5,9 @@ tests/golden/: every field exactly, floats to a relative 1e-12.  The
 verify, rdf and weights-estimate files were recorded before the sweep
 engine and the verify handlers were merged; the plan, CSV, weights-check
 and operator files before the handlers stopped building their own
-reports.  A refactor that changes any report shows up here.
+reports.  The two truncation files were re-recorded when the
+`within_bound` column, which could not be false, became a certification
+check.  A refactor that changes any report shows up here.
 
 Re-record (only when a report is meant to change):
 

@@ -8,8 +8,8 @@ from extrapkit.exponents import Exponent
 from extrapkit.extrapolation import ExtrapolationRange, proof_exponents
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, GridFunction, make_family, maximal, measure_norm
+from extrapkit import rdf
 from extrapkit.rdf import (
-    IterationConfig,
     build_proof_objects,
     estimate_maximal_norm,
     rdf_iterate,
@@ -31,7 +31,7 @@ def _pair(seed=42, grid=GRID):
 def test_iterate_constant_closed_form():
     c = GridFunction(np.full(GRID.N, 2.5), GRID)
     nb = 2.0
-    res = rdf_iterate(c, IterationConfig(nb, GridWeight.unit(GRID), 2, terms=24))
+    res = rdf_iterate(c, nb, GridWeight.unit(GRID), 2, terms=24)
     expected = 2.5 * sum((2 * nb) ** -k for k in range(24))
     assert np.allclose(res.function.samples, expected, rtol=1e-12)
     assert res.a1_ratio == pytest.approx(1.0, abs=1e-9)
@@ -39,7 +39,7 @@ def test_iterate_constant_closed_form():
 
 def test_iterate_majorizes_input_exactly():
     f, _ = _pair()
-    res = rdf_iterate(f, IterationConfig(4.0, GridWeight.unit(GRID), 2))
+    res = rdf_iterate(f, 4.0, GridWeight.unit(GRID), 2)
     assert np.all(res.function.samples >= f.samples)
 
 
@@ -47,7 +47,7 @@ def test_iterate_norm_doubling_bound():
     f, _ = _pair(7)
     w = PowerWeight(Fraction(1, 8)).on_grid(GRID)
     nb = estimate_maximal_norm(2, w, [f])
-    res = rdf_iterate(f, IterationConfig(nb, w, 2))
+    res = rdf_iterate(f, nb, w, 2)
     assert res.output_norm <= 2.0 * res.input_norm * 1.01
 
 
@@ -57,8 +57,8 @@ def test_iterate_truncation_control():
     w = GridWeight.unit(GRID)
     nb = estimate_maximal_norm(2, w, [f])
     for K in (8, 12):
-        a = rdf_iterate(f, IterationConfig(nb, w, 2, terms=K))
-        b = rdf_iterate(f, IterationConfig(nb, w, 2, terms=K + 1))
+        a = rdf_iterate(f, nb, w, 2, terms=K)
+        b = rdf_iterate(f, nb, w, 2, terms=K + 1)
         diff = GridFunction(b.function.samples - a.function.samples, GRID)
         assert measure_norm(diff, w, 2) <= 2.0**-K * a.input_norm * 1.01
 
@@ -67,20 +67,29 @@ def test_iterate_a1_ratio_bound():
     f, _ = _pair(13)
     w = GridWeight.unit(GRID)
     nb = estimate_maximal_norm(2, w, [f])
-    res = rdf_iterate(f, IterationConfig(nb, w, 2))
+    res = rdf_iterate(f, nb, w, 2)
     assert res.a1_ratio <= 2.0 * nb * 1.05
 
 
 def test_iterate_rejects_small_norm_bound():
     f, _ = _pair(21)
     with pytest.raises(NormBoundTooSmall):
-        rdf_iterate(f, IterationConfig(1.0, GridWeight.unit(GRID), 2, terms=16))
+        rdf_iterate(f, 1.0, GridWeight.unit(GRID), 2, terms=16)
 
 
 def test_iterate_rejects_negative_input():
     f = GridFunction(-np.ones(GRID.N), GRID)
     with pytest.raises(DomainError):
-        rdf_iterate(f, IterationConfig(2.0, GridWeight.unit(GRID), 2))
+        rdf_iterate(f, 2.0, GridWeight.unit(GRID), 2)
+
+
+@pytest.mark.parametrize(
+    "norm_bound, exponent, terms", [(0.5, 2, 4), (float("nan"), 2, 4), (2.0, 0, 4), (2.0, 2, 0)]
+)
+def test_iterate_rejects_bad_space(norm_bound, exponent, terms):
+    f, _ = _pair(5)
+    with pytest.raises(DomainError):
+        rdf_iterate(f, norm_bound, GridWeight.unit(GRID), exponent, terms=terms)
 
 
 # -- norm estimation -----------------------------------------------------------
@@ -179,3 +188,33 @@ def test_seeded_scenarios_certify():
         w = PowerWeight(Fraction(1, 8)).on_grid(grid) if i % 2 else GridWeight.unit(grid)
         po = build_proof_objects(f, g, w, pe, rng, p)
         assert all(v["ok"] for v in po.certificates.values())
+
+
+def _case1(grid=Grid(4.0, 2**9)):
+    rng = ExtrapolationRange(1, "inf", 2, 2)
+    f, g = _pair(42, grid)
+    return f, g, PowerWeight(Fraction(1, 8)).on_grid(grid), proof_exponents(rng, 3), rng
+
+
+def test_proof_objects_retry_doubles_a_low_norm_bound(monkeypatch):
+    # a norm estimate of 1 underestimates ||M||, so the first iteration raises
+    # NormBoundTooSmall and the bound is doubled until the series decays
+    monkeypatch.setattr(rdf, "estimate_maximal_norm", lambda *args: 1.0)
+    f, g, w, pe, rng = _case1()
+    po = build_proof_objects(f, g, w, pe, rng, 3)
+    assert all(v["ok"] for v in po.certificates.values())
+    assert all(b in (2.0, 4.0, 8.0, 16.0) for b in po.norm_bounds)
+
+
+def test_proof_objects_retry_gives_up_after_five_attempts(monkeypatch):
+    bounds = []
+
+    def always_too_small(G, norm_bound, *args, **kwargs):
+        bounds.append(norm_bound)
+        raise NormBoundTooSmall("forced")
+
+    monkeypatch.setattr(rdf, "rdf_iterate", always_too_small)
+    f, g, w, pe, rng = _case1()
+    with pytest.raises(NormBoundTooSmall):
+        build_proof_objects(f, g, w, pe, rng, 3)
+    assert bounds == [bounds[0] * 2.0**k for k in range(5)]
