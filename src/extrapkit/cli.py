@@ -43,7 +43,7 @@ from .extrapolation import (
     target_exponent,
 )
 from .grid import Grid
-from .gridfn import FamilySpec, GridFunction, bht, hilbert, maximal, make_family
+from .gridfn import FAMILY_KINDS, FamilySpec, GridFunction, bht, hilbert, maximal, make_family
 from .rdf import build_proof_objects, verify_case1_weight
 from .reports import dumps, envelope, to_jsonable
 from .weights import (
@@ -254,10 +254,17 @@ def _cmd_operator_apply(args) -> None:
         wr.writerow([f"{v:.17g}" for v in vals])
 
 
+def _one_resolution(args) -> int:
+    """The grid size of a command that builds one member on one grid."""
+    if len(args.N) != 1:
+        raise DomainError(f"{args.group} {args.cmd} runs on one resolution, got --N {','.join(map(str, args.N))}")
+    return args.N[0]
+
+
 def _cmd_rdf_demo(args):
     rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
     pe = proof_exponents(rng, args.p)
-    grid = Grid(args.L, args.N[0])
+    grid = Grid(args.L, _one_resolution(args))
     w = ver.realize_weight(args.w, grid)
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), args.seed, grid)
     f = fam.members[0][0].abs()
@@ -329,7 +336,7 @@ def _cmd_verify_sweep(args):
 
 
 def _cmd_verify_truncation(args):
-    grid = Grid(args.L, args.N[0])
+    grid = Grid(args.L, _one_resolution(args))
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=1), args.seed, grid)
     f = fam.members[0][0].abs()
     w = ver.realize_weight(args.w, grid)
@@ -349,7 +356,9 @@ def _cmd_verify_truncation(args):
 # --------------------------------------------------------------------------
 
 
-def _add_common(p, grid_default="4096"):
+def _add_common(p, grid_default="4096", one_member=False):
+    """Options of the commands that draw a test family; with one_member the
+    handler builds one smooth-bumps member on one resolution."""
     p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--L", type=float, default=8.0)
@@ -357,10 +366,15 @@ def _add_common(p, grid_default="4096"):
         "--N",
         type=lambda s: [int(tok) for tok in s.split(",")],
         default=[int(tok) for tok in grid_default.split(",")],
-        help="comma-separated resolutions",
+        help="one resolution" if one_member else "comma-separated resolutions",
     )
-    p.add_argument("--family", choices=("smooth-bumps", "modulated", "dyadic-concentration"), default="smooth-bumps")
-    p.add_argument("--count", type=int, default=16)
+    p.add_argument("--family", choices=("smooth-bumps",) if one_member else FAMILY_KINDS, default="smooth-bumps")
+    p.add_argument(
+        "--count",
+        type=int,
+        default=16,
+        help="not used: this command uses one family member" if one_member else "family members",
+    )
 
 
 def build_parser() -> _Parser:
@@ -441,7 +455,7 @@ def build_parser() -> _Parser:
     rd.add_argument("--q0", type=_exp, required=True)
     rd.add_argument("--p", type=_exp, required=True)
     rd.add_argument("--trace", default=None)
-    _add_common(rd, grid_default="1024")
+    _add_common(rd, grid_default="1024", one_member=True)
     rd.set_defaults(handler=_cmd_rdf_demo)
 
     vf = sub.add_parser("verify")
@@ -483,7 +497,7 @@ def build_parser() -> _Parser:
     vt.add_argument("--q", type=_exp, required=True)
     vt.add_argument("--w", type=_weight_descriptor, default="unit")
     vt.add_argument("--ncuts", required=True, help="comma-separated cutoffs")
-    _add_common(vt, grid_default="2048")
+    _add_common(vt, grid_default="2048", one_member=True)
     vt.set_defaults(handler=_cmd_verify_truncation)
 
     return root

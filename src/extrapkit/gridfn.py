@@ -22,6 +22,7 @@ the support, away from truncation boundary effects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,6 +202,20 @@ def _next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+@functools.lru_cache(maxsize=8)
+def _hilbert_kernel_spectrum(n: int) -> np.ndarray:
+    """Read-only FFT of the displacement kernel 1/(pi d), d = 1-n..n-1, d != 0.
+
+    It depends on n alone, so it is computed once per grid size.
+    """
+    d = np.arange(1 - n, n, dtype=float)
+    with np.errstate(divide="ignore"):
+        ker = np.where(d == 0, 0.0, 1.0 / (np.pi * d))
+    spec = np.fft.fft(ker, _next_pow2(3 * n - 2))
+    spec.flags.writeable = False
+    return spec
+
+
 def hilbert(f: GridFunction) -> GridFunction:
     """Principal-value Hilbert transform, singular cell omitted.
 
@@ -212,11 +227,8 @@ def hilbert(f: GridFunction) -> GridFunction:
     """
     n = f.grid.N
     s = f.samples
-    d = np.arange(1 - n, n, dtype=float)
-    with np.errstate(divide="ignore"):
-        ker = np.where(d == 0, 0.0, 1.0 / (np.pi * d))
-    m = _next_pow2(3 * n - 2)
-    conv = np.fft.ifft(np.fft.fft(s, m) * np.fft.fft(ker, m))
+    spec = _hilbert_kernel_spectrum(n)
+    conv = np.fft.ifft(np.fft.fft(s, spec.size) * spec)
     out = conv[n - 1 : 2 * n - 1]
     if not np.iscomplexobj(s):
         out = out.real
@@ -240,6 +252,17 @@ def bht(
     pair combined as (f_{i-k} g_{i+k} - f_{i+k} g_{i-k})/k, which is exact
     cancellation for constant inputs.  Out-of-window samples are treated
     as zero; keep supports away from the boundary.
+
+    The work is clipped to the supports.  With [af, bf] and [ag, bg] the
+    first and last nonzero indices of f and g, the +t product of shift k
+    is nonzero only for i in [max(af+k, ag-k), min(bf+k, bg-k)] and the -t
+    product only for i in [max(af-k, ag+k), min(bf-k, bg+k)].  Each shift
+    updates the hull of its nonempty spans, a shift with both spans empty
+    is skipped, and no shift beyond max(bg-af, bf-ag)/2 has a nonempty
+    span.  This is exact, bit for bit: every cell inside a hull gets the
+    same expression on the same operands in the same shift order, and a
+    cell outside it would only have received +-0, which changes no bit of
+    an output that starts at +0.0 (no sum reaches -0.0 from there).
     """
     f.grid.require_same(g.grid)
     grid = f.grid
@@ -258,13 +281,26 @@ def bht(
     k_max = min(n - 1, math.floor(t_max / h + 1e-12))
 
     F, G = f.samples, g.samples
-    dtype = np.result_type(F, G)
-    out = np.zeros(n, dtype=dtype)
-    for k in range(k_min, k_max + 1):
-        if 2 * k >= n:
-            break
-        seg = slice(k, n - k)
-        out[seg] += (F[: n - 2 * k] * G[2 * k :] - F[2 * k :] * G[: n - 2 * k]) / k
+    out = np.zeros(n, dtype=np.result_type(F, G))
+    nz_f, nz_g = np.flatnonzero(F), np.flatnonzero(G)
+    if nz_f.size == 0 or nz_g.size == 0:
+        return GridFunction(out, grid)
+    af, bf, ag, bg = int(nz_f[0]), int(nz_f[-1]), int(nz_g[0]), int(nz_g[-1])
+    k_stop = min(k_max, (n - 1) // 2, max(bg - af, bf - ag) // 2)  # also 2k < n
+    for k in range(k_min, k_stop + 1):
+        spans = [
+            (lo, hi)
+            for lo, hi in (
+                (max(af + k, ag - k), min(bf + k, bg - k)),  # f(x-t) g(x+t)
+                (max(af - k, ag + k), min(bf - k, bg + k)),  # f(x+t) g(x-t)
+            )
+            if lo <= hi
+        ]
+        if not spans:
+            continue
+        lo = max(k, min(s[0] for s in spans))
+        hi = min(n - k, max(s[1] for s in spans) + 1)
+        out[lo:hi] += (F[lo - k : hi - k] * G[lo + k : hi + k] - F[lo + k : hi + k] * G[lo - k : hi - k]) / k
     return GridFunction(out, grid)
 
 

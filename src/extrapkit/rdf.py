@@ -25,15 +25,21 @@ two-sided construction (the `Case I` regime of the planner):
     mu1 = R1(h1^delta w^eps),  mu2 = R2(h2^beta w^gam)
     W^{q0} = H1^{-alpha q0/s} H2 w^q
 
-with the five certificates
+with the ten certificates
 
-    H1-norm: ||H1||_{L^q(w^q)} <= 2^(1+1/delta)
-    H1-f:    f <= H1 ||f||
-    H1-pt3:  g^{p/q} w^{p/q-1} <= H1 ||g||^{p/q}
-    H2-norm: ||H2||_{L^{(q/s)'}(w^q)} <= 2^(1/beta)
-    H2-pt:   h2 <= H2
+    h1-norm:     ||h1||_{L^q(w^q)} <= 2
+    H1-norm:     ||H1||_{L^q(w^q)} <= 2^(1+1/delta)
+    H1-f:        f <= H1 ||f||
+    H1-pt3:      g^{p/q} w^{p/q-1} <= H1 ||g||^{p/q}
+    H2-norm:     ||H2||_{L^{(q/s)'}(w^q)} <= 2^(1/beta)
+    H2-pt:       h2 <= H2
+    R1-majorant: h1^delta w^eps <= mu1
+    R2-majorant: h2^beta w^gam <= mu2
+    R1-doubling: ||mu1||_{L^tau(w^{p (p_+/p)'})} <= 2 ||h1^delta w^eps||
+    R2-doubling: ||mu2||_{L^tau'(w^{-sigma})} <= 2 ||h2^beta w^gam||
 
-checked to a 1% quadrature slack.
+the norm bounds checked to a 1% quadrature slack (NORM_SLACK), the
+pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
 """
 
 from __future__ import annotations

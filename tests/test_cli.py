@@ -345,6 +345,34 @@ def test_rdf_demo_case_has_one_value(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+RDF_DEMO = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3"]
+TRUNCATION = ["verify", "truncation", "--q", "2", "--ncuts", "1,2"]
+
+
+@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+@pytest.mark.parametrize("family", ["modulated", "dyadic-concentration"])
+def test_one_member_commands_reject_other_families(capsys, base, family):
+    # both handlers build one smooth-bumps member; another family was ignored
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--N", "256", "--family", family])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+def test_one_member_commands_reject_several_resolutions(capsys, base):
+    # every --N after the first was ignored
+    assert main(base + ["--N", "256,512"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "one resolution" in err and "256,512" in err
+
+
+@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+def test_one_member_commands_still_parse_count(capsys, base):
+    code, rep = run_json(base + ["--N", "256", "--family", "smooth-bumps", "--count", "16", "--emit", "json"], capsys)
+    assert code == 0 and rep["feasible"] is True and rep["grid"]["N"] == 256
+
+
 def test_truncation_over_bound_exits_2(monkeypatch, capsys):
     from extrapkit import verifier
 

@@ -1,6 +1,8 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from extrapkit.errors import DomainError, GridMismatch, TruncationInvalid, UnknownSpec
 from extrapkit.exponents import INF, Exponent
@@ -8,6 +10,7 @@ from extrapkit.grid import Grid
 from extrapkit.gridfn import (
     FamilySpec,
     GridFunction,
+    _hilbert_kernel_spectrum,
     bht,
     hilbert,
     make_family,
@@ -187,6 +190,25 @@ def test_hilbert_anti_self_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_hilbert_kernel_spectrum_cached_per_size():
+    # alternate two grid sizes; each call must match a freshly built kernel
+    rng = np.random.default_rng(5)
+    for n in (512, 2048, 512, 2048):
+        grid = Grid(8.0, n)
+        s = rng.standard_normal(n)
+        d = np.arange(1 - n, n, dtype=float)
+        with np.errstate(divide="ignore"):
+            ker = np.where(d == 0, 0.0, 1.0 / (np.pi * d))
+        m = 1 << (3 * n - 3).bit_length()
+        fresh = np.fft.ifft(np.fft.fft(s, m) * np.fft.fft(ker, m))[n - 1 : 2 * n - 1].real
+        assert hilbert(GridFunction(s, grid)).samples.tobytes() == fresh.tobytes()
+    spec = _hilbert_kernel_spectrum(512)
+    assert spec is _hilbert_kernel_spectrum(512)
+    assert not spec.flags.writeable
+    with pytest.raises(ValueError):
+        spec[0] = 0.0
+
+
 # -- bilinear hilbert -------------------------------------------------------------
 
 
@@ -240,6 +262,73 @@ def test_bht_bilinear():
     lhs = bht(f1 + f2, g).samples
     rhs = bht(f1, g).samples + bht(f2, g).samples
     assert np.allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
+
+
+def _bht_reference(f, g, t_min=None, t_max=None):
+    # the unclipped k-loop: every shift over the full grid, kept as the oracle
+    grid = f.grid
+    h = grid.h
+    if t_min is None:
+        t_min = h
+    if t_max is None:
+        t_max = grid.L / 2
+    n = grid.N
+    k_min = max(1, math.ceil(t_min / h - 1e-12))
+    k_max = min(n - 1, math.floor(t_max / h + 1e-12))
+
+    F, G = f.samples, g.samples
+    dtype = np.result_type(F, G)
+    out = np.zeros(n, dtype=dtype)
+    for k in range(k_min, k_max + 1):
+        if 2 * k >= n:
+            break
+        seg = slice(k, n - k)
+        out[seg] += (F[: n - 2 * k] * G[2 * k :] - F[2 * k :] * G[: n - 2 * k]) / k
+    return out
+
+
+def _on_cells(rng, n, lo, hi, cplx=False):
+    a = np.zeros(n, dtype=complex if cplx else float)
+    a[lo:hi] = rng.standard_normal(hi - lo)
+    if cplx:
+        a[lo:hi] += 1j * rng.standard_normal(hi - lo)
+    return a
+
+
+def _bht_cases():
+    # (name, n, f samples, g samples, t_min, t_max), t in units of h
+    rng = np.random.default_rng(1704)
+    for n in (8, 4096):
+        q = n // 4
+        yield "real", n, _on_cells(rng, n, q, 2 * q), _on_cells(rng, n, q + 1, 3 * q), None, None
+        yield "complex", n, _on_cells(rng, n, q, 3 * q, True), _on_cells(rng, n, 1, 2 * q, True), None, None
+        yield "real-by-complex", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q, True), None, None
+        yield "f-zero", n, np.zeros(n), _on_cells(rng, n, 0, n), None, None
+        yield "g-zero", n, _on_cells(rng, n, 0, n, True), np.zeros(n), None, None
+        yield "disjoint-far", n, _on_cells(rng, n, 0, 2), _on_cells(rng, n, n - 2, n), None, None
+        yield "disjoint-far-reversed", n, _on_cells(rng, n, n - 3, n), _on_cells(rng, n, 0, 1, True), None, None
+        yield "touch-left", n, _on_cells(rng, n, 0, q), _on_cells(rng, n, 0, 2 * q), None, None
+        yield "touch-right", n, _on_cells(rng, n, 3 * q, n, True), _on_cells(rng, n, 2 * q, n), None, None
+        yield "full", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, 0, n), None, None
+        yield "full-complex", n, _on_cells(rng, n, 0, n, True), _on_cells(rng, n, 0, n, True), None, None
+        scattered = np.where(rng.random(n) < 0.1, rng.standard_normal(n), 0.0)
+        yield "scattered", n, scattered, _on_cells(rng, n, q, 3 * q), None, None
+        yield "t-window", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q), 0.5, 3.0
+        yield "t-max-L", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, q, n, True), 1.0, float(n)
+
+
+@pytest.mark.parametrize("case", list(_bht_cases()), ids=lambda c: f"{c[0]}-N{c[1]}")
+def test_bht_support_clipping_is_bitwise_exact(case):
+    _, n, fs, gs, t_min, t_max = case
+    grid = Grid(8.0, n)
+    f, g = GridFunction(fs, grid), GridFunction(gs, grid)
+    h = grid.h
+    t_min = None if t_min is None else t_min * h
+    t_max = None if t_max is None else min(t_max * h, grid.L)
+    got = bht(f, g, t_min, t_max).samples
+    ref = _bht_reference(f, g, t_min, t_max)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_bht_truncation_validation():
