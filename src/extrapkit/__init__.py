@@ -30,7 +30,6 @@ from .extrapolation import (
     dual_range,
     multilinear_plan,
     proof_exponents,
-    reduce_case4,
     target_exponent,
 )
 from .grid import Grid
@@ -41,8 +40,6 @@ from .weights import (
     WeightClassSpec,
     cjn_index,
     estimate_class_constants,
-    factor_weight,
-    openness_probe,
     power_in_class,
 )
 

@@ -48,7 +48,6 @@ from .exponents import (
     rec,
 )
 from .extrapolation import multilinear_plan
-from .reports import PlanReport
 from .weights import WeightClassSpec, cjn_index
 
 __all__ = [
@@ -286,10 +285,6 @@ class PowerRange:
     a_minus: Fraction
     a_plus: Fraction
     includes_zero: bool = True
-
-    def contains(self, a) -> bool:
-        a = Fraction(a)
-        return (self.includes_zero and a == 0) or self.a_minus < a < self.a_plus
 
 
 def bht_power_range(q1: ExponentLike, q2: ExponentLike) -> PowerRange:
@@ -546,14 +541,15 @@ def section5_plan(
 # --------------------------------------------------------------------------
 
 
-def mz_plan(qjs, r: ExponentLike) -> PlanReport:
+def mz_plan(qjs, r: ExponentLike) -> dict:
     """Validate an l^r-aggregated m-linear plan with full range (1, inf).
 
     For 1 < r < 2 the plan extrapolates from base exponents inside (1, r)
     (midpoint (1+r)/2 in each coordinate) to arbitrary targets q_j in
     (1, inf) with weight classes w_j^{q_j} in A_{q_j}; the earlier
     restriction q_j < r is not needed.  r = 2 is reported as the base case
-    rather than planned.
+    rather than planned.  Returns the report's envelope fields (feasible,
+    data, certified, caveats), which the CLI passes to `envelope` as they are.
     """
     r = as_exponent(r)
     qjs = [as_exponent(q) for q in qjs]
@@ -570,24 +566,24 @@ def mz_plan(qjs, r: ExponentLike) -> PlanReport:
         "weight_specs": [{"ap": sp.p, "rh": sp.s} for sp in specs],
     }
     if r == 2:
-        return PlanReport(
-            feasible=True,
-            data={**base_data, "base_case": True, "steps": []},
-            certified=["r=2-base-case"],
-            caveats=["r = 2 is the assumed base inequality; nothing to plan"],
-        )
+        return {
+            "feasible": True,
+            "data": {**base_data, "base_case": True, "steps": []},
+            "certified": ["r=2-base-case"],
+            "caveats": ["r = 2 is the assumed base inequality; nothing to plan"],
+        }
     if not (Exponent(1) < r < Exponent(2)):
         raise Infeasible(f"r = {r} outside (1, 2)")
     m = len(qjs)
     base = Exponent((1 + r.frac) / 2)
     steps = multilinear_plan([base] * m, [1] * m, [INF] * m, qjs)
-    return PlanReport(
-        feasible=True,
-        data={
+    return {
+        "feasible": True,
+        "data": {
             **base_data,
             "base_case": False,
             "base_exponents": [base] * m,
             "steps": [s.as_dict() for s in steps],
         },
-        certified=["r-in-(1,2)", "steps-valid", "q_j-unrestricted-by-r"],
-    )
+        "certified": ["r-in-(1,2)", "steps-valid", "q_j-unrestricted-by-r"],
+    }

@@ -9,8 +9,9 @@ Subcommands:
     verify {bht|vv|iterated|mz|truncation}
 
 Exponents on the command line are exact rationals ("2", "3/2", "inf");
-floating literals are rejected.  Reports are JSON envelopes on stdout
-(--emit csv switches tabular payloads to CSV).
+floating literals are rejected.  Reports are JSON envelopes on stdout;
+--emit csv switches a command with a table to CSV, and the commands
+without one (weights check, rdf demo) accept only --emit json.
 
 Each handler returns (fields, rows): the `envelope` keyword fields and a
 callable that builds the CSV rows (None when the command has no table).
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import applications as app
 from . import verifier as ver
-from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange, SearchFailed
+from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange
 from .exponents import Exponent, exp_str, harmonic_sum
 from .extrapolation import (
     ExtrapolationRange,
@@ -67,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _exp(text: str) -> Exponent:
     try:
-        return Exponent.parse(text)
+        return Exponent(text)
     except DomainError as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -82,6 +83,11 @@ def _frac(text: str) -> Fraction:
         return Fraction(t)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
+
+
+def _list(item):
+    """argparse type for a comma-separated list of `item` values."""
+    return lambda text: [item(tok) for tok in text.split(",")]
 
 
 def _weight_descriptor(text: str):
@@ -211,9 +217,9 @@ def _cmd_plan_section5(args):
 
 
 def _cmd_plan_mz(args):
-    plan = app.mz_plan([Exponent.parse(tok) for tok in args.q.split(",")], args.r)
+    plan = app.mz_plan(args.q, args.r)
     # the r = 2 base case has no steps: its one row is the flattened data
-    return vars(plan), lambda: [_flatten(s) for s in plan.data["steps"]] or [_flatten(plan.data)]
+    return plan, lambda: [_flatten(s) for s in plan["data"]["steps"]] or [_flatten(plan["data"])]
 
 
 def _cmd_weights_check(args):
@@ -280,11 +286,14 @@ def _cmd_rdf_demo(args):
         data = {"proof_exponents": pe, "failures": [str(x) for x in e.failures]}
         reason = str(e)
     if args.trace and certified:
-        with open(args.trace, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"])
-            objs = (po.h1, po.H1, po.h2, po.H2, po.mu1, po.mu2, po.W)
-            wr.writerows(zip(grid.x(), *(o.samples for o in objs)))
+        try:
+            with open(args.trace, "w", newline="") as fh:
+                wr = csv.writer(fh)
+                wr.writerow(["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"])
+                objs = (po.h1, po.H1, po.h2, po.H2, po.mu1, po.mu2, po.W)
+                wr.writerows(zip(grid.x(), *(o.samples for o in objs)))
+        except OSError as e:
+            raise DomainError(f"{args.trace}: cannot write: {e.strerror}")
     fields = {
         "feasible": certified,
         "data": data,
@@ -299,12 +308,12 @@ def _cmd_rdf_demo(args):
 def _cmd_verify_sweep(args):
     """verify bht | vv | iterated | mz: one ratio sweep, one report."""
     if args.cmd == "mz":
-        qs = [Exponent.parse(tok) for tok in args.q.split(",")]
+        qs = args.q
     elif args.cmd == "bht" and args.plan_file:
         try:
             with open(args.plan_file) as fh:
                 saved = json.load(fh)
-            qs = [Exponent.parse(saved["data"][k]) for k in ("q1", "q2")]
+            qs = [Exponent(saved["data"][k]) for k in ("q1", "q2")]
         except (OSError, ValueError, KeyError, TypeError) as e:
             raise DomainError(f"{args.plan_file}: not a readable plan report ({e})")
     else:
@@ -340,8 +349,7 @@ def _cmd_verify_truncation(args):
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=1), args.seed, grid)
     f = fam.members[0][0].abs()
     w = ver.realize_weight(args.w, grid)
-    cuts = [float(Fraction(tok)) for tok in args.ncuts.split(",")]
-    rows = ver.truncation_study(f, w, args.q, cuts)
+    rows = ver.truncation_study(f, w, args.q, args.ncuts)
     fields = {
         "feasible": True,
         "data": {"rows": rows, "q": args.q},
@@ -356,16 +364,24 @@ def _cmd_verify_truncation(args):
 # --------------------------------------------------------------------------
 
 
+def _command(sub, name, handler, table=True):
+    """A subcommand whose report `--emit csv` can switch to its CSV table;
+    without a table the report is JSON only."""
+    p = sub.add_parser(name)
+    p.add_argument("--emit", choices=("json", "csv") if table else ("json",), default="json")
+    p.set_defaults(handler=handler)
+    return p
+
+
 def _add_common(p, grid_default="4096", one_member=False):
     """Options of the commands that draw a test family; with one_member the
     handler builds one smooth-bumps member on one resolution."""
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--L", type=float, default=8.0)
     p.add_argument(
         "--N",
-        type=lambda s: [int(tok) for tok in s.split(",")],
-        default=[int(tok) for tok in grid_default.split(",")],
+        type=_list(int),
+        default=grid_default,
         help="one resolution" if one_member else "comma-separated resolutions",
     )
     p.add_argument("--family", choices=("smooth-bumps",) if one_member else FAMILY_KINDS, default="smooth-bumps")
@@ -384,55 +400,43 @@ def build_parser() -> _Parser:
     plan = sub.add_parser("plan")
     plan_sub = plan.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    pe = plan_sub.add_parser("extrapolate")
+    pe = _command(plan_sub, "extrapolate", _cmd_plan_extrapolate)
     pe.add_argument("--pm", type=_exp, required=True)
     pe.add_argument("--pp", type=_exp, required=True)
     pe.add_argument("--p0", type=_exp, required=True)
     pe.add_argument("--q0", type=_exp, required=True)
     pe.add_argument("--p", type=_exp, required=True)
-    pe.add_argument("--emit", choices=("json", "csv"), default="json")
-    pe.set_defaults(handler=_cmd_plan_extrapolate)
 
     for name in ("bht", "bht-vv"):
-        pb = plan_sub.add_parser(name)
+        pb = _command(plan_sub, name, _cmd_plan_bht)
         pb.add_argument("--q1", type=_exp, required=True)
         pb.add_argument("--q2", type=_exp, required=True)
         req = name == "bht-vv"
         pb.add_argument("--s1", type=_exp, required=req, default=None)
         pb.add_argument("--s2", type=_exp, required=req, default=None)
-        pb.add_argument("--grid", type=lambda s: [Exponent.parse(t) for t in s.split(",")], default=None)
-        pb.add_argument("--emit", choices=("json", "csv"), default="json")
-        pb.set_defaults(handler=_cmd_plan_bht)
+        pb.add_argument("--grid", type=_list(_exp), default=None)
 
-    ps = plan_sub.add_parser("section5")
+    ps = _command(plan_sub, "section5", _cmd_plan_section5)
     for flag in ("--q1", "--q2", "--s1", "--s2"):
         ps.add_argument(flag, type=_exp, required=True)
     for flag in ("--g1", "--g2", "--g3"):
         ps.add_argument(flag, type=_frac, required=True)
-    ps.add_argument("--emit", choices=("json", "csv"), default="json")
-    ps.set_defaults(handler=_cmd_plan_section5)
 
-    pm = plan_sub.add_parser("mz")
-    pm.add_argument("--q", required=True, help="comma-separated targets, e.g. 3,3")
+    pm = _command(plan_sub, "mz", _cmd_plan_mz)
+    pm.add_argument("--q", type=_list(_exp), required=True, help="comma-separated targets, e.g. 3,3")
     pm.add_argument("--r", type=_exp, required=True)
-    pm.add_argument("--emit", choices=("json", "csv"), default="json")
-    pm.set_defaults(handler=_cmd_plan_mz)
 
     wts = sub.add_parser("weights")
     wts_sub = wts.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    wc = wts_sub.add_parser("check")
+    wc = _command(wts_sub, "check", _cmd_weights_check, table=False)
     wc.add_argument("--alpha", type=_frac, required=True)
     wc.add_argument("--ap", type=_exp, required=True)
     wc.add_argument("--rh", type=_exp, required=True)
-    wc.add_argument("--emit", choices=("json", "csv"), default="json")
-    wc.set_defaults(handler=_cmd_weights_check)
-    we = wts_sub.add_parser("estimate")
+    we = _command(wts_sub, "estimate", _cmd_weights_estimate)
     we.add_argument("--file", required=True)
     we.add_argument("--ap", type=_exp, required=True)
     we.add_argument("--rh", type=_exp, required=True)
     we.add_argument("--depth", type=int, required=True)
-    we.add_argument("--emit", choices=("json", "csv"), default="json")
-    we.set_defaults(handler=_cmd_weights_estimate)
 
     op = sub.add_parser("operator")
     op_sub = op.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -446,7 +450,7 @@ def build_parser() -> _Parser:
 
     rdf = sub.add_parser("rdf")
     rdf_sub = rdf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    rd = rdf_sub.add_parser("demo")
+    rd = _command(rdf_sub, "demo", _cmd_rdf_demo, table=False)
     rd.add_argument("--case", choices=("I",), default="I")
     rd.add_argument("--w", type=_weight_descriptor, default="unit")
     rd.add_argument("--pm", type=_exp, required=True)
@@ -456,49 +460,43 @@ def build_parser() -> _Parser:
     rd.add_argument("--p", type=_exp, required=True)
     rd.add_argument("--trace", default=None)
     _add_common(rd, grid_default="1024", one_member=True)
-    rd.set_defaults(handler=_cmd_rdf_demo)
 
     vf = sub.add_parser("verify")
     vf_sub = vf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    vb = vf_sub.add_parser("bht")
+    vb = _command(vf_sub, "bht", _cmd_verify_sweep)
     vb.add_argument("--q1", type=_exp)
     vb.add_argument("--q2", type=_exp)
     vb.add_argument("--a", type=_frac, default=None)
     vb.add_argument("--plan-file", default=None)
     _add_common(vb, grid_default="4096,8192")
-    vb.set_defaults(handler=_cmd_verify_sweep)
 
-    vv = vf_sub.add_parser("vv")
+    vv = _command(vf_sub, "vv", _cmd_verify_sweep)
     for flag in ("--q1", "--q2", "--s1", "--s2"):
         vv.add_argument(flag, type=_exp, required=True)
     vv.add_argument("--a", type=_frac, default=None)
     vv.add_argument("--K", type=int, default=4)
     _add_common(vv, grid_default="2048,4096")
-    vv.set_defaults(handler=_cmd_verify_sweep)
 
-    vi = vf_sub.add_parser("iterated")
+    vi = _command(vf_sub, "iterated", _cmd_verify_sweep)
     for flag in ("--q1", "--q2", "--s1", "--s2", "--t1", "--t2"):
         vi.add_argument(flag, type=_exp, required=True)
     vi.add_argument("--J", type=int, default=2)
     vi.add_argument("--K", type=int, default=2)
     _add_common(vi, grid_default="1024,2048")
-    vi.set_defaults(handler=_cmd_verify_sweep)
 
-    vm = vf_sub.add_parser("mz")
-    vm.add_argument("--q", required=True)
+    vm = _command(vf_sub, "mz", _cmd_verify_sweep)
+    vm.add_argument("--q", type=_list(_exp), required=True)
     vm.add_argument("--r", type=_exp, required=True)
     vm.add_argument("--surrogate", choices=ver.SURROGATES, default="tensor-hilbert")
     vm.add_argument("--K", type=int, default=4)
     _add_common(vm, grid_default="1024,2048")
-    vm.set_defaults(handler=_cmd_verify_sweep)
 
-    vt = vf_sub.add_parser("truncation")
+    vt = _command(vf_sub, "truncation", _cmd_verify_truncation)
     vt.add_argument("--q", type=_exp, required=True)
     vt.add_argument("--w", type=_weight_descriptor, default="unit")
-    vt.add_argument("--ncuts", required=True, help="comma-separated cutoffs")
+    vt.add_argument("--ncuts", type=_list(_frac), required=True, help="comma-separated cutoffs")
     _add_common(vt, grid_default="2048", one_member=True)
-    vt.set_defaults(handler=_cmd_verify_truncation)
 
     return root
 
@@ -513,7 +511,7 @@ def main(argv=None) -> int:
             return 0
         fields, rows = result
         table = rows() if rows is not None and args.emit == "csv" else None
-    except (Infeasible, InvalidRange, OutOfRange, SearchFailed, CertificationFailed) as e:
+    except (Infeasible, InvalidRange, OutOfRange, CertificationFailed) as e:
         fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None
     except ExtrapkitError as e:
         print(f"error: {e}", file=sys.stderr)

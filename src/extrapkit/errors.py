@@ -51,10 +51,6 @@ class GammaInvalid(ExtrapkitError):
     """The gamma triple is malformed (range or sum-to-one violated)."""
 
 
-class SearchFailed(ExtrapkitError):
-    """No candidate passed within the search budget."""
-
-
 class TruncationInvalid(ExtrapkitError):
     """Truncation bounds are incompatible with the grid geometry."""
 

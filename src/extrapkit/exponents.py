@@ -43,9 +43,10 @@ class Exponent:
     """A nonnegative rational or +infinity, with exact arithmetic.
 
     Instances are immutable, hashable and totally ordered (infinity is the
-    maximum).  Arithmetic is exact; operations whose result would be negative
-    or indeterminate (inf*0, 0/0, inf-inf) raise :class:`DomainError` instead
-    of silently leaving the domain.
+    maximum).  Division is the one arithmetic operation, exact and following
+    the conventions above; the indeterminate quotients 0/0 and inf/inf raise
+    :class:`DomainError`.  Other algebra works on plain Fractions through
+    :func:`rec` and :func:`from_rec`.
     """
 
     __slots__ = ("_num",)
@@ -86,12 +87,7 @@ class Exponent:
     def __bool__(self) -> bool:
         return self._num is None or self._num != 0
 
-    # -- parsing / formatting ---------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "Exponent":
-        """Parse "inf", "2" or "3/2".  Floating literals are rejected."""
-        return cls(text)
+    # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
         return "inf" if self._num is None else str(self._num)
@@ -146,34 +142,6 @@ class Exponent:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: ExponentLike) -> "Exponent":
-        o = as_exponent(other)
-        if self.is_inf or o.is_inf:
-            return INF
-        return Exponent(self._num + o._num)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ExponentLike) -> "Exponent":
-        o = as_exponent(other)
-        if self.is_inf:
-            if o.is_inf:
-                raise DomainError("inf - inf is indeterminate")
-            return INF
-        if o.is_inf:
-            raise DomainError("finite - inf is negative")
-        return Exponent(self._num - o._num)
-
-    def __mul__(self, other: ExponentLike) -> "Exponent":
-        o = as_exponent(other)
-        if self.is_inf or o.is_inf:
-            if self == 0 or o == 0:
-                raise DomainError("inf * 0 is indeterminate")
-            return INF
-        return Exponent(self._num * o._num)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other: ExponentLike) -> "Exponent":
         o = as_exponent(other)
         if self.is_inf and o.is_inf:
@@ -188,19 +156,6 @@ class Exponent:
             return INF  # 1/0 = inf convention
         return Exponent(self._num / o._num)
 
-    # -- the reciprocal pair -------------------------------------------------
-
-    def reciprocal(self) -> "Exponent":
-        """1/p with the 0 <-> inf convention; involutive and total."""
-        if self._num is None:
-            return Exponent(0)
-        if self._num == 0:
-            return INF
-        return Exponent(1 / self._num)
-
-    def conjugate(self) -> "Exponent":
-        return conjugate(self)
-
 
 INF = Exponent(_inf=True)
 
@@ -213,7 +168,10 @@ def _parse_str(text: str) -> Fraction | None:
         raise DomainError(
             f"exponent literal {text!r} is not a rational 'num/den' or 'inf'"
         )
-    v = Fraction(t)
+    try:
+        v = Fraction(t)
+    except ZeroDivisionError:
+        raise DomainError(f"exponent literal {text!r} has a zero denominator")
     if v < 0:
         raise DomainError(f"exponent must be nonnegative, got {v}")
     return v

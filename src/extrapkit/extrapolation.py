@@ -35,7 +35,7 @@ Case split on the range:
     I:   p_- > 0 and p_- < p0 < p_+      (both iterations needed)
     II:  p0 = p_-                        (s = q0; only the dual-side iteration)
     III: p0 = p_+ and p_- > 0            (s = q; only the direct iteration)
-    IV:  p_- = 0                         (reduce to I/III by an openness probe)
+    IV:  p_- = 0                         (not planned: proof_exponents refuses it)
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .exponents import (
     harmonic_sum,
     rec,
 )
-from .weights import GridWeight, openness_probe
 
 __all__ = [
     "Case",
@@ -71,7 +70,6 @@ __all__ = [
     "target_exponent",
     "case_select",
     "proof_exponents",
-    "reduce_case4",
     "multilinear_plan",
 ]
 
@@ -196,12 +194,13 @@ class ProofExponents:
 def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
     """Derive and certify every proof exponent for Cases I-III.
 
-    Raises CaseUnsupported for Case IV ranges (use :func:`reduce_case4`
-    first) and OutOfRange when p is not strictly inside (p_-, p_+).
+    Raises CaseUnsupported for Case IV ranges (p_- = 0), which the paper
+    reduces to Case I or III through the openness of the A_p classes, and
+    OutOfRange when p is not strictly inside (p_-, p_+).
     """
     case = case_select(rng)
     if case is Case.IV:
-        raise CaseUnsupported("p_- = 0: reduce via an openness probe first")
+        raise CaseUnsupported("p_- = 0 (Case IV) is not planned; give a range with p_- > 0")
     p = as_exponent(p)
     q = target_exponent(p, rng)
 
@@ -287,39 +286,6 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
         sigma=sigma,
         certified=tuple(certified),
     )
-
-
-def reduce_case4(
-    rng: ExtrapolationRange,
-    p: ExponentLike,
-    w: GridWeight,
-    *,
-    budget: int = 12,
-    ceiling: float = 50.0,
-    depth: int = 8,
-) -> ExtrapolationRange:
-    """Replace a p_- = 0 range by one with a probed positive lower endpoint.
-
-    `w` is the grid weight whose A_{p/eps} membership matters (i.e. the p-th
-    power of the norm weight).  The probe searches eps in (0, min(p0, p));
-    the planner then keeps a margin, taking min(found, cap/2), since any
-    smaller eps inherits membership.  The resulting range selects Case I
-    (or III when p0 = p_+) and leaves the extrapolation conclusion at p
-    unchanged.
-    """
-    if rng.p_minus != 0:
-        raise CaseUnsupported(f"range has p_- = {rng.p_minus}, not 0")
-    p = as_exponent(p)
-    if not (0 < p < rng.p_plus):
-        raise OutOfRange(f"p={p} not inside (0, {rng.p_plus})")
-    cap = min(rng.p0.frac, p.frac)
-    eps = openness_probe(
-        w, p, budget, cap=Exponent(cap), ceiling=ceiling, depth=depth
-    )
-    eps_final = min(eps.frac, cap / 2)
-    reduced = ExtrapolationRange(Exponent(eps_final), rng.p_plus, rng.p0, rng.q0)
-    require(case_select(reduced) in (Case.I, Case.III), "reduced range must select Case I or III")
-    return reduced
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ stays below B^k, the construction guarantees
 i.e. R G is a pointwise majorant with an A_1-type bound.  The first two
 are certified numerically on every run (the R-majorant and R-doubling
 certificates below); the third is only measured: `a1_ratio` = max M(RG)/RG
-is reported and compared with nothing.  ROADMAP item 2 plans its
+is reported and compared with nothing.  ROADMAP.md plans its
 certificate for the truncated series.
 
 On top of the iteration the engine builds the proof objects for the

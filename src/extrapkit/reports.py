@@ -20,10 +20,6 @@ floats pass through as JSON numbers, non-finite ones as the strings "nan",
 "inf" and "-inf" (JSON has no literal for them).  Enums serialize as their
 value; a dataclass through its `as_dict` when it has one (to flatten or
 omit fields), otherwise through `dataclasses.asdict`.
-
-PlanReport is the result of a planner that reports rather than raises
-(`mz_plan`): its fields are the envelope's keyword fields, so the CLI
-passes `vars(report)` straight to `envelope`.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import dataclasses
 import enum
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -42,7 +37,7 @@ from .exponents import Exponent, exp_str
 
 SCHEMA = "extrapkit-report/1"
 
-__all__ = ["SCHEMA", "PlanReport", "envelope", "to_jsonable", "dumps"]
+__all__ = ["SCHEMA", "envelope", "to_jsonable", "dumps"]
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -66,17 +61,6 @@ def to_jsonable(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return to_jsonable(dataclasses.asdict(obj))
     return obj
-
-
-@dataclass
-class PlanReport:
-    """Structured planner result: the envelope fields below `command`."""
-
-    feasible: bool
-    data: dict = field(default_factory=dict)
-    certified: list = field(default_factory=list)
-    caveats: list = field(default_factory=list)
-    reason: str | None = None
 
 
 def envelope(

@@ -55,7 +55,6 @@ from .weights import GridWeight, PowerWeight, power_in_class
 
 __all__ = [
     "RatioReport",
-    "WeightDescriptor",
     "ratio_sweep",
     "vv_sweep",
     "iterated_vv_sweep",
@@ -74,9 +73,6 @@ DIVERGENT_GROWTH = 1.5
 # --------------------------------------------------------------------------
 # weight descriptors (realized per resolution)
 # --------------------------------------------------------------------------
-
-WeightDescriptor = object  # "unit" | PowerWeight | callable(grid)->GridWeight
-
 
 def realize_weight(desc, grid: Grid) -> GridWeight:
     if desc == "unit" or desc is None:
@@ -422,7 +418,7 @@ def mz_sweep(
         "r": exp_str(r),
         "surrogate": surrogate,
         "K": K,
-        "base_case": plan.data.get("base_case"),
+        "base_case": plan["data"]["base_case"],
         "family": family_spec.kind,
         "L": L,
     }

@@ -11,9 +11,9 @@ The index transform linking the two class scales is
 
     v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1,
 
-and the constructive factorization is v = v1^(1/s) * v2^(1-p) for v1, v2
-in A_1.  Both are implemented exactly on the index side and numerically on
-the grid side.
+implemented exactly by :func:`cjn_index`.  The constructive factorization
+v = v1^(1/s) * v2^(1-p) with v1, v2 in A_1 is not built on grids; for power
+weights its exponent algebra reduces to the closed forms below.
 
 All closed forms are one-dimensional: on R (n = 1),
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, SearchFailed
+from .errors import DomainError
 from .exponents import Exponent, ExponentLike, as_exponent, rec
 from .grid import Grid
 
@@ -39,11 +39,9 @@ __all__ = [
     "PowerWeight",
     "GridWeight",
     "cjn_index",
-    "factor_weight",
     "power_in_class",
     "power_membership",
     "estimate_class_constants",
-    "openness_probe",
 ]
 
 
@@ -172,26 +170,6 @@ class GridWeight:
         return GridWeight(self.samples * other.samples, self.grid)
 
 
-def factor_weight(
-    v1: GridWeight, v2: GridWeight, p: ExponentLike, s: ExponentLike
-) -> GridWeight:
-    """Pointwise v1^(1/s) * v2^(1-p) on the common grid.
-
-    For v1, v2 in A_1 (caller-estimated) the result lies in A_p & RH_s.
-    s may be infinite (exponent 1/s = 0); p = 1 zeroes the second factor's
-    exponent.
-    """
-    v1.grid.require_same(v2.grid, "weight grids")
-    p, s = as_exponent(p), as_exponent(s)
-    if p.is_inf or p < 1:
-        raise DomainError(f"need 1 <= p < inf, got {p}")
-    if s < 1:
-        raise DomainError(f"need 1 <= s <= inf, got {s}")
-    e1 = 0.0 if s.is_inf else float(rec(s))
-    e2 = float(1 - p.frac)
-    return GridWeight(v1.samples**e1 * v2.samples**e2, v1.grid)
-
-
 # --------------------------------------------------------------------------
 # constant estimation on dyadic subintervals
 # --------------------------------------------------------------------------
@@ -259,54 +237,3 @@ def estimate_class_constants(
     ap_best = ap_best if np.isfinite(ap_best) else float("inf")
     rh_best = rh_best if np.isfinite(rh_best) else float("inf")
     return ap_best, rh_best
-
-
-DEFAULT_PROBE_DEPTH = 8
-DEFAULT_PROBE_CEILING = 50.0
-
-
-def openness_probe(
-    w: GridWeight,
-    p: ExponentLike,
-    budget: int,
-    *,
-    cap: ExponentLike | None = None,
-    ceiling: float = DEFAULT_PROBE_CEILING,
-    depth: int = DEFAULT_PROBE_DEPTH,
-) -> Exponent:
-    """Search for a lower-endpoint eps < p with w in A_{p/eps} numerically.
-
-    Membership is judged by the estimated A-index constant at a fixed dyadic
-    depth staying below `ceiling`.  Because the A classes are nested upward,
-    the passing set of eps is an interval (0, eps*); a bisection over at most
-    `budget` candidates returns the largest passing eps found.
-
-    Raises SearchFailed when no candidate passes.
-    """
-    p = as_exponent(p)
-    if p.is_inf or p <= 0:
-        raise DomainError(f"probe needs a finite positive p, got {p}")
-    if budget < 1:
-        raise DomainError("budget must be >= 1")
-    hi = p.frac if cap is None else as_exponent(cap).frac
-    if not (0 < hi <= p.frac):
-        raise DomainError(f"cap must lie in (0, p], got {hi}")
-
-    best: Fraction | None = None
-    lo = Fraction(0)
-    cand = hi / 2
-    for _ in range(budget):
-        index = Exponent(p.frac / cand)
-        ap_est, _ = estimate_class_constants(w, WeightClassSpec(index, Exponent(1)), depth)
-        if ap_est <= ceiling:
-            best, lo = cand, cand
-            cand = (cand + hi) / 2
-        else:
-            hi = cand
-            cand = (lo + cand) / 2
-    if best is None:
-        raise SearchFailed(
-            f"no eps in (0, {hi}) kept the estimated A_(p/eps) constant below "
-            f"{ceiling} at depth {depth}"
-        )
-    return Exponent(best)

@@ -29,6 +29,11 @@ from extrapkit.weights import cjn_index
 HALF = Fraction(1, 2)
 
 
+def in_window(pr, a) -> bool:
+    """a lies in the PowerRange window {0} u (a_-, a_+)."""
+    return (pr.includes_zero and a == 0) or pr.a_minus < a < pr.a_plus
+
+
 # -- base classes --------------------------------------------------------------
 
 
@@ -126,7 +131,7 @@ def test_eta_monotone_shrinking_stays_feasible():
 def test_power_range_q22():
     pr = bht_power_range(2, 2)
     assert pr.a_minus == 0 and pr.a_plus == 1
-    assert pr.contains(0) and pr.contains(Fraction(9, 10)) and not pr.contains(1)
+    assert in_window(pr, 0) and in_window(pr, Fraction(9, 10)) and not in_window(pr, 1)
 
 
 def test_power_range_small_q():
@@ -141,7 +146,7 @@ def test_power_range_contains_half_interval_on_corpus():
         pr = bht_power_range(q1, q2)
         assert pr.a_minus <= 0 < pr.a_plus
         assert pr.a_plus >= HALF  # [0, 1/2) always admissible
-        assert pr.contains(0) and pr.contains(Fraction(49, 100))
+        assert in_window(pr, 0) and in_window(pr, Fraction(49, 100))
 
 
 # -- vector-valued planner --------------------------------------------------------
@@ -285,15 +290,15 @@ def test_section5_corpus_certifications():
 
 def test_mz_plan_valid():
     rep = mz_plan([3, 3], Fraction(3, 2))
-    assert rep.feasible and not rep.data["base_case"]
-    assert len(rep.data["steps"]) == 2
-    assert rep.data["aggregate_q"] == Exponent(Fraction(3, 2))
-    assert all(sp["ap"] == Exponent(3) for sp in rep.data["weight_specs"])
+    assert rep["feasible"] and not rep["data"]["base_case"]
+    assert len(rep["data"]["steps"]) == 2
+    assert rep["data"]["aggregate_q"] == Exponent(Fraction(3, 2))
+    assert all(sp["ap"] == Exponent(3) for sp in rep["data"]["weight_specs"])
 
 
 def test_mz_plan_base_case_r2():
     rep = mz_plan([3, 3], 2)
-    assert rep.feasible and rep.data["base_case"]
+    assert rep["feasible"] and rep["data"]["base_case"]
 
 
 def test_mz_plan_r_outside_interval():
@@ -304,7 +309,7 @@ def test_mz_plan_r_outside_interval():
 def test_mz_targets_not_restricted_by_r():
     # q_j above r is fine: the point of the extrapolated version
     rep = mz_plan([8, Fraction(3, 2), 5], Fraction(6, 5))
-    assert rep.feasible and len(rep.data["steps"]) == 3
+    assert rep["feasible"] and len(rep["data"]["steps"]) == 3
 
 
 def test_mz_rejects_bad_targets():

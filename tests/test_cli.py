@@ -379,3 +379,46 @@ def test_truncation_over_bound_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(verifier, "truncate", lambda fn, c: fn * 1e6)
     code, rep = run_json(["verify", "truncation", "--q", "2", "--ncuts", "1,2", "--N", "256"], capsys)
     assert code == 2 and rep["feasible"] is False and "exceeds its bound" in rep["reason"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["weights", "check", "--alpha", "1/4", "--ap", "2", "--rh", "2"], RDF_DEMO + ["--N", "256"]],
+    ids=["weights-check", "rdf-demo"],
+)
+def test_commands_without_a_table_accept_only_emit_json(capsys, argv):
+    # neither report has a table: --emit csv used to print JSON and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--emit", "csv"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'csv'" in out.err
+    code, rep = run_json(argv + ["--emit", "json"], capsys)
+    assert code == 0 and rep["feasible"] is True
+
+
+@pytest.mark.parametrize("token", ["abc", "1/0", "1.5", "2,,3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "truncation", "--q", "2", "--N", "256", "--ncuts"],
+        ["plan", "bht", "--q1", "2", "--q2", "2", "--emit", "csv", "--grid"],
+        ["plan", "mz", "--r", "3/2", "--q"],
+        ["verify", "mz", "--r", "3/2", "--N", "256", "--q"],
+    ],
+    ids=["ncuts", "grid", "plan-mz-q", "verify-mz-q"],
+)
+def test_bad_list_token_is_a_usage_error(capsys, argv, token):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [token])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: argument {argv[-1]}:" in out.err
+
+
+def test_rdf_demo_unwritable_trace_exit_1(tmp_path, capsys):
+    trace = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert main(RDF_DEMO + ["--N", "256", "--trace", str(trace)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and str(trace) in out.err and out.err.count("\n") == 1

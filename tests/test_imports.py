@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module.
+"""Import and export hygiene of the package modules.
 
-A stdlib-only stand-in for a linter's unused-import rule.  `__init__.py`
-is exempt: its imports are the package's public namespace.
+A stdlib-only stand-in for a linter: every name a module imports is used
+in it, every name in its `__all__` is defined in it (so a deletion cannot
+leave a stale export behind), and the exact planner layer
+(`extrapolation.py`) imports no numeric module.  `__init__.py` is exempt
+from the first rule: its imports are the package's public namespace.
 """
 
 import ast
@@ -53,3 +56,62 @@ def test_detector_sees_unused_and_annotation_uses():
         "def f(a: 'A') -> B:\n    return 1\n"
     )
     assert unused_imports(src) == ["C (line 3)", "os (line 2)"]
+
+
+def top_level_names(tree) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names listed in `__all__` that the module itself does not define."""
+    tree = ast.parse(source)
+    exported = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = [ast.literal_eval(e) for e in node.value.elts]
+    return sorted(set(exported) - top_level_names(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_defined(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def test_stale_export_detector():
+    src = '__all__ = ["f", "C", "K", "gone"]\ndef f(): pass\nclass C: pass\nK: int = 1\n'
+    assert stale_exports(src) == ["gone"]
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports from, relatively or by name."""
+    mods = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("extrapkit")):
+            sub = (node.module or "").removeprefix("extrapkit").lstrip(".")
+            mods |= {sub.split(".")[0]} if sub else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            mods |= {a.name.split(".")[1] for a in node.names if a.name.startswith("extrapkit.")}
+    return mods
+
+
+def test_package_import_detector():
+    src = (
+        "import numpy\nfrom . import weights\nfrom .errors import E\n"
+        "import extrapkit.gridfn\nfrom extrapkit.rdf import x\nfrom extrapkit import grid\n"
+    )
+    assert package_imports(src) == {"weights", "errors", "gridfn", "rdf", "grid"}
+
+
+def test_exact_planner_layer_imports_no_numeric_module():
+    # floats never enter the exponent calculus
+    assert package_imports((SRC / "extrapolation.py").read_text()) <= {"errors", "exponents"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from extrapkit.errors import DomainError, GridMismatch, SearchFailed
+from extrapkit.errors import DomainError
 from extrapkit.exponents import INF, Exponent
 from extrapkit.grid import Grid
 from extrapkit.weights import (
@@ -15,8 +15,6 @@ from extrapkit.weights import (
     WeightClassSpec,
     cjn_index,
     estimate_class_constants,
-    factor_weight,
-    openness_probe,
     power_in_class,
 )
 
@@ -106,20 +104,7 @@ def test_bht_base_window_closed_form():
 # -- factorization -----------------------------------------------------------
 
 
-def test_factor_weight_unit():
-    u = GridWeight.unit(GRID)
-    v = factor_weight(u, u, 2, 2)
-    assert np.array_equal(v.samples, u.samples)
-
-
-def test_factor_weight_p1_drops_second_factor():
-    v1 = PowerWeight(Fraction(-1, 2)).on_grid(GRID)
-    v2 = PowerWeight(Fraction(-1, 4)).on_grid(GRID)
-    out = factor_weight(v1, v2, 1, 4)
-    assert np.allclose(out.samples, v1.samples ** 0.25)
-
-
-def test_factor_weight_power_exponent_algebra():
+def test_factorization_power_exponent_algebra():
     # |x|^{a1/s} * |x|^{a2(1-p)} with a1, a2 in the A_1 window lands in A_p & RH_s
     rnd = random.Random(42)
     for _ in range(200):
@@ -131,29 +116,6 @@ def test_factor_weight_power_exponent_algebra():
         assert power_in_class(PowerWeight(out_alpha), WeightClassSpec(p, s)), (
             a1, a2, p, s, out_alpha,
         )
-
-
-def test_factor_weight_grid_mismatch():
-    u = GridWeight.unit(GRID)
-    other = GridWeight.unit(Grid(8.0, 2**10))
-    with pytest.raises(GridMismatch):
-        factor_weight(u, other, 2, 2)
-
-
-def test_factor_weight_grid_case_matches_closed_form():
-    # |x|^{-1/2} twice with p = s = 2 gives |x|^{1/4}; estimated constants
-    # should be finite and stable under one refinement
-    vals = []
-    for n in (2**8, 2**12):
-        g = Grid(8.0, n)
-        w = PowerWeight(Fraction(-1, 2)).on_grid(g)
-        out = factor_weight(w, w, 2, 2)
-        expect = np.abs(g.x()) ** 0.25
-        assert np.allclose(out.samples, expect, rtol=1e-12)
-        vals.append(estimate_class_constants(out, WeightClassSpec(2, 2), 8))
-    for a, b in zip(*vals):
-        assert np.isfinite(a) and np.isfinite(b)
-    assert abs(vals[1][0] / vals[0][0] - 1) < 0.05
 
 
 # -- constant estimation ------------------------------------------------------
@@ -221,35 +183,6 @@ def test_estimate_depth_capped_by_grid():
     w = GridWeight.unit(Grid(8.0, 64))
     ap, rh = estimate_class_constants(w, WeightClassSpec(2, 2), 30)
     assert ap == 1.0 and rh == 1.0
-
-
-# -- openness probe -----------------------------------------------------------
-
-
-def test_probe_unit_weight_accepts_large_eps():
-    eps = openness_probe(GridWeight.unit(GRID), 2, 16)
-    assert Fraction(3, 2) < eps.frac < 2
-
-
-def test_probe_cross_check_against_closed_form():
-    # |x|^{1/2} in A_{2/eps} (closed form) iff eps < 4/3; the calibrated
-    # desk-scale probe must land below that boundary
-    w = PowerWeight(Fraction(1, 2)).on_grid(GRID)
-    eps = openness_probe(w, 2, 16, ceiling=1.8, depth=8)
-    assert eps.frac < Fraction(4, 3)
-    assert eps.frac > Fraction(1, 2)  # and not vacuously small
-
-
-def test_probe_search_failed_low_ceiling():
-    w = PowerWeight(Fraction(-3, 4)).on_grid(GRID)
-    with pytest.raises(SearchFailed):
-        openness_probe(w, 1, 12, ceiling=1.1)
-
-
-def test_probe_search_failed_blowup_weight():
-    w = PowerWeight(Fraction(-2)).on_grid(GRID)
-    with pytest.raises(SearchFailed):
-        openness_probe(w, 2, 12)
 
 
 # -- grid weight type ---------------------------------------------------------
