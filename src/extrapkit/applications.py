@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, GammaInvalid, Infeasible, InfeasibleBase, require
+from .errors import DomainError, Infeasible, require
 from .exponents import (
     INF,
     Exponent,
@@ -138,7 +138,7 @@ def bht_base_class(p1: ExponentLike, p2: ExponentLike):
     f1 = _check_open_exponent("p1", p1)
     f2 = _check_open_exponent("p2", p2)
     if rec(p1) + rec(p2) >= 1:
-        raise InfeasibleBase(f"1/p1 + 1/p2 = {rec(p1) + rec(p2)} >= 1")
+        raise Infeasible(f"1/p1 + 1/p2 = {rec(p1) + rec(p2)} >= 1")
     specs = (
         WeightClassSpec(Exponent((f1 + 1) / 2), Exponent(2)),
         WeightClassSpec(Exponent((f2 + 1) / 2), Exponent(2)),
@@ -396,7 +396,7 @@ def section5_weight_classes(p1: ExponentLike, p2: ExponentLike, thetas):
         raise DomainError(f"thetas must be three values in (0,1), got {thetas}")
     inv_p = rec(p1) + rec(p2)
     if not inv_p < 1:
-        raise InfeasibleBase(f"1/p = {inv_p} >= 1")
+        raise Infeasible(f"1/p = {inv_p} >= 1")
     p = from_rec(inv_p)
     c1 = th[0] * (1 - 1 / f1)  # theta_1/p_1'
     c2 = th[1] * (1 - 1 / f2)
@@ -438,9 +438,9 @@ def section5_plan(
         _check_open_exponent(name, x)
     g = [Fraction(gamma1), Fraction(gamma2), Fraction(gamma3)]
     if any(not (0 <= gi < 1) for gi in g):
-        raise GammaInvalid(f"gamma_i must lie in [0, 1), got {g}")
+        raise DomainError(f"gamma_i must lie in [0, 1), got {g}")
     if sum(g) != 1:
-        raise GammaInvalid(f"gamma_1 + gamma_2 + gamma_3 = {sum(g)} != 1")
+        raise DomainError(f"gamma_1 + gamma_2 + gamma_3 = {sum(g)} != 1")
 
     certified = []
     inv_q = rec(q1) + rec(q2)

@@ -19,8 +19,10 @@ callable that builds the CSV rows (None when the command has no table).
 failed certificate into an infeasible report, prints the envelope or the
 CSV table, and picks the exit code: 0 when the report is feasible, 2 when
 it is not (the report is still printed), 1 for usage errors and bad input.
-Only `operator apply`, whose output is a function CSV, and the
-`rdf demo --trace` file are written by their handlers.
+The class of an error alone decides between 1 and 2; `extrapkit.errors`
+lists which class gives which.  Only `operator apply`, whose output is a
+function CSV, and the `rdf demo --trace` file are written by their
+handlers.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 
 from . import applications as app
 from . import verifier as ver
-from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, InvalidRange, OutOfRange
-from .exponents import Exponent, exp_str, harmonic_sum
+from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible
+from .exponents import Exponent, exp_str
 from .extrapolation import (
     ExtrapolationRange,
     dual_range,
@@ -230,6 +232,8 @@ def _cmd_weights_check(args):
 
 
 def _cmd_weights_estimate(args):
+    if args.depth < 1:
+        raise DomainError(f"depth must be >= 1, got {args.depth}")
     w = _read_weight_csv(args.file)
     spec = WeightClassSpec(args.ap, args.rh)
     rows = []
@@ -325,7 +329,7 @@ def _cmd_verify_sweep(args):
     spec = FamilySpec(kind=args.family, count=args.count, arity=2)
     common = dict(seed=args.seed, resolutions=args.N, L=args.L)
     if args.cmd == "bht":
-        rr = ver.ratio_sweep("bht", *qs, harmonic_sum(qs), *ws, spec, **common)
+        rr = ver.ratio_sweep("bht", *qs, *ws, spec, **common)
     elif args.cmd == "vv":
         rr = ver.vv_sweep(*qs, args.s1, args.s2, *ws, spec, K=args.K, **common)
     elif args.cmd == "iterated":
@@ -511,7 +515,7 @@ def main(argv=None) -> int:
             return 0
         fields, rows = result
         table = rows() if rows is not None and args.emit == "csv" else None
-    except (Infeasible, InvalidRange, OutOfRange, CertificationFailed) as e:
+    except (Infeasible, CertificationFailed) as e:
         fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None
     except ExtrapkitError as e:
         print(f"error: {e}", file=sys.stderr)

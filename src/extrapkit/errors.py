@@ -1,7 +1,17 @@
-"""Exception taxonomy for the whole package.
+"""Exception taxonomy for the whole package: one class per outcome.
 
-Planner errors (Infeasible, InvalidRange, ...) always carry the violated
-condition in their message so CLI reports can surface it verbatim.
+The class of an error decides what the CLI makes of it:
+
+    DomainError          bad input (a malformed exponent, grid, file,
+                         descriptor or option)                  exit 1, `error:` line
+    Infeasible           a hypothesis of a planner or range fails
+                         (p_- < p0 < p_+, the validity inequality,
+                         1/q < 3/2, ...)                        exit 2, infeasible report
+    CertificationFailed  a numeric or exact certificate misses  exit 2, infeasible report
+    NormBoundTooSmall    the RDF retry signal; caught inside `rdf`, and
+                         exit 1 should one ever escape
+
+Messages carry the violated condition so reports can surface it verbatim.
 Invariants that a certificate rests on are checked with `require`, which
 raises CertificationFailed and, unlike `assert`, survives `python -O`.
 """
@@ -12,63 +22,15 @@ class ExtrapkitError(Exception):
 
 
 class DomainError(ExtrapkitError):
-    """An exponent or scalar argument is outside its admissible domain."""
-
-
-class GridMismatch(ExtrapkitError):
-    """Two grid objects do not share the same (L, N) geometry."""
-
-
-class InvalidRange(ExtrapkitError):
-    """An extrapolation range violates its ordering or validity inequality."""
-
-
-class OutOfRange(ExtrapkitError):
-    """An exponent falls outside the open interval a range operation needs."""
-
-
-class CaseUnsupported(ExtrapkitError):
-    """The requested proof-exponent construction does not apply to this case."""
-
-
-class StepInvalid(ExtrapkitError):
-    """A coordinate step of a multilinear plan fails one of its inequalities."""
-
-    def __init__(self, index: int, message: str):
-        self.index = index
-        super().__init__(f"step {index}: {message}")
+    """An argument, grid, file or descriptor is outside its admissible domain."""
 
 
 class Infeasible(ExtrapkitError):
-    """A planner's strict feasibility conditions fail; names the condition."""
-
-
-class InfeasibleBase(Infeasible):
-    """The base (non-extrapolated) exponent configuration is infeasible."""
-
-
-class GammaInvalid(ExtrapkitError):
-    """The gamma triple is malformed (range or sum-to-one violated)."""
-
-
-class TruncationInvalid(ExtrapkitError):
-    """Truncation bounds are incompatible with the grid geometry."""
-
-
-class UnknownSpec(ExtrapkitError):
-    """Unrecognised test-family or weight descriptor."""
-
-
-class UnknownSurrogate(ExtrapkitError):
-    """Unrecognised surrogate bilinear operator name."""
+    """A planner's or range's strict feasibility condition fails; names the condition."""
 
 
 class NormBoundTooSmall(ExtrapkitError):
     """Observed iterate growth exceeds the configured operator-norm bound."""
-
-
-class DivergentProbe(ExtrapkitError):
-    """A probe ratio exceeded the configured ceiling."""
 
 
 class CertificationFailed(ExtrapkitError):

@@ -44,13 +44,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CaseUnsupported,
-    InvalidRange,
-    OutOfRange,
-    StepInvalid,
-    require,
-)
+from .errors import DomainError, Infeasible, require
 from .exponents import (
     INF,
     Exponent,
@@ -101,17 +95,17 @@ class ExtrapolationRange:
         for name in ("p_minus", "p_plus", "p0", "q0"):
             object.__setattr__(self, name, as_exponent(getattr(self, name)))
         if self.p0.is_inf or self.p0 <= 0:
-            raise InvalidRange(f"p0 must be finite positive, got {self.p0}")
+            raise Infeasible(f"p0 must be finite positive, got {self.p0}")
         if self.q0.is_inf or self.q0 <= 0:
-            raise InvalidRange(f"q0 must be finite positive, got {self.q0}")
+            raise Infeasible(f"q0 must be finite positive, got {self.q0}")
         if not (self.p_minus <= self.p0 <= self.p_plus):
-            raise InvalidRange(
+            raise Infeasible(
                 f"need p_- <= p0 <= p_+, got {self.p_minus}, {self.p0}, {self.p_plus}"
             )
         if not (self.p_minus < self.p_plus):
-            raise InvalidRange("need p_- < p_+")
+            raise Infeasible("need p_- < p_+")
         if rec(self.q0) - rec(self.p0) + self._rec_p_plus() < 0:
-            raise InvalidRange(
+            raise Infeasible(
                 "validity failed: 1/q0 - 1/p0 + 1/p_+ = "
                 f"{rec(self.q0) - rec(self.p0) + self._rec_p_plus()} < 0"
             )
@@ -144,10 +138,10 @@ def target_exponent(p: ExponentLike, rng: ExtrapolationRange) -> Exponent:
     """The target q with 1/q = 1/p - (1/p0 - 1/q0), for p in (p_-, p_+)."""
     p = as_exponent(p)
     if not (rng.p_minus < p < rng.p_plus):
-        raise OutOfRange(f"p={p} is not inside ({rng.p_minus}, {rng.p_plus})")
+        raise Infeasible(f"p={p} is not inside ({rng.p_minus}, {rng.p_plus})")
     t = rec(p) - rng.shift
     if t <= 0:
-        raise OutOfRange(f"target reciprocal 1/q = {t} is not positive")
+        raise Infeasible(f"target reciprocal 1/q = {t} is not positive")
     return from_rec(t)
 
 
@@ -194,13 +188,13 @@ class ProofExponents:
 def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
     """Derive and certify every proof exponent for Cases I-III.
 
-    Raises CaseUnsupported for Case IV ranges (p_- = 0), which the paper
+    Raises DomainError for Case IV ranges (p_- = 0), which the paper
     reduces to Case I or III through the openness of the A_p classes, and
-    OutOfRange when p is not strictly inside (p_-, p_+).
+    Infeasible when p is not strictly inside (p_-, p_+).
     """
     case = case_select(rng)
     if case is Case.IV:
-        raise CaseUnsupported("p_- = 0 (Case IV) is not planned; give a range with p_- > 0")
+        raise DomainError("p_- = 0 (Case IV) is not planned; give a range with p_- > 0")
     p = as_exponent(p)
     q = target_exponent(p, rng)
 
@@ -329,30 +323,27 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
     qjs = [as_exponent(x) for x in qjs]
     m = len(pjs)
     if not (len(rms) == len(rps) == len(qjs) == m) or m == 0:
-        raise StepInvalid(0, "coordinate lists must share a positive length")
+        raise DomainError("step 0: coordinate lists must share a positive length")
 
     for j in range(m):
         if not (rms[j] <= pjs[j] <= rps[j]):
-            raise StepInvalid(j, f"need r^- <= p_j <= r^+: {rms[j]}, {pjs[j]}, {rps[j]}")
+            raise DomainError(f"step {j}: need r^- <= p_j <= r^+: {rms[j]}, {pjs[j]}, {rps[j]}")
         if not (rms[j] < qjs[j] < rps[j]):
-            raise StepInvalid(j, f"need r^- < q_j < r^+: {rms[j]}, {qjs[j]}, {rps[j]}")
+            raise DomainError(f"step {j}: need r^- < q_j < r^+: {rms[j]}, {qjs[j]}, {rps[j]}")
         if pjs[j].is_inf or pjs[j] <= 0:
-            raise StepInvalid(j, f"p_j must be finite positive, got {pjs[j]}")
+            raise DomainError(f"step {j}: p_j must be finite positive, got {pjs[j]}")
 
     steps: list[LinearStep] = []
     aggregate = harmonic_sum(pjs)
     for j in range(m):
         try:
             rng = ExtrapolationRange(rms[j], rps[j], pjs[j], aggregate)
-        except InvalidRange as e:
-            raise StepInvalid(j, str(e)) from e
-        dual = dual_range(rng)
-        try:
+            dual = dual_range(rng)
             agg_next = target_exponent(qjs[j], rng)
-        except OutOfRange as e:
-            raise StepInvalid(j, str(e)) from e
+        except Infeasible as e:
+            raise DomainError(f"step {j}: {e}") from e
         if not (dual[0] < agg_next < dual[1]):
-            raise StepInvalid(j, "aggregate left the dual interval")
+            raise DomainError(f"step {j}: aggregate left the dual interval")
         steps.append(
             LinearStep(
                 index=j,

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch
+from .errors import DomainError
 
 __all__ = ["Grid"]
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Geometry of a uniform midpoint grid over [-L, L]."""
+    """Geometry of a uniform midpoint grid over [-L, L]; N is a power of two."""
 
     L: float
     N: int
@@ -27,8 +27,8 @@ class Grid:
     def __post_init__(self):
         if not (0 < self.L < np.inf):
             raise DomainError(f"half-width must be positive and finite, got {self.L}")
-        if self.N < 2 or self.N % 2 != 0:
-            raise DomainError(f"sample count must be even and >= 2, got {self.N}")
+        if self.N < 2 or self.N & (self.N - 1) != 0:
+            raise DomainError(f"sample count must be a power of two >= 2, got {self.N}")
 
     @property
     def h(self) -> float:
@@ -41,6 +41,6 @@ class Grid:
 
     def require_same(self, other: "Grid", what: str = "grids") -> None:
         if self != other:
-            raise GridMismatch(
+            raise DomainError(
                 f"{what} differ: (L={self.L}, N={self.N}) vs (L={other.L}, N={other.N})"
             )

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, TruncationInvalid, UnknownSpec
+from .errors import DomainError
 from .exponents import Exponent, ExponentLike, as_exponent
 from .grid import Grid
 from .weights import GridWeight
@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass(eq=False)
 class GridFunction:
-    """Real or complex samples on a midpoint grid; N must be a power of two."""
+    """Real or complex samples on a midpoint grid."""
 
     samples: np.ndarray
     grid: Grid
@@ -63,8 +63,6 @@ class GridFunction:
         n = self.grid.N
         if arr.shape != (n,):
             raise DomainError(f"expected {n} samples, got shape {arr.shape}")
-        if n & (n - 1) != 0:
-            raise DomainError(f"sample count must be a power of two, got {n}")
         if not np.all(np.isfinite(arr)):
             raise DomainError("samples must be finite")
 
@@ -184,7 +182,7 @@ def maximal(f: GridFunction, mode: str = "exact") -> GridFunction:
     elif mode == "sliding":
         out = _maximal_sliding(a)
     else:
-        raise UnknownSpec(f"unknown maximal mode {mode!r}")
+        raise DomainError(f"unknown maximal mode {mode!r}")
     return GridFunction(out, f.grid)
 
 
@@ -267,7 +265,7 @@ def bht(
     if t_max is None:
         t_max = grid.L / 2
     if not (0 < t_min <= h <= t_max <= grid.L):
-        raise TruncationInvalid(
+        raise DomainError(
             f"need 0 < t_min <= h <= t_max <= L, got t_min={t_min}, h={h}, "
             f"t_max={t_max}, L={grid.L}"
         )
@@ -341,7 +339,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise UnknownSpec(
+            raise DomainError(
                 f"unknown family kind {self.kind!r}; expected one of {FAMILY_KINDS}"
             )
         if self.count < 1 or self.arity < 1:

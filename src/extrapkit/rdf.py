@@ -49,12 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    CertificationFailed,
-    DivergentProbe,
-    DomainError,
-    NormBoundTooSmall,
-)
+from .errors import CertificationFailed, DomainError, NormBoundTooSmall
 from .exponents import Exponent, ExponentLike, as_exponent, conjugate, rec
 from .extrapolation import Case, ExtrapolationRange, ProofExponents, proof_exponents, target_exponent
 from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
@@ -147,8 +142,8 @@ def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float
     times a safety factor of 2; the result is >= 2 and monotone in the probe
     set.  The floor is the ratio of a constant probe: on the grid M1 = 1
     exactly (every interval average of ones is an exact 1.0), so constants
-    need no maximal call.  DivergentProbe is raised if any ratio exceeds
-    the ceiling.
+    need no maximal call.  DomainError is raised if any ratio exceeds the
+    ceiling.
     """
     p = as_exponent(p)
     if p.is_inf or p <= 1:
@@ -161,7 +156,7 @@ def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float
             continue
         ratio = measure_norm(maximal(fn), w, p) / denom
         if ratio > PROBE_CEILING:
-            raise DivergentProbe(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
+            raise DomainError(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
         best = max(best, ratio)
     return PROBE_SAFETY * best
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
-from .errors import DomainError, ExtrapkitError, UnknownSpec, UnknownSurrogate, require
+from .errors import DomainError, require
 from .exponents import ExponentLike, as_exponent, exp_str, harmonic_sum
 from .grid import Grid
 from .gridfn import (
@@ -84,7 +84,7 @@ def realize_weight(desc, grid: Grid) -> GridWeight:
         return desc
     if callable(desc):
         return desc(grid)
-    raise UnknownSpec(f"cannot realize weight descriptor {desc!r}")
+    raise DomainError(f"cannot realize weight descriptor {desc!r}")
 
 
 def _describe_weight(desc) -> str:
@@ -137,7 +137,7 @@ def _op_by_name(name: str):
         return lambda f, g: bht(f, g)
     if name == "product":
         return lambda f, g: f * g
-    raise UnknownSpec(f"unknown operator {name!r}")
+    raise DomainError(f"unknown operator {name!r}")
 
 
 def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
@@ -238,7 +238,6 @@ def ratio_sweep(
     op,
     q1: ExponentLike,
     q2: ExponentLike,
-    q: ExponentLike,
     w1_desc,
     w2_desc,
     family_spec: FamilySpec,
@@ -247,25 +246,30 @@ def ratio_sweep(
     resolutions=(4096, 8192),
     L: float = 8.0,
 ) -> RatioReport:
-    """Scalar ratio sweep of a bilinear operator against factor norms.
+    """Scalar ratio sweep of a bilinear operator against factor norms,
+    with the target norm exponent q = (1/q1 + 1/q2)^(-1).
 
-    `op` is "bht", "product" or a callable.  Power weights are checked
-    against the planner's class windows and the verdict of that check is
+    `op` is "bht", "product" or a callable.  For "bht" the (q1, q2) pair is
+    certified through the scalar planner before sweeping, and power weights
+    are checked against its class windows; the verdict of that check is
     recorded (sweeps against out-of-class weights are legitimate divergence
     probes, so membership failure is noted, not fatal).
     """
     op_name = op if isinstance(op, str) else getattr(op, "__name__", "custom")
     op_fn = _op_by_name(op) if isinstance(op, str) else op
+    q1, q2 = as_exponent(q1), as_exponent(q2)
+    plan = bht_plan(q1, q2) if op == "bht" else None
+    q = harmonic_sum([q1, q2])
     config = {
-        "q1": exp_str(as_exponent(q1)),
-        "q2": exp_str(as_exponent(q2)),
-        "q": exp_str(as_exponent(q)),
+        "q1": exp_str(q1),
+        "q2": exp_str(q2),
+        "q": exp_str(q),
         "w1": _describe_weight(w1_desc),
         "w2": _describe_weight(w2_desc),
         "family": family_spec.kind,
         "count": family_spec.count,
         "L": L,
-        "weights_in_class": _class_check(op_name, q1, q2, w1_desc, w2_desc),
+        "weights_in_class": _class_check(plan, w1_desc, w2_desc),
     }
     return _sweep(
         op_fn, op_name, (q1, q2, q), (w1_desc, w2_desc), family_spec,
@@ -273,16 +277,10 @@ def ratio_sweep(
     )
 
 
-def _class_check(op_name, q1, q2, w1_desc, w2_desc):
+def _class_check(plan, w1_desc, w2_desc):
     """Closed-form membership of power-weight factors in the planned classes."""
-    if op_name != "bht":
+    if plan is None or not (isinstance(w1_desc, PowerWeight) and isinstance(w2_desc, PowerWeight)):
         return None
-    if not (isinstance(w1_desc, PowerWeight) and isinstance(w2_desc, PowerWeight)):
-        return None
-    try:
-        plan = bht_plan(q1, q2)
-    except ExtrapkitError:
-        return False
     ok = True
     for desc, spec, qi in (
         (w1_desc, plan.weight_specs[0], plan.q1),
@@ -343,8 +341,6 @@ def iterated_vv_sweep(
     *,
     J: int = 2,
     K: int = 2,
-    w1_desc="unit",
-    w2_desc="unit",
     seed: int = 7,
     resolutions=(2048, 4096),
     L: float = 8.0,
@@ -369,7 +365,7 @@ def iterated_vv_sweep(
         "L": L,
     }
     return _sweep(
-        _op_by_name("bht"), "bht", (q1, q2, harmonic_sum([q1, q2])), (w1_desc, w2_desc),
+        _op_by_name("bht"), "bht", (q1, q2, harmonic_sum([q1, q2])), ("unit", "unit"),
         family_spec, seed, resolutions, L, config,
         levels=[
             (K, _floats(s1, s2, harmonic_sum([s1, s2]))),
@@ -386,7 +382,7 @@ def _surrogate_by_name(name: str):
         return lambda f, g: hilbert(f) * hilbert(g)
     if name == "product-identity":
         return lambda f, g: f * g
-    raise UnknownSurrogate(f"unknown surrogate {name!r}; expected one of {SURROGATES}")
+    raise DomainError(f"unknown surrogate {name!r}; expected one of {SURROGATES}")
 
 
 def mz_sweep(

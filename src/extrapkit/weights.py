@@ -202,8 +202,7 @@ def estimate_class_constants(
         raise DomainError(f"depth must be >= 1, got {depth}")
     v = w.samples
     n = v.size
-    max_depth = int(np.log2(n & -n))  # largest d with 2^d | N
-    eff_depth = min(depth, max_depth)
+    eff_depth = min(depth, n.bit_length() - 1)  # log2 N: one sample per interval
 
     p, s = spec.p, spec.s
     pf = float(p.frac)

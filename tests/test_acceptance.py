@@ -258,13 +258,13 @@ def test_criterion_09_verification_sweeps():
     fam = FamilySpec("smooth-bumps", count=64, arity=2)
     res = (2**12, 2**13)
     runs = {}
-    runs["unweighted"] = ratio_sweep("bht", 2, 2, 1, "unit", "unit", fam,
+    runs["unweighted"] = ratio_sweep("bht", 2, 2, "unit", "unit", fam,
                                      seed=7, resolutions=res)
     for a in (Fraction(1, 4), Fraction(2, 5)):
         w1, w2 = PowerWeight(-a / 2), PowerWeight(-a / 2)
-        runs[f"a={a}"] = ratio_sweep("bht", 2, 2, 1, w1, w2, fam,
+        runs[f"a={a}"] = ratio_sweep("bht", 2, 2, w1, w2, fam,
                                      seed=7, resolutions=res)
-    holder = ratio_sweep("product", 2, 2, 1, "unit", "unit", fam,
+    holder = ratio_sweep("product", 2, 2, "unit", "unit", fam,
                          seed=7, resolutions=res)
     elapsed = time.monotonic() - t0
     ok = (
@@ -283,7 +283,7 @@ def test_criterion_10_coherence():
 
     fam = FamilySpec("smooth-bumps", count=8, arity=2)
     res = (1024, 2048)
-    scalar = ratio_sweep("bht", 2, 2, 1, "unit", "unit", fam, seed=5, resolutions=res)
+    scalar = ratio_sweep("bht", 2, 2, "unit", "unit", fam, seed=5, resolutions=res)
     vv1 = vv_sweep(2, 2, 2, 2, "unit", "unit", fam, K=1, seed=5, resolutions=res)
     bit_exact = scalar.ratios == vv1.ratios and scalar.sup_by_resolution == vv1.sup_by_resolution
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from extrapkit.cli import main
+from extrapkit.errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible, NormBoundTooSmall
 from extrapkit.grid import Grid
 from extrapkit.gridfn import GridFunction, hilbert
 from extrapkit.reports import SCHEMA
@@ -276,9 +277,10 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
         ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "2", "--N", "256", "--seed", "-1"],
         ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
          "--N", "256", "--seed", "-1"],
+        ["verify", "bht", "--q1", "inf", "--q2", "2", "--count", "2", "--N", "256,512"],
     ],
     ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file", "block-over-count",
-         "negative-seed", "rdf-negative-seed"],
+         "negative-seed", "rdf-negative-seed", "bht-pair-outside-planner"],
 )
 def test_bad_verify_input_exit_1(capsys, argv):
     assert main(argv) == 1
@@ -320,6 +322,10 @@ def test_infeasible_report_exits_2(tmp_path, capsys):
                           "--depth", "2"], capsys)
     assert code == 2 and rep["feasible"] is False
     assert rep["data"]["constants"][0]["ap_const"] == "inf"
+    # a pair that `plan bht` rejects is not swept
+    code, rep = run_json(["verify", "bht", "--q1", "6/5", "--q2", "6/5", "--count", "2", "--N", "256,512"],
+                         capsys)
+    assert code == 2 and rep["feasible"] is False and rep["reason"] == "1/q = 5/3 >= 3/2"
 
 
 def test_plan_bht_vv_grid_tabulates_vector_valued_plans(capsys):
@@ -422,3 +428,49 @@ def test_rdf_demo_unwritable_trace_exit_1(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error:") and str(trace) in out.err and out.err.count("\n") == 1
+
+
+def _uniform_rows(n, L=2.0):
+    h = 2 * L / n
+    return [["x", "re"]] + [[repr(-L + (i + 0.5) * h), "1"] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "n, depth, message",
+    [(64, "0", "depth must be >= 1, got 0"), (6, "2", "sample count must be a power of two >= 2, got 6")],
+    ids=["depth-0", "six-samples"],
+)
+def test_weights_estimate_bad_input_exit_1(tmp_path, capsys, n, depth, message):
+    path = tmp_path / "w.csv"
+    _write_rows(path, _uniform_rows(n))
+    argv = ["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2", "--depth", depth]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ExtrapkitError("boom"), 1),
+        (DomainError("boom"), 1),
+        (NormBoundTooSmall("boom"), 1),
+        (Infeasible("boom"), 2),
+        (CertificationFailed(["boom"]), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
+    from extrapkit import cli
+
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_plan_mz", handler)
+    assert main(["plan", "mz", "--q", "3,3", "--r", "3/2"]) == code
+    out = capsys.readouterr()
+    if code == 1:
+        assert out.out == "" and out.err == "error: boom\n"
+    else:
+        rep = json.loads(out.out)
+        assert out.err == "" and rep["feasible"] is False and rep["reason"] == "boom"

@@ -6,12 +6,7 @@ import pytest
 import sympy as sp
 
 from corpus import range_tuples
-from extrapkit.errors import (
-    CaseUnsupported,
-    InvalidRange,
-    OutOfRange,
-    StepInvalid,
-)
+from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import INF, Exponent, harmonic_sum, rec
 from extrapkit.extrapolation import (
     Case,
@@ -78,14 +73,14 @@ def _assert_matches_oracle(rng, p, pe):
 
 def test_range_validity_examples():
     ExtrapolationRange(1, 4, 2, 3)  # 1/3 - 1/2 + 1/4 = 1/12 >= 0
-    with pytest.raises(InvalidRange):
+    with pytest.raises(Infeasible, match="validity failed"):
         ExtrapolationRange(1, 3, 2, 12)  # 1/12 - 1/2 + 1/3 = -1/12
 
 
 def test_range_ordering_enforced():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(Infeasible, match=r"need p_- <= p0 <= p_\+"):
         ExtrapolationRange(3, 2, Fraction(5, 2), 2)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(Infeasible, match=r"need p_- < p_\+"):
         ExtrapolationRange(1, 1, 1, 1)  # p_- < p_+ strict
 
 
@@ -116,7 +111,7 @@ def test_target_exponent_diagonal_identity():
 def test_target_exponent_boundary_rejected():
     rng = ExtrapolationRange(1, 2, 2, 3)
     for bad in (1, 2, Fraction(1, 2), 5):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(Infeasible, match="is not inside"):
             target_exponent(bad, rng)
 
 
@@ -131,7 +126,7 @@ def test_case_select():
 
 def test_case4_needs_reduction():
     rng = ExtrapolationRange(0, 2, 1, 1)
-    with pytest.raises(CaseUnsupported):
+    with pytest.raises(DomainError, match="Case IV"):
         proof_exponents(rng, 1)
 
 
@@ -244,7 +239,7 @@ def test_multilinear_two_coordinate_example():
 
 
 def test_multilinear_boundary_target_invalid():
-    with pytest.raises(StepInvalid):
+    with pytest.raises(DomainError, match=r"step 0: need r\^- < q_j < r\^\+"):
         multilinear_plan([4, 4], [Fraction(8, 5)] * 2, [8] * 2, [Fraction(8, 5), 2])
 
 

@@ -2,9 +2,12 @@
 
 A stdlib-only stand-in for a linter: every name a module imports is used
 in it, every name in its `__all__` is defined in it (so a deletion cannot
-leave a stale export behind), and the exact planner layer
-(`extrapolation.py`) imports no numeric module.  `__init__.py` is exempt
-from the first rule: its imports are the package's public namespace.
+leave a stale export behind), the exact planner layer
+(`extrapolation.py`) imports no numeric module, and every exception class
+in `errors.py` is raised somewhere in the package or extended by one that
+is (so the class list cannot regrow entries nothing raises).
+`__init__.py` is exempt from the first rule: its imports are the
+package's public namespace.
 """
 
 import ast
@@ -115,3 +118,33 @@ def test_package_import_detector():
 def test_exact_planner_layer_imports_no_numeric_module():
     # floats never enter the exponent calculus
     assert package_imports((SRC / "extrapolation.py").read_text()) <= {"errors", "exponents"}
+
+
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions a module raises: `raise X` and `raise X(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def dead_error_classes(errors_source: str, sources) -> list[str]:
+    """Classes of `errors_source` that no source raises and no class there extends."""
+    classes = [n for n in ast.parse(errors_source).body if isinstance(n, ast.ClassDef)]
+    bases = {b.id for c in classes for b in c.bases if isinstance(b, ast.Name)}
+    raised = set().union(*(raised_names(s) for s in sources))
+    return sorted(c.name for c in classes if c.name not in raised | bases)
+
+
+def test_every_error_class_is_raised():
+    sources = [p.read_text() for p in SRC.glob("*.py")]
+    assert dead_error_classes((SRC / "errors.py").read_text(), sources) == []
+
+
+def test_dead_error_class_detector():
+    errors = "class E(Exception): pass\nclass A(E): pass\nclass B(E): pass\nclass C(E): pass\n"
+    sources = ["raise A('x')\n", "try:\n    pass\nexcept C:\n    raise B\n"]
+    assert dead_error_classes(errors, sources) == ["C"]

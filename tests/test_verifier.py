@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from extrapkit.errors import DomainError, Infeasible, UnknownSurrogate
+from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, GridFunction, make_family
@@ -25,14 +25,14 @@ RES = (1024, 2048)
 
 
 def test_product_operator_holder_baseline():
-    rr = ratio_sweep("product", 2, 2, 1, "unit", "unit", SMOOTH8, resolutions=RES)
+    rr = ratio_sweep("product", 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
     assert rr.sup_ratio <= 1 + 1e-10
     assert rr.verdict == "BOUNDED-STABLE"
 
 
 def test_product_holder_with_weights():
     w = PowerWeight(Fraction(-1, 8))
-    rr = ratio_sweep("product", 3, Fraction(3, 2), 1, w, w, SMOOTH8, resolutions=RES)
+    rr = ratio_sweep("product", 3, Fraction(3, 2), w, w, SMOOTH8, resolutions=RES)
     assert rr.sup_ratio <= 1 + 1e-10
 
 
@@ -40,7 +40,7 @@ def test_product_holder_with_weights():
 
 
 def test_bht_unweighted_bounded_stable():
-    rr = ratio_sweep("bht", 2, 2, 1, "unit", "unit", SMOOTH8, resolutions=RES)
+    rr = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
     assert rr.sup_ratio == max(rr.ratios)
     assert rr.config["weights_in_class"] is None  # unit weights: no check
@@ -49,7 +49,7 @@ def test_bht_unweighted_bounded_stable():
 def test_bht_weighted_in_class_flag():
     a = Fraction(1, 4)
     rr = ratio_sweep(
-        "bht", 2, 2, 1, PowerWeight(-a / 2), PowerWeight(-a / 2),
+        "bht", 2, 2, PowerWeight(-a / 2), PowerWeight(-a / 2),
         SMOOTH8, resolutions=RES,
     )
     assert rr.config["weights_in_class"] is True
@@ -61,14 +61,14 @@ def test_bht_divergence_probe():
     # admissible window: alpha * q_i = -2 fails power_in_class)
     spec = FamilySpec("dyadic-concentration", count=6, arity=2)
     w = PowerWeight(Fraction(-1))
-    rr = ratio_sweep("bht", 2, 2, 1, w, w, spec, seed=3, resolutions=(2048, 4096, 8192))
+    rr = ratio_sweep("bht", 2, 2, w, w, spec, seed=3, resolutions=(2048, 4096, 8192))
     assert rr.config["weights_in_class"] is False
     assert rr.verdict == "DIVERGENT"
 
 
 def test_determinism_same_seed_same_report():
-    a = ratio_sweep("bht", 2, 2, 1, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
-    b = ratio_sweep("bht", 2, 2, 1, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
+    a = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
+    b = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
     assert a.ratios == b.ratios and a.sup_by_resolution == b.sup_by_resolution
 
 
@@ -85,14 +85,14 @@ def test_rescaling_invariance():
 
         return bht(f, g)
 
-    rr1 = ratio_sweep(scaled_op, 2, 2, 1, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
+    rr1 = ratio_sweep(scaled_op, 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
 
     def scaling_op(f, g):
         from extrapkit.gridfn import bht
 
         return bht(f * 4.0, g * 4.0) * Fraction(1, 16)
 
-    rr2 = ratio_sweep(scaling_op, 2, 2, 1, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
+    rr2 = ratio_sweep(scaling_op, 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
     for x, y in zip(rr1.ratios, rr2.ratios):
         assert x == pytest.approx(y, rel=1e-12)
 
@@ -101,7 +101,7 @@ def test_rescaling_invariance():
 
 
 def test_vv_k1_bit_exact_coherence():
-    a = ratio_sweep("bht", 2, 2, 1, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
+    a = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
     b = vv_sweep(2, 2, 2, 2, "unit", "unit", SMOOTH8, K=1, seed=5, resolutions=RES)
     assert a.ratios == b.ratios
     assert a.sup_by_resolution == b.sup_by_resolution
@@ -169,7 +169,7 @@ def test_mz_r_outside_window_rejected():
 
 
 def test_mz_unknown_surrogate():
-    with pytest.raises(UnknownSurrogate):
+    with pytest.raises(DomainError, match="unknown surrogate"):
         mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus")
 
 
