@@ -156,15 +156,10 @@ def _eta_rule(budget: Fraction, caps: list[Fraction]) -> Fraction:
 
 
 def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
-    """Shared scalar/vector construction; s_i = None means scalar."""
-    q1, q2 = as_exponent(q1), as_exponent(q2)
-    qf = [_check_open_exponent("q1", q1), _check_open_exponent("q2", q2)]
+    """Shared construction on checked exponents; s_i = None means scalar (s_i = q_i)."""
     vv = s1 is not None
-    if vv:
-        s1, s2 = as_exponent(s1), as_exponent(s2)
-        sf = [_check_open_exponent("s1", s1), _check_open_exponent("s2", s2)]
-    else:
-        sf = qf  # max/min terms coincide with the scalar ones
+    qf = [q1.frac, q2.frac]
+    sf = [s1.frac, s2.frac] if vv else qf
 
     certified = list(certified_extra)
 
@@ -175,12 +170,11 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
     certified.append("sum-max-lt-3/2")
 
     budget = THREE_HALVES - total
-    caps = []
-    for i in range(2):
-        cap = min(1 / qf[i], 1 - 1 / qf[i])
-        if vv:
-            cap = min(cap, 1 / sf[i], 1 - 1 / sf[i], HALF - abs(1 / sf[i] - 1 / qf[i]))
-        caps.append(cap)
+    # with s_i = q_i the extra caps are no tighter: min(1/q, 1 - 1/q) <= 1/2
+    caps = [
+        min(1 / qf[i], 1 - 1 / qf[i], 1 / sf[i], 1 - 1 / sf[i], HALF - abs(1 / sf[i] - 1 / qf[i]))
+        for i in range(2)
+    ]
     eta = _eta_rule(budget, caps)
     require(
         eta > 0 and 2 * eta < budget and all(eta < c for c in caps),
@@ -287,20 +281,29 @@ class PowerRange:
     includes_zero: bool = True
 
 
+def _power_window(fq: list[Fraction], fs: list[Fraction]) -> PowerRange:
+    """The window of :func:`bht_vv_power_range`; with s_i = q_i it is the scalar one.
+
+    Never empty for an admissible tuple: each max is at least 1, and each
+    term of a_+ is positive once |1/s_i - 1/q_i| < 1/2.
+    """
+    a_minus = 1 - min(max(Fraction(1), q / 2, q / s) for q, s in zip(fq, fs))
+    a_plus = min([Fraction(1)] + [q / 2 for q in fq] + [1 - q * (1 / s - HALF) for q, s in zip(fq, fs)])
+    require(a_minus <= 0 < a_plus, f"power window: need a_- <= 0 < a_+, got {a_minus}, {a_plus}")
+    return PowerRange(a_minus, a_plus)
+
+
 def bht_power_range(q1: ExponentLike, q2: ExponentLike) -> PowerRange:
     """Scalar power-weight window:
 
         1 - min_i max{1, q_i/2}  <  a  <  min{1, q_1/2, q_2/2},
 
-    always augmented by a = 0.  The window contains [0, 1/2) for every
-    admissible (q1, q2).
+    always augmented by a = 0; :func:`_power_window` with s_i = q_i.  The
+    window contains [0, 1/2) for every admissible (q1, q2).
     """
     plan = bht_plan(q1, q2)  # validates admissibility
-    f1, f2 = plan.q1.frac, plan.q2.frac
-    a_minus = 1 - min(max(Fraction(1), f1 / 2), max(Fraction(1), f2 / 2))
-    a_plus = min(Fraction(1), f1 / 2, f2 / 2)
-    require(a_minus <= 0 < a_plus, f"power window: need a_- <= 0 < a_+, got {a_minus}, {a_plus}")
-    return PowerRange(a_minus, a_plus)
+    fq = [plan.q1.frac, plan.q2.frac]
+    return _power_window(fq, fq)
 
 
 def bht_vv_power_range(
@@ -314,22 +317,7 @@ def bht_vv_power_range(
     with a_- <= 0 < a_+ certified.
     """
     plan = bht_vv_plan(q1, q2, s1, s2)
-    fq = [plan.q1.frac, plan.q2.frac]
-    fs = [plan.s1.frac, plan.s2.frac]
-    a_minus = 1 - min(
-        max(Fraction(1), fq[0] / 2, fq[0] / fs[0]),
-        max(Fraction(1), fq[1] / 2, fq[1] / fs[1]),
-    )
-    a_plus = min(
-        Fraction(1),
-        fq[0] / 2,
-        fq[1] / 2,
-        1 - fq[0] * (1 / fs[0] - HALF),
-        1 - fq[1] * (1 / fs[1] - HALF),
-    )
-    if not (a_minus <= 0 < a_plus):
-        raise Infeasible(f"power window empty: a_-={a_minus}, a_+={a_plus}")
-    return PowerRange(a_minus, a_plus)
+    return _power_window([plan.q1.frac, plan.q2.frac], [plan.s1.frac, plan.s2.frac])
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,9 @@ Subcommands:
     rdf demo
     verify {bht|vv|iterated|mz|truncation}
 
+`plan bht-vv --s1 S1 --s2 S2` is the one spelling of the vector-valued
+BHT plan; `plan bht` takes no --s1/--s2.
+
 Exponents on the command line are exact rationals ("2", "3/2", "inf");
 floating literals are rejected.  Reports are JSON envelopes on stdout;
 --emit csv switches a command with a table to CSV, and the commands
@@ -199,18 +202,13 @@ def _grid_rows(qs, s1=None, s2=None) -> list[dict]:
 
 
 def _cmd_plan_bht(args):
-    if (args.s1 is None) != (args.s2 is None):
-        raise DomainError("provide both --s1 and --s2 for a vector-valued plan")
     if args.grid:
         if args.emit != "csv":
             raise DomainError("--grid tabulates plans and needs --emit csv")
         return {"feasible": True, "data": {}}, lambda: _grid_rows(args.grid, args.s1, args.s2)
     plan, pr = _bht(args.q1, args.q2, args.s1, args.s2)
     data = {**plan.as_dict(), "power_range": pr}
-    fields = {"feasible": True, "data": data, "certified": plan.certified}
-    if args.s1 is not None:
-        fields["command"] = "plan bht-vv"
-    return fields, lambda: [_flatten(data)]
+    return {"feasible": True, "data": data, "certified": plan.certified}, lambda: [_flatten(data)]
 
 
 def _cmd_plan_section5(args):
@@ -232,14 +230,12 @@ def _cmd_weights_check(args):
 
 
 def _cmd_weights_estimate(args):
-    if args.depth < 1:
-        raise DomainError(f"depth must be >= 1, got {args.depth}")
     w = _read_weight_csv(args.file)
     spec = WeightClassSpec(args.ap, args.rh)
-    rows = []
-    for d in range(1, args.depth + 1):
-        ap_c, rh_c = estimate_class_constants(w, spec, d)
-        rows.append({"depth": d, "ap_const": ap_c, "rh_const": rh_c})
+    rows = [
+        {"depth": d, "ap_const": ap_c, "rh_const": rh_c}
+        for d, (ap_c, rh_c) in enumerate(estimate_class_constants(w, spec, args.depth), start=1)
+    ]
     fields = {
         "feasible": all(np.isfinite(r["ap_const"]) and np.isfinite(r["rh_const"]) for r in rows),
         "data": {"file": args.file, "ap": spec.p, "rh": spec.s, "constants": rows},
@@ -415,9 +411,11 @@ def build_parser() -> _Parser:
         pb = _command(plan_sub, name, _cmd_plan_bht)
         pb.add_argument("--q1", type=_exp, required=True)
         pb.add_argument("--q2", type=_exp, required=True)
-        req = name == "bht-vv"
-        pb.add_argument("--s1", type=_exp, required=req, default=None)
-        pb.add_argument("--s2", type=_exp, required=req, default=None)
+        if name == "bht-vv":
+            pb.add_argument("--s1", type=_exp, required=True)
+            pb.add_argument("--s2", type=_exp, required=True)
+        else:
+            pb.set_defaults(s1=None, s2=None)
         pb.add_argument("--grid", type=_list(_exp), default=None)
 
     ps = _command(plan_sub, "section5", _cmd_plan_section5)

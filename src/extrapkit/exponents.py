@@ -19,6 +19,7 @@ exponents themselves are confined to [0, inf].
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Iterable, Union
@@ -39,6 +40,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 ExponentLike = Union["Exponent", int, Fraction, str]
 
 
+@functools.total_ordering
 class Exponent:
     """A nonnegative rational or +infinity, with exact arithmetic.
 
@@ -81,12 +83,6 @@ class Exponent:
             raise DomainError("infinite exponent has no rational value")
         return self._num
 
-    def __float__(self) -> float:
-        return float("inf") if self._num is None else float(self._num)
-
-    def __bool__(self) -> bool:
-        return self._num is None or self._num != 0
-
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -97,45 +93,25 @@ class Exponent:
 
     # -- ordering ----------------------------------------------------------
 
-    def _key(self, other) -> tuple:
-        if isinstance(other, Exponent):
-            o = other._num
-        elif isinstance(other, (int, Fraction)):
-            o = Fraction(other)
-        else:
-            return NotImplemented, None
-        return self._num, o
+    @staticmethod
+    def _value(x):
+        """None for infinity, the Fraction for a finite exponent, int or
+        Fraction, and NotImplemented for an operand that does not compare."""
+        if isinstance(x, Exponent):
+            return x._num
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        return NotImplemented
 
     def __eq__(self, other):
-        s, o = self._key(other)
-        if s is NotImplemented:
-            return NotImplemented
-        return s == o
+        o = self._value(other)
+        return o if o is NotImplemented else self._num == o
 
-    def __lt__(self, other):
-        s, o = self._key(other)
-        if s is NotImplemented:
-            return NotImplemented
-        if s is None:
-            return False
-        if o is None:
-            return True
-        return s < o
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if eq is NotImplemented or lt is NotImplemented:
-            return NotImplemented
-        return eq or lt
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        return NotImplemented if le is NotImplemented else not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        return NotImplemented if lt is NotImplemented else not lt
+    def __lt__(self, other):  # total_ordering derives <=, > and >=
+        o = self._value(other)
+        if o is NotImplemented:
+            return o
+        return self._num is not None and (o is None or self._num < o)
 
     def __hash__(self):
         return hash(("Exponent", self._num))

@@ -104,14 +104,11 @@ class ExtrapolationRange:
             )
         if not (self.p_minus < self.p_plus):
             raise Infeasible("need p_- < p_+")
-        if rec(self.q0) - rec(self.p0) + self._rec_p_plus() < 0:
+        if rec(self.q0) - rec(self.p0) + rec(self.p_plus) < 0:
             raise Infeasible(
                 "validity failed: 1/q0 - 1/p0 + 1/p_+ = "
-                f"{rec(self.q0) - rec(self.p0) + self._rec_p_plus()} < 0"
+                f"{rec(self.q0) - rec(self.p0) + rec(self.p_plus)} < 0"
             )
-
-    def _rec_p_plus(self) -> Fraction:
-        return rec(self.p_plus)
 
     @property
     def shift(self) -> Fraction:

@@ -71,6 +71,7 @@ GROWTH_SLACK = 1e-6
 PROBE_CEILING = 1e8
 PROBE_SAFETY = 2.0
 BOUND_ATTEMPTS = 5
+WEIGHT_DEPTH = 6  # dyadic halvings of the W^{p0} class-constant estimate
 
 
 @dataclass
@@ -79,7 +80,6 @@ class IterationResult:
     a1_ratio: float  # max M(RG)/RG, the empirical A_1-type constant
     input_norm: float
     output_norm: float
-    tail_bound: float  # 2^-K
     term_norms: list
 
 
@@ -130,7 +130,6 @@ def rdf_iterate(
         a1_ratio=float(np.max(mratio)),
         input_norm=base_norm,
         output_norm=measure_norm(out, weight, exponent),
-        tail_bound=2.0 ** -terms,
         term_norms=term_norms,
     )
 
@@ -333,16 +332,14 @@ def verify_case1_weight(
     rng: ExtrapolationRange,
     p: ExponentLike,
     w: GridWeight,
-    *,
-    depth: int = 6,
 ) -> dict:
     """Re-verify the exponent bookkeeping and the constructed weight's classes.
 
     Returns a report with (i) the exact identity re-check, (ii) the
     empirical A_1 ratios of mu1/mu2 that the iteration measured, (iii)
-    estimated A_{p0/p_-} and RH_{(p_+/p0)'} constants of W^{p0} at the given
-    depth, and (iv) a bitwise replay of the defining identity
-    W^{q0} = H1^{-alpha q0/s} H2 w^q.
+    estimated A_{p0/p_-} and RH_{(p_+/p0)'} constants of W^{p0} down to
+    WEIGHT_DEPTH halvings (N >= 2^WEIGHT_DEPTH), and (iv) a bitwise replay
+    of the defining identity W^{q0} = H1^{-alpha q0/s} H2 w^q.
     """
     p = as_exponent(p)
     pe_again = proof_exponents(rng, p)
@@ -365,8 +362,8 @@ def verify_case1_weight(
     )
     w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), w.grid)
     ap_c, rh_c = estimate_class_constants(
-        w_p0, WeightClassSpec(ap_index, rh_index), depth
-    )
+        w_p0, WeightClassSpec(ap_index, rh_index), WEIGHT_DEPTH
+    )[-1]
     finite = bool(np.isfinite(ap_c) and np.isfinite(rh_c))
     if not finite:
         raise CertificationFailed(
@@ -383,5 +380,5 @@ def verify_case1_weight(
         "W_p0_rh_index": rh_index,
         "W_p0_ap_const": ap_c,
         "W_p0_rh_const": rh_c,
-        "depth": depth,
+        "depth": WEIGHT_DEPTH,
     }

@@ -75,20 +75,17 @@ DIVERGENT_GROWTH = 1.5
 # --------------------------------------------------------------------------
 
 def realize_weight(desc, grid: Grid) -> GridWeight:
-    if desc == "unit" or desc is None:
+    if desc == "unit":
         return GridWeight.unit(grid)
     if isinstance(desc, PowerWeight):
         return desc.on_grid(grid)
-    if isinstance(desc, GridWeight):
-        desc.grid.require_same(grid, "weight grid")
-        return desc
     if callable(desc):
         return desc(grid)
     raise DomainError(f"cannot realize weight descriptor {desc!r}")
 
 
 def _describe_weight(desc) -> str:
-    if desc == "unit" or desc is None:
+    if desc == "unit":
         return "unit"
     if isinstance(desc, PowerWeight):
         return f"power:{desc.alpha}"

@@ -175,34 +175,23 @@ class GridWeight:
 # --------------------------------------------------------------------------
 
 
-def _level_means(values: np.ndarray, level: int) -> np.ndarray:
-    """Means of `values` over the 2^level dyadic subintervals of [-L, L]."""
-    parts = values.reshape(2**level, -1)
-    return parts.mean(axis=1)
-
-
-def _level_maxes(values: np.ndarray, level: int) -> np.ndarray:
-    parts = values.reshape(2**level, -1)
-    return parts.max(axis=1)
-
-
 def estimate_class_constants(
     w: GridWeight, spec: WeightClassSpec, depth: int
-) -> tuple[float, float]:
-    """Estimated ([w]_{A_p}, [w]_{RH_s}) over dyadic subintervals.
+) -> list[tuple[float, float]]:
+    """Table of estimated ([w]_{A_p}, [w]_{RH_s}), one pass over the dyadic levels.
 
-    The supremum runs over every dyadic subinterval of [-L, L] from the whole
-    interval down to `depth` halvings (capped so each interval holds at least
-    one sample).  The result is monotone nondecreasing in `depth` because
-    deeper estimates include every shallower interval.
+    Entry d-1, for d = 1..depth, is the supremum over every dyadic
+    subinterval of [-L, L] from the whole interval down to d halvings, so
+    the table is monotone nondecreasing.  Each interval must hold a sample:
+    a depth outside 1..log2 N is a DomainError.
 
     Overflow is reported as +inf in the corresponding slot, never raised.
     """
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     v = w.samples
-    n = v.size
-    eff_depth = min(depth, n.bit_length() - 1)  # log2 N: one sample per interval
+    if depth > v.size.bit_length() - 1:
+        raise DomainError(f"depth {depth} needs at least 2^{depth} samples, got {v.size}")
 
     p, s = spec.p, spec.s
     pf = float(p.frac)
@@ -215,24 +204,25 @@ def estimate_class_constants(
             dual = v ** (1.0 - pprime)
         vs = None if s.is_inf or s == 1 else v ** float(s.frac)
 
+        table = []
         ap_best = 0.0
         rh_best = 0.0
-        for level in range(eff_depth + 1):
-            mv = _level_means(v, level)
+        for level in range(depth + 1):
+            k = 2**level  # dyadic subintervals of [-L, L] at this level
+            mv = v.reshape(k, -1).mean(axis=1)
             if p == 1:
-                ap = mv * _level_maxes(dual, level)
+                ap = mv * dual.reshape(k, -1).max(axis=1)
             else:
-                ap = mv * _level_means(dual, level) ** (pf - 1.0)
+                ap = mv * dual.reshape(k, -1).mean(axis=1) ** (pf - 1.0)
             ap_best = max(ap_best, float(np.max(ap)))
 
             if s == 1:
                 rh = np.ones_like(mv)
             elif s.is_inf:
-                rh = _level_maxes(v, level) / mv
+                rh = v.reshape(k, -1).max(axis=1) / mv
             else:
-                rh = _level_means(vs, level) ** (1.0 / float(s.frac)) / mv
+                rh = vs.reshape(k, -1).mean(axis=1) ** (1.0 / float(s.frac)) / mv
             rh_best = max(rh_best, float(np.max(rh)))
-
-    ap_best = ap_best if np.isfinite(ap_best) else float("inf")
-    rh_best = rh_best if np.isfinite(rh_best) else float("inf")
-    return ap_best, rh_best
+            if level:
+                table.append((ap_best, rh_best))
+    return table

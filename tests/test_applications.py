@@ -139,6 +139,11 @@ def test_power_range_small_q():
 def test_power_range_contains_half_interval_on_corpus():
     for q1, q2 in admissible_q_pairs(7, 1000):
         pr = bht_power_range(q1, q2)
+        # the scalar formula, written out apart from the vector-valued one it reuses
+        f1, f2 = q1.frac, q2.frac
+        want = (1 - min(max(1, f1 / 2), max(1, f2 / 2)), min(1, f1 / 2, f2 / 2))
+        assert (pr.a_minus, pr.a_plus) == want
+        assert type(pr.a_minus) is Fraction and type(pr.a_plus) is Fraction
         assert pr.a_minus <= 0 < pr.a_plus
         assert pr.a_plus >= HALF  # [0, 1/2) always admissible
         assert in_window(pr, 0) and in_window(pr, Fraction(49, 100))
@@ -188,6 +193,8 @@ def test_vv_invariants_on_corpus():
     for q1, q2, s1, s2 in admissible_vv_tuples(31415, 1000):
         plan = bht_vv_plan(q1, q2, s1, s2)
         assert rec(plan.p1) + rec(plan.p2) < 1
+        pr = bht_vv_power_range(q1, q2, s1, s2)
+        assert pr.a_minus <= 0 < pr.a_plus
         for i, (q, s) in enumerate(((q1, s1), (q2, s2))):
             assert plan.r_minus[i] < min(q, s)
             assert max(q, s) < plan.r_plus[i]

@@ -342,6 +342,16 @@ def test_plan_bht_vv_grid_tabulates_vector_valued_plans(capsys):
     assert all(rows[0][k] == v for k, v in single.items() if not k.startswith("power_range."))
 
 
+def test_plan_bht_takes_no_s(capsys):
+    # the vector-valued plan is spelled `plan bht-vv`; `plan bht --s1/--s2`
+    # printed a `plan bht-vv` report under the wrong command
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "bht", "--q1", "2", "--q2", "2", "--s1", "3/2", "--s2", "2"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --s1 3/2 --s2 2" in out.err
+
+
 def test_rdf_demo_case_has_one_value(capsys):
     argv = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
             "--N", "256", "--case", "II"]
@@ -430,6 +440,13 @@ def test_rdf_demo_unwritable_trace_exit_1(tmp_path, capsys):
     assert out.err.startswith("error:") and str(trace) in out.err and out.err.count("\n") == 1
 
 
+def test_rdf_demo_grid_too_coarse_for_weight_depth(capsys):
+    # the W^p0 class constants need 2^6 samples; a 32-point grid reported depth 6
+    assert main(RDF_DEMO + ["--N", "32"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: depth 6 needs at least 2^6 samples, got 32\n"
+
+
 def _uniform_rows(n, L=2.0):
     h = 2 * L / n
     return [["x", "re"]] + [[repr(-L + (i + 0.5) * h), "1"] for i in range(n)]
@@ -437,8 +454,12 @@ def _uniform_rows(n, L=2.0):
 
 @pytest.mark.parametrize(
     "n, depth, message",
-    [(64, "0", "depth must be >= 1, got 0"), (6, "2", "sample count must be a power of two >= 2, got 6")],
-    ids=["depth-0", "six-samples"],
+    [
+        (64, "0", "depth must be >= 1, got 0"),
+        (64, "7", "depth 7 needs at least 2^7 samples, got 64"),
+        (6, "2", "sample count must be a power of two >= 2, got 6"),
+    ],
+    ids=["depth-0", "depth-beyond-grid", "six-samples"],
 )
 def test_weights_estimate_bad_input_exit_1(tmp_path, capsys, n, depth, message):
     path = tmp_path / "w.csv"

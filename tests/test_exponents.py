@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -83,6 +84,32 @@ def test_ordering_total_with_inf_max():
     assert sorted(vals, key=lambda e: (e.is_inf, e._num)) == vals
     assert all(v <= INF for v in vals)
     assert INF > 10**9
+
+
+COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+plain_values = st.one_of(st.integers(-3, 30), st.fractions(min_value=-3, max_value=30, max_denominator=12))
+exponent_values = st.one_of(st.just(INF), st.fractions(min_value=0, max_value=30, max_denominator=12).map(Exponent))
+
+
+def _order_key(x) -> tuple:
+    """Infinity above every finite value, finite values by their value."""
+    if isinstance(x, Exponent):
+        return (True, 0) if x.is_inf else (False, x.frac)
+    return (False, Fraction(x))
+
+
+@given(exponent_values, st.one_of(exponent_values, plain_values), st.booleans())
+def test_ordering_follows_inf_then_value(e, other, swap):
+    a, b = (other, e) if swap else (e, other)
+    for op in COMPARISONS:
+        assert op(a, b) == op(_order_key(a), _order_key(b)), (op.__name__, a, b)
+    # a string is not an exponent: never equal, and never ordered
+    assert e != "2" and "2" != e and not e == "2"
+    for op in COMPARISONS[2:]:
+        with pytest.raises(TypeError):
+            op(e, "2")
+        with pytest.raises(TypeError):
+            op("2", e)
 
 
 def test_seeded_conjugate_identity_corpus():

@@ -5,17 +5,22 @@ in it, every name in its `__all__` is defined in it (so a deletion cannot
 leave a stale export behind), the exact planner layer
 (`extrapolation.py`) imports no numeric module, and every exception class
 in `errors.py` is raised somewhere in the package or extended by one that
-is (so the class list cannot regrow entries nothing raises).
+is (so the class list cannot regrow entries nothing raises), and every
+function the benchmark's tracer wraps (`WRAPPED` in `perfbench/tracer.py`,
+read without importing it) still exists, so a rename cannot leave a layer
+untraced.
 `__init__.py` is exempt from the first rule: its imports are the
 package's public namespace.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "extrapkit"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -148,3 +153,42 @@ def test_dead_error_class_detector():
     errors = "class E(Exception): pass\nclass A(E): pass\nclass B(E): pass\nclass C(E): pass\n"
     sources = ["raise A('x')\n", "try:\n    pass\nexcept C:\n    raise B\n"]
     assert dead_error_classes(errors, sources) == ["C"]
+
+
+def wrapped_functions(tracer_source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of each entry of the tracer's `WRAPPED` list."""
+    for node in ast.parse(tracer_source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return [(e.elts[1].value, e.elts[2].value) for e in node.value.elts]
+    return []
+
+
+def unresolved(pairs) -> list[str]:
+    """The `module.attribute` names of `pairs` that do not resolve."""
+    missing = []
+    for modname, attr in pairs:
+        try:
+            found = hasattr(importlib.import_module(modname), attr)
+        except ImportError:
+            found = False
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    return missing
+
+
+def test_traced_functions_exist():
+    pairs = wrapped_functions(TRACER.read_text())
+    assert pairs and unresolved(pairs) == []
+
+
+def test_untraced_function_detector():
+    src = (
+        "WRAPPED = [\n"
+        '    ("a", "extrapkit.gridfn", "maximal", None),\n'
+        '    ("b", "extrapkit.gridfn", "gone", _cells),\n'
+        '    ("c", "extrapkit.nosuch", "f", None),\n'
+        "]\n"
+    )
+    assert unresolved(wrapped_functions(src)) == ["extrapkit.gridfn.gone", "extrapkit.nosuch.f"]

@@ -166,7 +166,7 @@ def test_verify_unit_weight_constants_near_one():
     pe = proof_exponents(rng, 2)  # diagonal: q = p = 2
     f, _ = _pair(4)
     po = build_proof_objects(f, f, GridWeight.unit(GRID), pe, rng, 2)
-    rep = verify_case1_weight(po, pe, rng, 2, GridWeight.unit(GRID), depth=4)
+    rep = verify_case1_weight(po, pe, rng, 2, GridWeight.unit(GRID))
     assert rep["W_p0_ap_const"] < 50
     assert rep["W_p0_rh_const"] < 10
 

@@ -209,5 +209,3 @@ def test_realize_weight_descriptors():
     assert np.all(realize_weight("unit", grid).samples == 1.0)
     pw = realize_weight(PowerWeight(Fraction(1, 2)), grid)
     assert np.allclose(pw.samples, np.abs(grid.x()) ** 0.5)
-    gw = GridWeight.unit(grid)
-    assert realize_weight(gw, grid) is gw

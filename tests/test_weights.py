@@ -122,11 +122,11 @@ def test_factorization_power_exponent_algebra():
 
 
 def test_estimate_unit_weight_exact_ones():
-    ap, rh = estimate_class_constants(GridWeight.unit(GRID), WeightClassSpec(2, 2), 10)
+    ap, rh = estimate_class_constants(GridWeight.unit(GRID), WeightClassSpec(2, 2), 10)[-1]
     assert ap == 1.0 and rh == 1.0
     # constant weight too
     w = GridWeight(np.full(GRID.N, 3.7), GRID)
-    ap, rh = estimate_class_constants(w, WeightClassSpec(3, 4), 6)
+    ap, rh = estimate_class_constants(w, WeightClassSpec(3, 4), 6)[-1]
     assert ap == pytest.approx(1.0, abs=1e-12)
     assert rh == pytest.approx(1.0, abs=1e-12)
 
@@ -136,7 +136,7 @@ def test_estimate_monotone_in_depth():
     spec = WeightClassSpec(2, 2)
     prev = (0.0, 0.0)
     for d in range(1, 12):
-        cur = estimate_class_constants(w, spec, d)
+        cur = estimate_class_constants(w, spec, d)[-1]
         assert cur[0] >= prev[0] and cur[1] >= prev[1]
         prev = cur
 
@@ -145,7 +145,7 @@ def test_estimate_in_range_stability():
     # |x|^{1/4} against (2, 2): successive depth ratios -> 1 within 5%
     w = PowerWeight(Fraction(1, 4)).on_grid(Grid(8.0, 2**14))
     spec = WeightClassSpec(2, 2)
-    vals = {d: estimate_class_constants(w, spec, d) for d in range(6, 13)}
+    vals = {d: estimate_class_constants(w, spec, d)[-1] for d in range(6, 13)}
     for d in range(7, 13):
         assert vals[d][0] / vals[d - 1][0] < 1.05
         assert vals[d][1] / vals[d - 1][1] < 1.05
@@ -160,7 +160,7 @@ def test_estimate_out_of_range_divergence_rate():
     prev = None
     for d in range(6, 11):
         w = PowerWeight(Fraction(3, 2)).on_grid(Grid(8.0, 2 ** (d + 2)))
-        ap, _ = estimate_class_constants(w, spec, d)
+        ap, _ = estimate_class_constants(w, spec, d)[-1]
         if prev is not None:
             assert ap / prev >= 1.35, (d, ap / prev)
             assert ap / prev < 1.5  # the rate really is sqrt(2), not more
@@ -173,16 +173,18 @@ def test_estimate_strong_divergence_rate():
     prev = None
     for d in range(6, 11):
         w = PowerWeight(Fraction(2)).on_grid(Grid(8.0, 2 ** (d + 2)))
-        ap, _ = estimate_class_constants(w, spec, d)
+        ap, _ = estimate_class_constants(w, spec, d)[-1]
         if prev is not None:
             assert ap / prev >= 1.5
         prev = ap
 
 
 def test_estimate_depth_capped_by_grid():
+    # depth log2 N puts one sample in each interval; one more halving is an error
     w = GridWeight.unit(Grid(8.0, 64))
-    ap, rh = estimate_class_constants(w, WeightClassSpec(2, 2), 30)
-    assert ap == 1.0 and rh == 1.0
+    assert estimate_class_constants(w, WeightClassSpec(2, 2), 6)[-1] == (1.0, 1.0)
+    with pytest.raises(DomainError, match="depth 7 needs at least 2\\^7 samples, got 64"):
+        estimate_class_constants(w, WeightClassSpec(2, 2), 7)
 
 
 # -- grid weight type ---------------------------------------------------------
