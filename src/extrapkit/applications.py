@@ -83,10 +83,13 @@ def _window(plan) -> dict:
     }
 
 
-def _check_open_exponent(name: str, x: Exponent) -> Fraction:
-    if x.is_inf or not (x > 1):
-        raise DomainError(f"{name} must satisfy 1 < {name} < inf, got {x}")
-    return x.frac
+def _open(**named: ExponentLike) -> list[Exponent]:
+    """The named values as exponents, in the order given; DomainError unless each is in (1, inf)."""
+    xs = [as_exponent(x) for x in named.values()]
+    for name, x in zip(named, xs):
+        if x.is_inf or not (x > 1):
+            raise DomainError(f"{name} must satisfy 1 < {name} < inf, got {x}")
+    return xs
 
 
 # --------------------------------------------------------------------------
@@ -134,14 +137,12 @@ def bht_base_class(p1: ExponentLike, p2: ExponentLike):
 
     Requires 1 < p_i < inf and 1/p1 + 1/p2 < 1.
     """
-    p1, p2 = as_exponent(p1), as_exponent(p2)
-    f1 = _check_open_exponent("p1", p1)
-    f2 = _check_open_exponent("p2", p2)
+    p1, p2 = _open(p1=p1, p2=p2)
     if rec(p1) + rec(p2) >= 1:
         raise Infeasible(f"1/p1 + 1/p2 = {rec(p1) + rec(p2)} >= 1")
     specs = (
-        WeightClassSpec(Exponent((f1 + 1) / 2), Exponent(2)),
-        WeightClassSpec(Exponent((f2 + 1) / 2), Exponent(2)),
+        WeightClassSpec(Exponent((p1.frac + 1) / 2), Exponent(2)),
+        WeightClassSpec(Exponent((p2.frac + 1) / 2), Exponent(2)),
     )
     require(
         cjn_index(specs[0].p, 2) == p1 and cjn_index(specs[1].p, 2) == p2,
@@ -232,9 +233,7 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
 
 def bht_plan(q1: ExponentLike, q2: ExponentLike) -> BHTPlan:
     """Scalar plan for targets (q1, q2); requires 1/q1 + 1/q2 < 3/2."""
-    q1, q2 = as_exponent(q1), as_exponent(q2)
-    _check_open_exponent("q1", q1)
-    _check_open_exponent("q2", q2)
+    q1, q2 = _open(q1=q1, q2=q2)
     if not rec(q1) + rec(q2) < THREE_HALVES:
         raise Infeasible(f"1/q = {rec(q1) + rec(q2)} >= 3/2")
     return _build_plan(q1, q2, None, None, ["1/q-lt-3/2"])
@@ -247,9 +246,7 @@ def bht_vv_plan(
 
     With s_i = q_i this reduces bit-exactly to :func:`bht_plan`.
     """
-    q1, q2, s1, s2 = map(as_exponent, (q1, q2, s1, s2))
-    for name, x in (("q1", q1), ("q2", q2), ("s1", s1), ("s2", s2)):
-        _check_open_exponent(name, x)
+    q1, q2, s1, s2 = _open(q1=q1, q2=q2, s1=s1, s2=s2)
     certified = []
     if not rec(q1) + rec(q2) < THREE_HALVES:
         raise Infeasible(f"1/q = {rec(q1) + rec(q2)} >= 3/2")
@@ -376,9 +373,8 @@ def section5_weight_classes(p1: ExponentLike, p2: ExponentLike, thetas):
     and  1/r_i^- = 1 - theta_i/p_i',  1/r_i^+ = theta_3/p_i,  after
     certifying the theta constraint system for p = (1/p1 + 1/p2)^(-1).
     """
-    p1, p2 = as_exponent(p1), as_exponent(p2)
-    f1 = _check_open_exponent("p1", p1)
-    f2 = _check_open_exponent("p2", p2)
+    p1, p2 = _open(p1=p1, p2=p2)
+    f1, f2 = p1.frac, p2.frac
     th = [Fraction(t) for t in thetas]
     if len(th) != 3 or any(not (0 < t < 1) for t in th):
         raise DomainError(f"thetas must be three values in (0,1), got {thetas}")
@@ -421,9 +417,7 @@ def section5_plan(
     both strict.  eta is chosen by the two documented branches; the open
     p interval is resolved to its midpoint in reciprocal coordinates.
     """
-    q1, q2, s1, s2 = map(as_exponent, (q1, q2, s1, s2))
-    for name, x in (("q1", q1), ("q2", q2), ("s1", s1), ("s2", s2)):
-        _check_open_exponent(name, x)
+    q1, q2, s1, s2 = _open(q1=q1, q2=q2, s1=s1, s2=s2)
     g = [Fraction(gamma1), Fraction(gamma2), Fraction(gamma3)]
     if any(not (0 <= gi < 1) for gi in g):
         raise DomainError(f"gamma_i must lie in [0, 1), got {g}")
@@ -540,12 +534,9 @@ def mz_plan(qjs, r: ExponentLike) -> dict:
     data, certified, caveats), which the CLI passes to `envelope` as they are.
     """
     r = as_exponent(r)
-    qjs = [as_exponent(q) for q in qjs]
     if not qjs:
         raise DomainError("need at least one coordinate")
-    for j, q in enumerate(qjs):
-        if q.is_inf or not q > 1:
-            raise DomainError(f"q_{j + 1} must satisfy 1 < q < inf, got {q}")
+    qjs = _open(**{f"q{j}": q for j, q in enumerate(qjs, start=1)})
     specs = [WeightClassSpec(q, Exponent(1)) for q in qjs]
     base_data = {
         "r": r,

@@ -23,9 +23,9 @@ failed certificate into an infeasible report, prints the envelope or the
 CSV table, and picks the exit code: 0 when the report is feasible, 2 when
 it is not (the report is still printed), 1 for usage errors and bad input.
 The class of an error alone decides between 1 and 2; `extrapkit.errors`
-lists which class gives which.  Only `operator apply`, whose output is a
-function CSV, and the `rdf demo --trace` file are written by their
-handlers.
+lists which class gives which.  `operator apply` is a table command whose
+output is always its CSV table (it takes no --emit); the only file a
+handler writes itself is the `rdf demo --trace` CSV.
 """
 
 from __future__ import annotations
@@ -111,8 +111,8 @@ def _weight_descriptor(text: str):
 def _read_csv(path: str) -> tuple[Grid, np.ndarray, np.ndarray]:
     """Grid and real / imaginary columns of an `x,re[,im]` sample file.
 
-    The x column must be a uniform midpoint grid; a missing im column
-    reads as zero.
+    The x column must be the ascending midpoints of a `Grid` on [-L, L];
+    a missing im column reads as zero.
     """
     rows = []
     try:
@@ -132,7 +132,10 @@ def _read_csv(path: str) -> tuple[Grid, np.ndarray, np.ndarray]:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise DomainError(f"{path}: grid spacing is not uniform")
     h = float(steps[0])
-    return Grid(float(abs(xs[0]) + h / 2), xs.size), re_part, im_part
+    grid = Grid(float(abs(xs[0]) + h / 2), xs.size)
+    if not np.allclose(xs, grid.x(), rtol=0, atol=1e-9 * grid.h):
+        raise DomainError(f"{path}: x is not the ascending midpoint grid on [-{grid.L:g}, {grid.L:g}]")
+    return grid, re_part, im_part
 
 
 def _read_weight_csv(path: str, grid: Grid | None = None) -> GridWeight:
@@ -244,8 +247,8 @@ def _cmd_weights_estimate(args):
     return fields, lambda: rows
 
 
-def _cmd_operator_apply(args) -> None:
-    """Writes the output function as an `x,re[,im]` CSV itself; main emits no report."""
+def _cmd_operator_apply(args):
+    """The output function as `x,re[,im]` rows of `.17g` strings."""
     f = _read_function_csv(getattr(args, "in"))
     if args.op == "bht":
         if args.in2 is None:
@@ -253,28 +256,26 @@ def _cmd_operator_apply(args) -> None:
         out = bht(f, _read_function_csv(args.in2), args.tmin, args.tmax)
     else:
         out = (maximal if args.op == "maximal" else hilbert)(f)
-    cols = [out.samples.real, out.samples.imag] if np.iscomplexobj(out.samples) else [out.samples]
-    wr = csv.writer(sys.stdout)
-    wr.writerow(["x", "re", "im"][: 1 + len(cols)])
-    for vals in zip(out.grid.x(), *cols):
-        wr.writerow([f"{v:.17g}" for v in vals])
+    cols = [out.grid.x(), out.samples.real, out.samples.imag][: 2 + np.iscomplexobj(out.samples)]
+    rows = [dict(zip(("x", "re", "im"), (f"{v:.17g}" for v in vals))) for vals in zip(*cols)]
+    return {"feasible": True}, lambda: rows
 
 
-def _one_resolution(args) -> int:
-    """The grid size of a command that builds one member on one grid."""
+def _one_member(args, arity: int):
+    """(grid, weight, |components|) of a command that builds one smooth-bumps
+    member with `arity` components on one resolution."""
     if len(args.N) != 1:
         raise DomainError(f"{args.group} {args.cmd} runs on one resolution, got --N {','.join(map(str, args.N))}")
-    return args.N[0]
+    grid = Grid(args.L, args.N[0])
+    w = ver.realize_weight(args.w, grid)
+    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=arity), args.seed, grid)
+    return grid, w, [c.abs() for c in fam.members[0]]
 
 
 def _cmd_rdf_demo(args):
     rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
     pe = proof_exponents(rng, args.p)
-    grid = Grid(args.L, _one_resolution(args))
-    w = ver.realize_weight(args.w, grid)
-    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), args.seed, grid)
-    f = fam.members[0][0].abs()
-    g = fam.members[0][1].abs()
+    grid, w, (f, g) = _one_member(args, 2)
     try:
         po = build_proof_objects(f, g, w, pe, rng, args.p)
         report = verify_case1_weight(po, pe, rng, args.p, w)
@@ -345,10 +346,7 @@ def _cmd_verify_sweep(args):
 
 
 def _cmd_verify_truncation(args):
-    grid = Grid(args.L, _one_resolution(args))
-    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=1), args.seed, grid)
-    f = fam.members[0][0].abs()
-    w = ver.realize_weight(args.w, grid)
+    _, w, (f,) = _one_member(args, 1)
     rows = ver.truncation_study(f, w, args.q, args.ncuts)
     fields = {
         "feasible": True,
@@ -448,7 +446,7 @@ def build_parser() -> _Parser:
     oa.add_argument("--in2", default=None)
     oa.add_argument("--tmin", type=float, default=None)
     oa.add_argument("--tmax", type=float, default=None)
-    oa.set_defaults(handler=_cmd_operator_apply)
+    oa.set_defaults(handler=_cmd_operator_apply, emit="csv")
 
     rdf = sub.add_parser("rdf")
     rdf_sub = rdf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -508,10 +506,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
-        if result is None:  # operator apply wrote its own output
-            return 0
-        fields, rows = result
+        fields, rows = args.handler(args)
         table = rows() if rows is not None and args.emit == "csv" else None
     except (Infeasible, CertificationFailed) as e:
         fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None

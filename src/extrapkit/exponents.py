@@ -53,10 +53,7 @@ class Exponent:
 
     __slots__ = ("_num",)
 
-    def __init__(self, value: ExponentLike | None = None, *, _inf: bool = False):
-        if _inf:
-            self._num = None
-            return
+    def __init__(self, value: ExponentLike):
         if isinstance(value, Exponent):
             self._num = value._num
             return
@@ -133,9 +130,6 @@ class Exponent:
         return Exponent(self._num / o._num)
 
 
-INF = Exponent(_inf=True)
-
-
 def _parse_str(text: str) -> Fraction | None:
     t = text.strip().lower()
     if t in ("inf", "infinity", "+inf", "oo"):
@@ -151,6 +145,9 @@ def _parse_str(text: str) -> Fraction | None:
     if v < 0:
         raise DomainError(f"exponent must be nonnegative, got {v}")
     return v
+
+
+INF = Exponent("inf")
 
 
 def as_exponent(x: ExponentLike) -> Exponent:

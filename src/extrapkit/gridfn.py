@@ -105,14 +105,12 @@ def weighted_norm(f: GridFunction, w: GridWeight, p: ExponentLike) -> float:
     """The norm of f in L^p(w^p): (Int |f|^p w^p dx)^(1/p); p=inf -> sup|f|.
 
     This is the convention in which a weight w multiplies the function
-    before the p-th power is taken; `measure_norm` is the raw-measure
-    variant used for the iteration spaces.
+    before the p-th power is taken: `measure_norm`, the raw-measure variant
+    used for the iteration spaces, with the density w^p (w itself at
+    p = inf, where only the grid check reads it).
     """
     p = as_exponent(p)
-    if p.is_inf:
-        f.grid.require_same(w.grid)
-        return float(np.max(np.abs(f.samples)))
-    return measure_norm(f, w.power(p.frac), p)
+    return measure_norm(f, w if p.is_inf else w.power(p.frac), p)
 
 
 # --------------------------------------------------------------------------

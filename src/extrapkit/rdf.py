@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import CertificationFailed, DomainError, NormBoundTooSmall
 from .exponents import Exponent, ExponentLike, as_exponent, conjugate, rec
-from .extrapolation import Case, ExtrapolationRange, ProofExponents, proof_exponents, target_exponent
+from .extrapolation import Case, ExtrapolationRange, ProofExponents, proof_exponents
 from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
 from .weights import GridWeight, WeightClassSpec, estimate_class_constants
 
@@ -209,7 +209,8 @@ def build_proof_objects(
     """Construct and certify the majorant pair (H1, H2) for one scenario.
 
     f, g must be nonnegative and nonzero; `pe` must come from the planner's
-    two-sided regime (Case I).  h2 is the extremal dual function
+    two-sided regime (Case I) for this `rng` and `p`, and the target q is
+    read from it.  h2 is the extremal dual function
     (f/||f||)^{q-s}, which saturates its norm constraint.  Raises
     CertificationFailed listing any certificate that misses its bound by
     more than the slack.
@@ -220,12 +221,11 @@ def build_proof_objects(
         if np.iscomplexobj(fn.samples) or np.any(fn.samples < 0):
             raise DomainError(f"{name} must be nonnegative")
     p = as_exponent(p)
-    q = target_exponent(p, rng)
-    pf, qf = p.frac, q.frac
+    pf, qf = p.frac, pe.q
     grid = f.grid
     grid.require_same(w.grid)
 
-    nf = weighted_norm(f, w, q)
+    nf = weighted_norm(f, w, qf)
     ng = weighted_norm(g, w, p)
     if nf == 0 or ng == 0:
         raise DomainError("f and g must be nonzero on the grid")
@@ -262,10 +262,8 @@ def build_proof_objects(
         return seed, r, bound, mu, H
 
     # R1 runs on L^tau(w^{p (p_+/p)'}), R2 on L^tau'(w^{-sigma})
-    cpp = Fraction(1) if rng.p_plus.is_inf else (
-        (rng.p_plus.frac / pf) / (rng.p_plus.frac / pf - 1)
-    )
-    seed1, r1, bound1, mu1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, w.power(pf * cpp))
+    v1 = w.power(pf * conjugate(rng.p_plus / p).frac)  # (p_+/p)' = 1 when p_+ = inf
+    seed1, r1, bound1, mu1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, v1)
     beta = pe.beta.frac
     seed2, r2, bound2, mu2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
 
@@ -290,8 +288,8 @@ def build_proof_objects(
         if not ok:
             failures.append(f"{tag}: pointwise violation {worst:.3e}")
 
-    _norm_cert("h1-norm", weighted_norm(h1, w, q), 2.0)
-    _norm_cert("H1-norm", weighted_norm(H1, w, q), C1)
+    _norm_cert("h1-norm", weighted_norm(h1, w, qf), 2.0)
+    _norm_cert("H1-norm", weighted_norm(H1, w, qf), C1)
     _pt_cert("H1-f", f.samples / nf, H1.samples)
     _pt_cert("H1-pt3", dual_term, H1.samples)
     _norm_cert("H2-norm", measure_norm(H2, w_q, qs_conj), C2)
@@ -341,7 +339,6 @@ def verify_case1_weight(
     WEIGHT_DEPTH halvings (N >= 2^WEIGHT_DEPTH), and (iv) a bitwise replay
     of the defining identity W^{q0} = H1^{-alpha q0/s} H2 w^q.
     """
-    p = as_exponent(p)
     pe_again = proof_exponents(rng, p)
     if pe_again != pe:
         raise CertificationFailed(["exponent re-derivation disagrees with input"])
@@ -355,11 +352,7 @@ def verify_case1_weight(
         raise CertificationFailed(["W^{q0} replay differs from stored array"])
 
     ap_index = Exponent(rng.p0.frac * rec(rng.p_minus))
-    rh_index = (
-        Exponent("inf")
-        if rng.p_plus == rng.p0
-        else conjugate(rng.p_plus / rng.p0)
-    )
+    rh_index = conjugate(rng.p_plus / rng.p0)  # p0 < p_+ in Case I
     w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), w.grid)
     ap_c, rh_c = estimate_class_constants(
         w_p0, WeightClassSpec(ap_index, rh_index), WEIGHT_DEPTH

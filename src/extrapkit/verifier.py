@@ -23,7 +23,7 @@ or only on (f_i, g_i):
 
 The sup ratio's behaviour under resolution doubling is classified as
 
-    BOUNDED-STABLE  sup changes < 10% under one doubling
+    BOUNDED-STABLE  sup changes < 10% under one doubling (0 -> 0 is no change)
     DIVERGENT       grows >= 50% per doubling, twice in a row
     UNSTABLE        anything else
 
@@ -115,7 +115,8 @@ class RatioReport:
 def _verdict(sups: list) -> tuple[str, float]:
     if len(sups) < 2:
         return "UNSTABLE", 0.0
-    growths = [b / a if a > 0 else float("inf") for a, b in zip(sups, sups[1:])]
+    # 0 -> 0 is no growth, 0 -> positive unbounded growth
+    growths = [b / a if a > 0 else float("inf") if b > 0 else 1.0 for a, b in zip(sups, sups[1:])]
     if len(growths) >= 2 and growths[-1] >= DIVERGENT_GROWTH and growths[-2] >= DIVERGENT_GROWTH:
         return "DIVERGENT", abs(growths[-1] - 1.0)
     stability = abs(growths[-1] - 1.0)
@@ -182,12 +183,14 @@ def _sweep(
 ) -> RatioReport:
     """The one per-resolution loop behind every sweep.
 
-    `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
-    = (w1, w2) descriptors; `levels` and `pairs` as in the module docstring.
+    `exps` = (q1, q2): the factor norm exponents, from which the target
+    exponent q = (1/q1 + 1/q2)^(-1) follows; `weights` = (w1, w2)
+    descriptors; `levels` and `pairs` as in the module docstring.
     """
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
-    q1, q2, q = map(as_exponent, exps)
+    q1, q2 = exps
+    q = harmonic_sum(exps)
     size = math.prod(n for n, _ in levels)
     if size > spec.count:
         raise DomainError(f"block size {size} exceeds the family count {spec.count}: nothing to measure")
@@ -256,11 +259,10 @@ def ratio_sweep(
     op_fn = _op_by_name(op) if isinstance(op, str) else op
     q1, q2 = as_exponent(q1), as_exponent(q2)
     plan = bht_plan(q1, q2) if op == "bht" else None
-    q = harmonic_sum([q1, q2])
     config = {
         "q1": exp_str(q1),
         "q2": exp_str(q2),
-        "q": exp_str(q),
+        "q": exp_str(harmonic_sum([q1, q2])),
         "w1": _describe_weight(w1_desc),
         "w2": _describe_weight(w2_desc),
         "family": family_spec.kind,
@@ -269,7 +271,7 @@ def ratio_sweep(
         "weights_in_class": _class_check(plan, w1_desc, w2_desc),
     }
     return _sweep(
-        op_fn, op_name, (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        op_fn, op_name, (q1, q2), (w1_desc, w2_desc), family_spec,
         seed, resolutions, L, config,
     )
 
@@ -308,15 +310,12 @@ def vv_sweep(
     degenerates to the scalar one).  Feasibility of the (q, s) tuple is
     certified through the vector-valued planner before sweeping.
     """
-    bht_vv_plan(q1, q2, s1, s2)
-    s1e, s2e = as_exponent(s1), as_exponent(s2)
-    s_out = harmonic_sum([s1e, s2e])
-    q = harmonic_sum([as_exponent(q1), as_exponent(q2)])
+    plan = bht_vv_plan(q1, q2, s1, s2)
     config = {
-        "q1": exp_str(as_exponent(q1)),
-        "q2": exp_str(as_exponent(q2)),
-        "s1": exp_str(s1e),
-        "s2": exp_str(s2e),
+        "q1": exp_str(plan.q1),
+        "q2": exp_str(plan.q2),
+        "s1": exp_str(plan.s1),
+        "s2": exp_str(plan.s2),
         "K": K,
         "w1": _describe_weight(w1_desc),
         "w2": _describe_weight(w2_desc),
@@ -324,9 +323,9 @@ def vv_sweep(
         "L": L,
     }
     return _sweep(
-        _op_by_name("bht"), "bht", (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        _op_by_name("bht"), "bht", (plan.q1, plan.q2), (w1_desc, w2_desc), family_spec,
         seed, resolutions, L, config,
-        levels=[(K, _floats(s1e, s2e, s_out))],
+        levels=[(K, _floats(plan.s1, plan.s2, plan.s))],
     )
 
 
@@ -347,26 +346,23 @@ def iterated_vv_sweep(
     With t = s the nested aggregation collapses to one flat l^s aggregation
     over J*K members (norm identity, checked in tests to 1e-12).
     """
-    t1, t2 = map(as_exponent, ts)
-    s1, s2 = map(as_exponent, ss)
-    q1, q2 = map(as_exponent, qs)
-    bht_vv_plan(q1, q2, s1, s2)
-    bht_vv_plan(q1, q2, t1, t2)
+    inner = bht_vv_plan(*qs, *ss)
+    outer = bht_vv_plan(*qs, *ts)
     config = {
-        "t": [exp_str(t1), exp_str(t2)],
-        "s": [exp_str(s1), exp_str(s2)],
-        "q": [exp_str(q1), exp_str(q2)],
+        "t": [exp_str(outer.s1), exp_str(outer.s2)],
+        "s": [exp_str(inner.s1), exp_str(inner.s2)],
+        "q": [exp_str(inner.q1), exp_str(inner.q2)],
         "J": J,
         "K": K,
         "family": family_spec.kind,
         "L": L,
     }
     return _sweep(
-        _op_by_name("bht"), "bht", (q1, q2, harmonic_sum([q1, q2])), ("unit", "unit"),
+        _op_by_name("bht"), "bht", (inner.q1, inner.q2), ("unit", "unit"),
         family_spec, seed, resolutions, L, config,
         levels=[
-            (K, _floats(s1, s2, harmonic_sum([s1, s2]))),
-            (J, _floats(t1, t2, harmonic_sum([t1, t2]))),
+            (K, _floats(inner.s1, inner.s2, inner.s)),
+            (J, _floats(outer.s1, outer.s2, outer.s)),
         ],
     )
 
@@ -416,7 +412,7 @@ def mz_sweep(
         "L": L,
     }
     return _sweep(
-        T, f"mz:{surrogate}", (q1, q2, harmonic_sum([q1, q2])), wjs, family_spec,
+        T, f"mz:{surrogate}", (q1, q2), wjs, family_spec,
         seed, resolutions, L, config,
         levels=[(K, _floats(r, r, r))], pairs=True,
     )

@@ -69,9 +69,6 @@ class WeightClassSpec:
         if self.p < 1 or self.s < 1:
             raise DomainError(f"class indices must be >= 1, got ({self.p}, {self.s})")
 
-    def __str__(self) -> str:
-        return f"A_{self.p} & RH_{self.s}"
-
 
 @dataclass(frozen=True)
 class PowerWeight:

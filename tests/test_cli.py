@@ -94,6 +94,13 @@ def test_plan_mz(capsys):
     assert len(rep["data"]["steps"]) == 2
 
 
+def test_plan_mz_target_outside_open_range(capsys):
+    # the planners share one open-exponent check and its wording
+    assert main(["plan", "mz", "--q", "1/2,3", "--r", "3/2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: q1 must satisfy 1 < q1 < inf, got 1/2\n"
+
+
 def test_weights_check(capsys):
     code, rep = run_json(
         ["weights", "check", "--alpha", "0", "--ap", "2", "--rh", "2"], capsys
@@ -210,6 +217,19 @@ def test_verify_truncation(capsys):
     assert code == 0 and rep["feasible"]
 
 
+def test_verify_mz_zero_sups_are_stable(capsys):
+    # the one member's f and g have disjoint supports, so f*g = 0 at every N;
+    # a sup that stays 0 has not grown (it used to be DIVERGENT, exit 2)
+    code, rep = run_json(
+        ["verify", "mz", "--q", "3,3", "--r", "3/2", "--surrogate", "product-identity",
+         "--K", "1", "--count", "1", "--N", "256,512,1024", "--seed", "5"],
+        capsys,
+    )
+    assert rep["data"]["sup_by_resolution"] == [0.0, 0.0, 0.0]
+    assert rep["data"]["verdict"] == "BOUNDED-STABLE"
+    assert code == 0 and rep["feasible"] is True
+
+
 def test_verify_mz(capsys):
     code, rep = run_json(
         ["verify", "mz", "--q", "3,3", "--r", "3/2", "--count", "8", "--K", "4",
@@ -247,8 +267,14 @@ def _write_rows(path, rows):
 @pytest.mark.parametrize(
     "rows",
     [None, [["x", "re"], ["0.5", "1.0"]], [["x", "re"], ["-0.5", "1.0"], ["0.5"]],
-     [["x", "re"], ["-0.5", "1.0"], ["0.5", "one"]]],
-    ids=["missing-file", "one-row", "short-row", "non-numeric"],
+     [["x", "re"], ["-0.5", "1.0"], ["0.5", "one"]],
+     # uniform x columns that are not the midpoints of [-L, L]: each used to be
+     # read as a different grid (or against a reversed x) with exit 0
+     [["x", "re"]] + [[x, "1.0"] for x in ("0.5", "1.5", "2.5", "3.5")],
+     [["x", "re"]] + [[x, "1.0"] for x in ("1.5", "0.5", "-0.5", "-1.5")],
+     [["x", "re"], ["-0.5", "1.0"], ["-0.5", "1.0"]]],
+    ids=["missing-file", "one-row", "short-row", "non-numeric", "off-centre", "descending",
+         "duplicate-x"],
 )
 @pytest.mark.parametrize("cmd", ["weights", "operator"])
 def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):

@@ -12,8 +12,10 @@ no table, stopped accepting `--emit csv`: it is now a usage error (exit
 1, nothing on stdout) instead of a JSON report under a CSV flag.
 plan_bht_with_s now runs `plan bht-vv`, the one spelling of the
 vector-valued plan (`plan bht` no longer takes --s1/--s2); only its argv
-changed, its recorded output is the same.  A refactor that changes any
-report shows up here.
+changed, its recorded output is the same.  operator_maximal and
+operator_bht_complex (a complex x real pair) were recorded before
+`operator apply` stopped writing its own CSV and printed through `main`.
+A refactor that changes any report shows up here.
 
 Re-record (only when a report is meant to change):
 
@@ -86,6 +88,9 @@ CASES = {
     "verify_truncation_csv": ["verify", "truncation", "--q", "2", "--ncuts", "1,2,4",
                               "--N", "256", "--emit", "csv"],
     "operator_hilbert": ["operator", "apply", "--op", "hilbert", "--in", "weight.csv"],
+    "operator_maximal": ["operator", "apply", "--op", "maximal", "--in", "weight.csv"],
+    "operator_bht_complex": ["operator", "apply", "--op", "bht", "--in", "complex.csv",
+                             "--in2", "weight.csv"],
 }
 
 

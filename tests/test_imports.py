@@ -8,7 +8,8 @@ in `errors.py` is raised somewhere in the package or extended by one that
 is (so the class list cannot regrow entries nothing raises), and every
 function the benchmark's tracer wraps (`WRAPPED` in `perfbench/tracer.py`,
 read without importing it) still exists, so a rename cannot leave a layer
-untraced.
+untraced, and no function but `cli.main` writes to stdout, so every report
+goes out through its one writer.
 `__init__.py` is exempt from the first rule: its imports are the
 package's public namespace.
 """
@@ -192,3 +193,46 @@ def test_untraced_function_detector():
         "]\n"
     )
     assert unresolved(wrapped_functions(src)) == ["extrapkit.gridfn.gone", "extrapkit.nosuch.f"]
+
+
+def stray_output(source: str, allowed: str | None = None) -> list[str]:
+    """`function:line` of each stdout write outside the function `allowed`:
+    a `sys.stdout` reference, or a `print` call without `file=sys.stderr`."""
+    found = set()
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        stdout = (
+            isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        )
+        printed = (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in node.keywords)
+        )
+        if (stdout or printed) and fn != allowed:
+            found.add(f"{fn}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_cli_main_writes_stdout():
+    found = {p.name: stray_output(p.read_text(), "main" if p.name == "cli.py" else None)
+             for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_stray_output_detector():
+    src = (
+        "import sys\n"
+        "def main():\n    print('report')\n    sys.stdout.write('x')\n"
+        "def handler():\n    print('warn', file=sys.stderr)\n    print('row')\n"
+        "    w = csv.writer(sys.stdout)\n"
+        "    def inner():\n        print('x', file=sys.stdout)\n"
+        "print('top')\n"
+    )
+    assert stray_output(src, "main") == ["<module>:11", "handler:7", "handler:8", "inner:10"]

@@ -7,6 +7,7 @@ from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, GridFunction, make_family
 from extrapkit.verifier import (
+    _verdict,
     iterated_vv_sweep,
     mz_sweep,
     ratio_sweep,
@@ -64,6 +65,12 @@ def test_bht_divergence_probe():
     rr = ratio_sweep("bht", 2, 2, w, w, spec, seed=3, resolutions=(2048, 4096, 8192))
     assert rr.config["weights_in_class"] is False
     assert rr.verdict == "DIVERGENT"
+
+
+def test_verdict_growth_from_zero():
+    assert _verdict([0.0, 0.0, 0.0]) == ("BOUNDED-STABLE", 0.0)
+    assert _verdict([0.0, 0.0, 1.0])[0] == "UNSTABLE"
+    assert _verdict([0.0, 1.0, 2.0]) == ("DIVERGENT", 1.0)
 
 
 def test_determinism_same_seed_same_report():
