@@ -26,9 +26,11 @@ Vector-valued planner: same construction with max/min over {1/2, 1/q_i,
 1/s_i} and the extra caps 1/s_i, 1/s_i', 1/2 - |1/s_i - 1/q_i|; setting
 s_i = q_i reproduces the scalar planner bit for bit.
 
-Power-weight windows, the generalized three-parameter feasibility system
-(gamma/theta), and the Marcinkiewicz-Zygmund reduction are the remaining
-entry points; each dataclass records what was certified.
+A plan's power-weight window is :meth:`BHTPlan.power_range`, computed from
+the plan in hand.  The generalized three-parameter feasibility system
+(gamma/theta) and the Marcinkiewicz-Zygmund reduction are the remaining
+entry points; each records what was certified, and holds its exponents
+as exact values that only `reports.to_jsonable` writes as strings.
 """
 
 from __future__ import annotations
@@ -129,6 +131,25 @@ class BHTPlan:
             "r_equiv_2": self.r_equiv[1],
             "certified": list(self.certified),
         }
+
+    def power_range(self) -> PowerRange:
+        """Power-weight window of the plan, a in {0} union (a_-, a_+):
+
+            a_- = 1 - min_i max{1, q_i/2, q_i/s_i}
+            a_+ = min{1, q_1/2, q_2/2, 1-q_1(1/s_1-1/2), 1-q_2(1/s_2-1/2)}
+
+        A scalar plan is the case s_i = q_i, where the window reads
+        1 - min_i max{1, q_i/2} < a < min{1, q_1/2, q_2/2} and contains
+        [0, 1/2).  Never empty: each max is at least 1, and each term of
+        a_+ is positive once |1/s_i - 1/q_i| < 1/2; a_- <= 0 < a_+ is
+        certified.
+        """
+        fq = [self.q1.frac, self.q2.frac]
+        fs = fq if self.s1 is None else [self.s1.frac, self.s2.frac]
+        a_minus = 1 - min(max(Fraction(1), q / 2, q / s) for q, s in zip(fq, fs))
+        a_plus = min([Fraction(1)] + [q / 2 for q in fq] + [1 - q * (1 / s - HALF) for q, s in zip(fq, fs)])
+        require(a_minus <= 0 < a_plus, f"power window: need a_- <= 0 < a_+, got {a_minus}, {a_plus}")
+        return PowerRange(a_minus, a_plus)
 
 
 def bht_base_class(p1: ExponentLike, p2: ExponentLike):
@@ -278,43 +299,16 @@ class PowerRange:
     includes_zero: bool = True
 
 
-def _power_window(fq: list[Fraction], fs: list[Fraction]) -> PowerRange:
-    """The window of :func:`bht_vv_power_range`; with s_i = q_i it is the scalar one.
-
-    Never empty for an admissible tuple: each max is at least 1, and each
-    term of a_+ is positive once |1/s_i - 1/q_i| < 1/2.
-    """
-    a_minus = 1 - min(max(Fraction(1), q / 2, q / s) for q, s in zip(fq, fs))
-    a_plus = min([Fraction(1)] + [q / 2 for q in fq] + [1 - q * (1 / s - HALF) for q, s in zip(fq, fs)])
-    require(a_minus <= 0 < a_plus, f"power window: need a_- <= 0 < a_+, got {a_minus}, {a_plus}")
-    return PowerRange(a_minus, a_plus)
-
-
 def bht_power_range(q1: ExponentLike, q2: ExponentLike) -> PowerRange:
-    """Scalar power-weight window:
-
-        1 - min_i max{1, q_i/2}  <  a  <  min{1, q_1/2, q_2/2},
-
-    always augmented by a = 0; :func:`_power_window` with s_i = q_i.  The
-    window contains [0, 1/2) for every admissible (q1, q2).
-    """
-    plan = bht_plan(q1, q2)  # validates admissibility
-    fq = [plan.q1.frac, plan.q2.frac]
-    return _power_window(fq, fq)
+    """Scalar power-weight window of the admissible (q1, q2): :meth:`BHTPlan.power_range`."""
+    return bht_plan(q1, q2).power_range()
 
 
 def bht_vv_power_range(
     q1: ExponentLike, q2: ExponentLike, s1: ExponentLike, s2: ExponentLike
 ) -> PowerRange:
-    """Vector-valued power-weight window:
-
-        a_- = 1 - min_i max{1, q_i/2, q_i/s_i}
-        a_+ = min{1, q_1/2, q_2/2, 1-q_1(1/s_1-1/2), 1-q_2(1/s_2-1/2)}
-
-    with a_- <= 0 < a_+ certified.
-    """
-    plan = bht_vv_plan(q1, q2, s1, s2)
-    return _power_window([plan.q1.frac, plan.q2.frac], [plan.s1.frac, plan.s2.frac])
+    """Vector-valued power-weight window: :meth:`BHTPlan.power_range`."""
+    return bht_vv_plan(q1, q2, s1, s2).power_range()
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +534,7 @@ def mz_plan(qjs, r: ExponentLike) -> dict:
     specs = [WeightClassSpec(q, Exponent(1)) for q in qjs]
     base_data = {
         "r": r,
-        "q": [str(q) for q in qjs],
+        "q": qjs,
         "aggregate_q": harmonic_sum(qjs),
         "weight_specs": [{"ap": sp.p, "rh": sp.s} for sp in specs],
     }

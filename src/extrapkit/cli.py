@@ -11,10 +11,12 @@ Subcommands:
 `plan bht-vv --s1 S1 --s2 S2` is the one spelling of the vector-valued
 BHT plan; `plan bht` takes no --s1/--s2.
 
-Exponents on the command line are exact rationals ("2", "3/2", "inf");
-floating literals are rejected.  Reports are JSON envelopes on stdout;
---emit csv switches a command with a table to CSV, and the commands
-without one (weights check, rdf demo) accept only --emit json.
+Every rational flag, exponent or signed (--a, --alpha, --g1..3, --ncuts),
+has the one grammar of `exponents.parse_rational`: exact rationals such as
+"2" or "-3/2", never floating literals; exponent flags also take "inf".
+Reports are JSON envelopes on stdout; --emit csv switches a command with a
+table to CSV, and the commands without one (weights check, rdf demo)
+accept only --emit json.
 
 Each handler returns (fields, rows): the `envelope` keyword fields and a
 callable that builds the CSV rows (None when the command has no table).
@@ -41,13 +43,8 @@ import numpy as np
 from . import applications as app
 from . import verifier as ver
 from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible
-from .exponents import Exponent, exp_str
-from .extrapolation import (
-    ExtrapolationRange,
-    dual_range,
-    proof_exponents,
-    target_exponent,
-)
+from .exponents import Exponent, parse_rational
+from .extrapolation import ExtrapolationRange, dual_range, proof_exponents
 from .grid import Grid
 from .gridfn import FAMILY_KINDS, FamilySpec, GridFunction, bht, hilbert, maximal, make_family
 from .rdf import build_proof_objects, verify_case1_weight
@@ -71,23 +68,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _exp(text: str) -> Exponent:
-    try:
-        return Exponent(text)
-    except DomainError as e:
-        raise argparse.ArgumentTypeError(str(e))
+def _arg(parse):
+    """argparse type: `parse`, with its DomainError as a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except DomainError as e:
+            raise argparse.ArgumentTypeError(str(e))
+    return convert
 
 
-def _frac(text: str) -> Fraction:
-    t = text.strip()
-    if "." in t or "e" in t.lower():
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: floating literals are rejected; use an exact rational"
-        )
-    try:
-        return Fraction(t)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational")
+_exp = _arg(Exponent)
+_frac = _arg(parse_rational)
 
 
 def _list(item):
@@ -132,7 +124,10 @@ def _read_csv(path: str) -> tuple[Grid, np.ndarray, np.ndarray]:
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise DomainError(f"{path}: grid spacing is not uniform")
     h = float(steps[0])
-    grid = Grid(float(abs(xs[0]) + h / 2), xs.size)
+    try:
+        grid = Grid(float(abs(xs[0]) + h / 2), xs.size)
+    except DomainError as e:
+        raise DomainError(f"{path}: {e}")
     if not np.allclose(xs, grid.x(), rtol=0, atol=1e-9 * grid.h):
         raise DomainError(f"{path}: x is not the ascending midpoint grid on [-{grid.L:g}, {grid.L:g}]")
     return grid, re_part, im_part
@@ -166,15 +161,23 @@ def _flatten(obj, prefix: str = "") -> dict:
 # --------------------------------------------------------------------------
 
 
-def _cmd_plan_extrapolate(args):
+RANGE_FLAGS = ("--pm", "--pp", "--p0", "--q0", "--p")
+
+
+def _range(args):
+    """(range, proof exponents) of the RANGE_FLAGS."""
     rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
-    pe = proof_exponents(rng, args.p)
+    return rng, proof_exponents(rng, args.p)
+
+
+def _cmd_plan_extrapolate(args):
+    rng, pe = _range(args)
     qm, qp = dual_range(rng)
     data = {
         "case": pe.case,  # leads the keys; the proof exponents below repeat it
         "q_minus": qm,
         "q_plus": qp,
-        "target_q": target_exponent(args.p, rng),
+        "target_q": pe.q,
         "shift": rng.shift,
         **to_jsonable(pe),
     }
@@ -183,9 +186,8 @@ def _cmd_plan_extrapolate(args):
 
 def _bht(q1, q2, s1=None, s2=None):
     """The plan and power window for (q1, q2), vector-valued when s1 is given."""
-    if s1 is None:
-        return app.bht_plan(q1, q2), app.bht_power_range(q1, q2)
-    return app.bht_vv_plan(q1, q2, s1, s2), app.bht_vv_power_range(q1, q2, s1, s2)
+    plan = app.bht_plan(q1, q2) if s1 is None else app.bht_vv_plan(q1, q2, s1, s2)
+    return plan, plan.power_range()
 
 
 def _grid_rows(qs, s1=None, s2=None) -> list[dict]:
@@ -193,7 +195,7 @@ def _grid_rows(qs, s1=None, s2=None) -> list[dict]:
     rows = []
     for q1 in qs:
         for q2 in qs:
-            row = {"q1": exp_str(q1), "q2": exp_str(q2)}
+            row = {"q1": q1, "q2": q2}
             try:
                 plan, pr = _bht(q1, q2, s1, s2)
                 row.update({**_flatten(plan), **_flatten(pr), "feasible": True})
@@ -249,6 +251,8 @@ def _cmd_weights_estimate(args):
 
 def _cmd_operator_apply(args):
     """The output function as `x,re[,im]` rows of `.17g` strings."""
+    if args.op != "bht" and (args.in2, args.tmin, args.tmax) != (None, None, None):
+        raise DomainError(f"--in2, --tmin and --tmax apply to --op bht only, not --op {args.op}")
     f = _read_function_csv(getattr(args, "in"))
     if args.op == "bht":
         if args.in2 is None:
@@ -273,8 +277,7 @@ def _one_member(args, arity: int):
 
 
 def _cmd_rdf_demo(args):
-    rng = ExtrapolationRange(args.pm, args.pp, args.p0, args.q0)
-    pe = proof_exponents(rng, args.p)
+    rng, pe = _range(args)
     grid, w, (f, g) = _one_member(args, 2)
     try:
         po = build_proof_objects(f, g, w, pe, rng, args.p)
@@ -311,6 +314,8 @@ def _cmd_verify_sweep(args):
     if args.cmd == "mz":
         qs = args.q
     elif args.cmd == "bht" and args.plan_file:
+        if (args.q1, args.q2) != (None, None):
+            raise DomainError("give --plan-file or --q1/--q2, not both")
         try:
             with open(args.plan_file) as fh:
                 saved = json.load(fh)
@@ -399,11 +404,8 @@ def build_parser() -> _Parser:
     plan_sub = plan.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     pe = _command(plan_sub, "extrapolate", _cmd_plan_extrapolate)
-    pe.add_argument("--pm", type=_exp, required=True)
-    pe.add_argument("--pp", type=_exp, required=True)
-    pe.add_argument("--p0", type=_exp, required=True)
-    pe.add_argument("--q0", type=_exp, required=True)
-    pe.add_argument("--p", type=_exp, required=True)
+    for flag in RANGE_FLAGS:
+        pe.add_argument(flag, type=_exp, required=True)
 
     for name in ("bht", "bht-vv"):
         pb = _command(plan_sub, name, _cmd_plan_bht)
@@ -453,11 +455,8 @@ def build_parser() -> _Parser:
     rd = _command(rdf_sub, "demo", _cmd_rdf_demo, table=False)
     rd.add_argument("--case", choices=("I",), default="I")
     rd.add_argument("--w", type=_weight_descriptor, default="unit")
-    rd.add_argument("--pm", type=_exp, required=True)
-    rd.add_argument("--pp", type=_exp, required=True)
-    rd.add_argument("--p0", type=_exp, required=True)
-    rd.add_argument("--q0", type=_exp, required=True)
-    rd.add_argument("--p", type=_exp, required=True)
+    for flag in RANGE_FLAGS:
+        rd.add_argument(flag, type=_exp, required=True)
     rd.add_argument("--trace", default=None)
     _add_common(rd, grid_default="1024", one_member=True)
 

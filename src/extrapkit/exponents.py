@@ -32,6 +32,7 @@ __all__ = [
     "as_exponent",
     "conjugate",
     "harmonic_sum",
+    "parse_rational",
     "exp_str",
 ]
 
@@ -130,18 +131,23 @@ class Exponent:
         return Exponent(self._num / o._num)
 
 
-def _parse_str(text: str) -> Fraction | None:
-    t = text.strip().lower()
-    if t in ("inf", "infinity", "+inf", "oo"):
-        return None
+def parse_rational(text: str) -> Fraction:
+    """The exact signed rational of a literal '[+-]num[/den]' in decimal
+    digits: the one rational grammar, which rejects floating literals."""
+    t = text.strip()
     if not _RATIONAL_RE.match(t):
-        raise DomainError(
-            f"exponent literal {text!r} is not a rational 'num/den' or 'inf'"
-        )
+        raise DomainError(f"literal {text!r} is not a rational 'num/den'")
     try:
-        v = Fraction(t)
+        return Fraction(t)
     except ZeroDivisionError:
-        raise DomainError(f"exponent literal {text!r} has a zero denominator")
+        raise DomainError(f"literal {text!r} has a zero denominator")
+
+
+def _parse_str(text: str) -> Fraction | None:
+    """An exponent literal: an inf spelling, or a nonnegative rational."""
+    if text.strip().lower() in ("inf", "infinity", "+inf", "oo"):
+        return None
+    v = parse_rational(text)
     if v < 0:
         raise DomainError(f"exponent must be nonnegative, got {v}")
     return v

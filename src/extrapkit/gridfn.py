@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -333,7 +332,6 @@ class FamilySpec:
     kind: str
     count: int = 8
     arity: int = 2
-    p: Fraction = Fraction(2)  # normalization exponent for concentrations
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -369,8 +367,8 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
 
     * smooth-bumps: random centers/widths, unit L^2 norm;
     * modulated: smooth bumps times e^{i omega x} with random frequency;
-    * dyadic-concentration: staggered pairs delta^{-1/p} X_[delta, 2*delta]
-      and its reflection, over dyadic delta (unit L^p norm) -- matched to
+    * dyadic-concentration: staggered pairs delta^{-1/2} X_[delta, 2*delta]
+      and its reflection, over dyadic delta (unit L^2 norm) -- matched to
       weights singular at the origin.
 
     Supports stay inside [-L/2, L/2].  Same (spec, seed) => identical family
@@ -399,10 +397,9 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
                 tup.append(fn)
             members.append(tuple(tup))
     else:  # dyadic-concentration
-        pf = float(spec.p)
         for j in range(spec.count):
-            delta = L / 2 ** (j % max(1, spec.count) + 2)
-            amp = delta ** (-1.0 / pf)
+            delta = L / 2 ** (j + 2)
+            amp = delta ** -0.5
             right = ((x >= delta) & (x <= 2 * delta)).astype(float) * amp
             left = ((x >= -2 * delta) & (x <= -delta)).astype(float) * amp
             tup = [GridFunction(right, grid), GridFunction(left, grid)]

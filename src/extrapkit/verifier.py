@@ -8,8 +8,10 @@ and computes the ratio
 
     || op(members) ||_target / product of factor norms
 
-per block.  The tree is a list of levels from the inside out, each
-(size, (s1, s2, s_out)): a level takes the l^s1 / l^s2 / l^s_out norm of
+per block, with the exponents `exps` = (q1, q2, q) of the factor and
+target norms read from the caller's plan (1/q = 1/q1 + 1/q2).  The tree
+is a list of levels from the inside out, each (size, (s1, s2, s_out)) with
+exponents from the plan: a level takes the l^s1 / l^s2 / l^s_out norm of
 `size` consecutive entries of the f / g / op-output columns.  A block
 holds the product of the sizes; a trailing partial block is dropped.  A
 flag says whether op runs on every (f_i, g_j) pair of an innermost group
@@ -21,7 +23,9 @@ or only on (f_i, g_i):
     iterated_vv_sweep   [(K, s), (J, t)]        (f_i, g_i)
     mz_sweep            [(K, (r, r, r))]        every (f_i, g_j)
 
-The sup ratio's behaviour under resolution doubling is classified as
+Each resolution must be twice the one before (one resolution alone is
+allowed, none is not).  The sup ratio's behaviour under resolution doubling is
+classified as
 
     BOUNDED-STABLE  sup changes < 10% under one doubling (0 -> 0 is no change)
     DIVERGENT       grows >= 50% per doubling, twice in a row
@@ -40,7 +44,7 @@ import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
 from .errors import DomainError, require
-from .exponents import ExponentLike, as_exponent, exp_str, harmonic_sum
+from .exponents import ExponentLike, as_exponent, harmonic_sum
 from .grid import Grid
 from .gridfn import (
     FamilySpec,
@@ -129,13 +133,16 @@ def _verdict(sups: list) -> tuple[str, float]:
 # operators by name
 # --------------------------------------------------------------------------
 
+SURROGATES = ("tensor-hilbert", "product-identity")
 
-def _op_by_name(name: str):
-    if name == "bht":
-        return lambda f, g: bht(f, g)
-    if name == "product":
-        return lambda f, g: f * g
-    raise DomainError(f"unknown operator {name!r}")
+# Lambdas, not the functions themselves: each call looks `bht` / `hilbert`
+# up in this module, so a patched attribute (perfbench's --trace) sees it.
+_OPS = {
+    "bht": lambda f, g: bht(f, g),
+    "product": lambda f, g: f * g,
+    "tensor-hilbert": lambda f, g: hilbert(f) * hilbert(g),
+    "product-identity": lambda f, g: f * g,
+}
 
 
 def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
@@ -147,10 +154,6 @@ def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
     for v in values:
         acc += np.abs(v) ** s
     return acc ** (1.0 / s)
-
-
-def _floats(*exps) -> tuple:
-    return tuple(float(e.frac) for e in exps)
 
 
 # --------------------------------------------------------------------------
@@ -183,14 +186,15 @@ def _sweep(
 ) -> RatioReport:
     """The one per-resolution loop behind every sweep.
 
-    `exps` = (q1, q2): the factor norm exponents, from which the target
-    exponent q = (1/q1 + 1/q2)^(-1) follows; `weights` = (w1, w2)
-    descriptors; `levels` and `pairs` as in the module docstring.
+    `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
+    = (w1, w2) descriptors; `levels` and `pairs` as in the module docstring.
     """
+    if not resolutions or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
+        raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
-    q1, q2 = exps
-    q = harmonic_sum(exps)
+    levels = [(n, tuple(float(e.frac) for e in es)) for n, es in levels]
+    q1, q2, q = exps
     size = math.prod(n for n, _ in levels)
     if size > spec.count:
         raise DomainError(f"block size {size} exceeds the family count {spec.count}: nothing to measure")
@@ -218,7 +222,7 @@ def _sweep(
     return RatioReport(
         op=op_name,
         ratios=ratios,
-        sup_ratio=max(ratios) if ratios else 0.0,
+        sup_ratio=sups[-1],
         resolutions=list(resolutions),
         sup_by_resolution=sups,
         stability=stability,
@@ -255,14 +259,17 @@ def ratio_sweep(
     recorded (sweeps against out-of-class weights are legitimate divergence
     probes, so membership failure is noted, not fatal).
     """
+    if isinstance(op, str) and op not in ("bht", "product"):
+        raise DomainError(f"unknown operator {op!r}")
     op_name = op if isinstance(op, str) else getattr(op, "__name__", "custom")
-    op_fn = _op_by_name(op) if isinstance(op, str) else op
+    op_fn = _OPS[op] if isinstance(op, str) else op
     q1, q2 = as_exponent(q1), as_exponent(q2)
     plan = bht_plan(q1, q2) if op == "bht" else None
+    q = plan.q if plan else harmonic_sum([q1, q2])
     config = {
-        "q1": exp_str(q1),
-        "q2": exp_str(q2),
-        "q": exp_str(harmonic_sum([q1, q2])),
+        "q1": q1,
+        "q2": q2,
+        "q": q,
         "w1": _describe_weight(w1_desc),
         "w2": _describe_weight(w2_desc),
         "family": family_spec.kind,
@@ -271,7 +278,7 @@ def ratio_sweep(
         "weights_in_class": _class_check(plan, w1_desc, w2_desc),
     }
     return _sweep(
-        op_fn, op_name, (q1, q2), (w1_desc, w2_desc), family_spec,
+        op_fn, op_name, (q1, q2, q), (w1_desc, w2_desc), family_spec,
         seed, resolutions, L, config,
     )
 
@@ -312,10 +319,10 @@ def vv_sweep(
     """
     plan = bht_vv_plan(q1, q2, s1, s2)
     config = {
-        "q1": exp_str(plan.q1),
-        "q2": exp_str(plan.q2),
-        "s1": exp_str(plan.s1),
-        "s2": exp_str(plan.s2),
+        "q1": plan.q1,
+        "q2": plan.q2,
+        "s1": plan.s1,
+        "s2": plan.s2,
         "K": K,
         "w1": _describe_weight(w1_desc),
         "w2": _describe_weight(w2_desc),
@@ -323,9 +330,9 @@ def vv_sweep(
         "L": L,
     }
     return _sweep(
-        _op_by_name("bht"), "bht", (plan.q1, plan.q2), (w1_desc, w2_desc), family_spec,
+        _OPS["bht"], "bht", (plan.q1, plan.q2, plan.q), (w1_desc, w2_desc), family_spec,
         seed, resolutions, L, config,
-        levels=[(K, _floats(plan.s1, plan.s2, plan.s))],
+        levels=[(K, (plan.s1, plan.s2, plan.s))],
     )
 
 
@@ -349,33 +356,19 @@ def iterated_vv_sweep(
     inner = bht_vv_plan(*qs, *ss)
     outer = bht_vv_plan(*qs, *ts)
     config = {
-        "t": [exp_str(outer.s1), exp_str(outer.s2)],
-        "s": [exp_str(inner.s1), exp_str(inner.s2)],
-        "q": [exp_str(inner.q1), exp_str(inner.q2)],
+        "t": [outer.s1, outer.s2],
+        "s": [inner.s1, inner.s2],
+        "q": [inner.q1, inner.q2],
         "J": J,
         "K": K,
         "family": family_spec.kind,
         "L": L,
     }
     return _sweep(
-        _op_by_name("bht"), "bht", (inner.q1, inner.q2), ("unit", "unit"),
+        _OPS["bht"], "bht", (inner.q1, inner.q2, inner.q), ("unit", "unit"),
         family_spec, seed, resolutions, L, config,
-        levels=[
-            (K, _floats(inner.s1, inner.s2, inner.s)),
-            (J, _floats(outer.s1, outer.s2, outer.s)),
-        ],
+        levels=[(K, (inner.s1, inner.s2, inner.s)), (J, (outer.s1, outer.s2, outer.s))],
     )
-
-
-SURROGATES = ("tensor-hilbert", "product-identity")
-
-
-def _surrogate_by_name(name: str):
-    if name == "tensor-hilbert":
-        return lambda f, g: hilbert(f) * hilbert(g)
-    if name == "product-identity":
-        return lambda f, g: f * g
-    raise DomainError(f"unknown surrogate {name!r}; expected one of {SURROGATES}")
 
 
 def mz_sweep(
@@ -398,23 +391,23 @@ def mz_sweep(
     """
     if len(qjs) != 2 or len(wjs) != 2:
         raise DomainError("the sweep drives two coordinates (m = 2)")
-    plan = mz_plan(qjs, r)  # raises Infeasible when r is outside (1, 2) u {2}
-    q1, q2 = map(as_exponent, qjs)
-    r = as_exponent(r)
-    T = _surrogate_by_name(surrogate)
+    data = mz_plan(qjs, r)["data"]  # raises Infeasible when r is outside (1, 2) u {2}
+    if surrogate not in SURROGATES:
+        raise DomainError(f"unknown surrogate {surrogate!r}; expected one of {SURROGATES}")
+    r = data["r"]
     config = {
-        "q": [exp_str(q1), exp_str(q2)],
-        "r": exp_str(r),
+        "q": data["q"],
+        "r": r,
         "surrogate": surrogate,
         "K": K,
-        "base_case": plan["data"]["base_case"],
+        "base_case": data["base_case"],
         "family": family_spec.kind,
         "L": L,
     }
     return _sweep(
-        T, f"mz:{surrogate}", (q1, q2), wjs, family_spec,
+        _OPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), wjs, family_spec,
         seed, resolutions, L, config,
-        levels=[(K, _floats(r, r, r))], pairs=True,
+        levels=[(K, (r, r, r))], pairs=True,
     )
 
 

@@ -209,6 +209,18 @@ def test_verify_bht_plan_file_roundtrip(tmp_path, capsys):
     assert rep1["data"]["ratios"] == rep2["data"]["ratios"]
 
 
+def test_verify_bht_plan_file_excludes_q_flags(tmp_path, capsys):
+    # the plan file's (q1, q2) = (3, 3) used to be swept with --q1 2 --q2 2 ignored
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"data": {"q1": "3", "q2": "3"}}))
+    argv = ["verify", "bht", "--plan-file", str(plan_path), "--count", "2", "--N", "256"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--q1", "2", "--q2", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: give --plan-file or --q1/--q2, not both\n"
+
+
 def test_verify_truncation(capsys):
     code, rep = run_json(
         ["verify", "truncation", "--q", "2", "--ncuts", "1,2,4,8", "--N", "512"],
@@ -304,9 +316,14 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
         ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
          "--N", "256", "--seed", "-1"],
         ["verify", "bht", "--q1", "inf", "--q2", "2", "--count", "2", "--N", "256,512"],
+        # the verdict rules compare sups one resolution doubling apart
+        ["verify", "bht", "--q1", "2", "--q2", "2", "--a", "3/2", "--count", "2", "--N", "256,256"],
+        ["verify", "bht", "--q1", "2", "--q2", "2", "--family", "dyadic-concentration",
+         "--count", "4", "--N", "1024,512,256"],
     ],
     ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file", "block-over-count",
-         "negative-seed", "rdf-negative-seed", "bht-pair-outside-planner"],
+         "negative-seed", "rdf-negative-seed", "bht-pair-outside-planner", "repeated-resolution",
+         "descending-resolutions"],
 )
 def test_bad_verify_input_exit_1(capsys, argv):
     assert main(argv) == 1
@@ -483,7 +500,7 @@ def _uniform_rows(n, L=2.0):
     [
         (64, "0", "depth must be >= 1, got 0"),
         (64, "7", "depth 7 needs at least 2^7 samples, got 64"),
-        (6, "2", "sample count must be a power of two >= 2, got 6"),
+        (6, "2", "{path}: sample count must be a power of two >= 2, got 6"),
     ],
     ids=["depth-0", "depth-beyond-grid", "six-samples"],
 )
@@ -493,7 +510,65 @@ def test_weights_estimate_bad_input_exit_1(tmp_path, capsys, n, depth, message):
     argv = ["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2", "--depth", depth]
     assert main(argv) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: {message}\n"
+    assert out.out == "" and out.err == f"error: {message.format(path=path)}\n"
+
+
+def test_operator_apply_names_the_bad_second_input(tmp_path, capsys):
+    good, bad = tmp_path / "f.csv", tmp_path / "g.csv"
+    _write_rows(good, _uniform_rows(8))
+    _write_rows(bad, _uniform_rows(6))
+    assert main(["operator", "apply", "--op", "bht", "--in", str(good), "--in2", str(bad)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {bad}: sample count must be a power of two >= 2, got 6\n"
+
+
+@pytest.mark.parametrize("extra", [["--in2", "g.csv"], ["--tmin", "5"], ["--tmax", "1"]],
+                         ids=["in2", "tmin", "tmax"])
+@pytest.mark.parametrize("op", ["maximal", "hilbert"])
+def test_operator_apply_rejects_bht_options_for_other_ops(tmp_path, capsys, op, extra):
+    path = tmp_path / "f.csv"
+    _write_rows(path, _uniform_rows(8))
+    assert main(["operator", "apply", "--op", op, "--in", str(path)] + extra) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: --in2, --tmin and --tmax apply to --op bht only, not --op {op}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["plan", "bht", "--q1", "2", "--q2", "2"], 1),
+        (["plan", "bht-vv", "--q1", "2", "--q2", "2", "--s1", "3/2", "--s2", "3/2"], 1),
+        (["plan", "bht", "--q1", "2", "--q2", "2", "--grid", "2,3", "--emit", "csv"], 4),
+    ],
+    ids=["bht", "bht-vv", "grid"],
+)
+def test_plan_runs_its_planner_once_per_pair(monkeypatch, capsys, argv, runs):
+    from extrapkit import applications as app
+
+    calls = []
+    for name in ("bht_plan", "bht_vv_plan"):
+        planner = getattr(app, name)
+        monkeypatch.setattr(app, name, lambda *a, _p=planner: calls.append(a) or _p(*a))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == runs
+
+
+@pytest.mark.parametrize("literal", ["3/2", "+3", "1_0", "1.5", "1e0", "0x10", "1/0"])
+def test_rational_and_exponent_flags_share_one_grammar(literal):
+    import argparse
+
+    from extrapkit.cli import _exp, _frac
+
+    def parse(convert):
+        try:
+            return convert(literal)
+        except argparse.ArgumentTypeError:
+            return None
+
+    exp, frac = parse(_exp), parse(_frac)
+    assert (exp is None) == (frac is None)
+    assert exp is None or exp.frac == frac
 
 
 @pytest.mark.parametrize(

@@ -395,7 +395,7 @@ def test_family_supports_inside_half_window():
 
 def test_dyadic_family_unit_lp_norm():
     p = Fraction(2)
-    fam = make_family(FamilySpec("dyadic-concentration", count=5, arity=2, p=p), 2, G)
+    fam = make_family(FamilySpec("dyadic-concentration", count=5, arity=2), 2, G)
     u = GridWeight.unit(G)
     for fn in fam.functions():
         assert measure_norm(fn, u, p) == pytest.approx(1.0, rel=0.02)

@@ -9,7 +9,8 @@ is (so the class list cannot regrow entries nothing raises), and every
 function the benchmark's tracer wraps (`WRAPPED` in `perfbench/tracer.py`,
 read without importing it) still exists, so a rename cannot leave a layer
 untraced, and no function but `cli.main` writes to stdout, so every report
-goes out through its one writer.
+goes out through its one writer, and no module but `reports.py` imports
+`exp_str`, so exponents stay exact values until `to_jsonable` writes them.
 `__init__.py` is exempt from the first rule: its imports are the
 package's public namespace.
 """
@@ -236,3 +237,22 @@ def test_stray_output_detector():
         "print('top')\n"
     )
     assert stray_output(src, "main") == ["<module>:11", "handler:7", "handler:8", "inner:10"]
+
+
+def imports_name(source: str, name: str) -> bool:
+    """Whether a module imports `name` from anywhere."""
+    return any(
+        isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_reports_writes_exponents_as_strings():
+    # exponents stay exact values until `reports.to_jsonable` serializes them
+    users = sorted(p.name for p in SRC.glob("*.py") if imports_name(p.read_text(), "exp_str"))
+    assert users == ["reports.py"]
+
+
+def test_import_name_detector():
+    assert imports_name("from .exponents import Exponent, exp_str\n", "exp_str")
+    assert not imports_name("from .exponents import Exponent\nexp_str = str\n", "exp_str")

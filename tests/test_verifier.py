@@ -67,6 +67,13 @@ def test_bht_divergence_probe():
     assert rr.verdict == "DIVERGENT"
 
 
+@pytest.mark.parametrize("resolutions", [(512, 512), (1024, 512), (256, 1024), ()],
+                         ids=["repeated", "descending", "skipped-doubling", "none"])
+def test_sweep_resolutions_must_double(resolutions):
+    with pytest.raises(DomainError, match="twice the one before"):
+        ratio_sweep("product", 2, 2, "unit", "unit", SMOOTH8, resolutions=resolutions)
+
+
 def test_verdict_growth_from_zero():
     assert _verdict([0.0, 0.0, 0.0]) == ("BOUNDED-STABLE", 0.0)
     assert _verdict([0.0, 0.0, 1.0])[0] == "UNSTABLE"
