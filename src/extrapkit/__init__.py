@@ -33,7 +33,7 @@ from .extrapolation import (
     target_exponent,
 )
 from .grid import Grid
-from .gridfn import FamilySpec, GridFunction, TestFamily, bht, hilbert, maximal, make_family, truncate, weighted_norm
+from .gridfn import FamilySpec, GridFunction, TestFamily, bht, hilbert, maximal, make_family, weighted_norm
 from .weights import (
     GridWeight,
     PowerWeight,

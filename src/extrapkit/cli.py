@@ -6,12 +6,12 @@ Subcommands:
     weights {check|estimate}
     operator apply --op {maximal|hilbert|bht}
     rdf demo
-    verify {bht|vv|iterated|mz|truncation}
+    verify {bht|vv|iterated|mz}
 
 `plan bht-vv --s1 S1 --s2 S2` is the one spelling of the vector-valued
 BHT plan; `plan bht` takes no --s1/--s2.
 
-Every rational flag, exponent or signed (--a, --alpha, --g1..3, --ncuts),
+Every rational flag, exponent or signed (--a, --alpha, --g1..3),
 has the one grammar of `exponents.parse_rational`: exact rationals such as
 "2" or "-3/2", never floating literals; exponent flags also take "inf".
 Reports are JSON envelopes on stdout; --emit csv switches a command with a
@@ -265,23 +265,17 @@ def _cmd_operator_apply(args):
     return {"feasible": True}, lambda: rows
 
 
-def _one_member(args, arity: int):
-    """(grid, weight, |components|) of a command that builds one smooth-bumps
-    member with `arity` components on one resolution."""
-    if len(args.N) != 1:
-        raise DomainError(f"{args.group} {args.cmd} runs on one resolution, got --N {','.join(map(str, args.N))}")
-    grid = Grid(args.L, args.N[0])
-    w = ver.realize_weight(args.w, grid)
-    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=arity), args.seed, grid)
-    return grid, w, [c.abs() for c in fam.members[0]]
-
-
 def _cmd_rdf_demo(args):
     rng, pe = _range(args)
-    grid, w, (f, g) = _one_member(args, 2)
+    if len(args.N) != 1:
+        raise DomainError(f"rdf demo runs on one resolution, got --N {','.join(map(str, args.N))}")
+    grid = Grid(args.L, args.N[0])
+    w = ver.realize_weight(args.w, grid)
+    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), args.seed, grid)
+    f, g = (c.abs() for c in fam.members[0])
     try:
         po = build_proof_objects(f, g, w, pe, rng, args.p)
-        report = verify_case1_weight(po, pe, rng, args.p, w)
+        report = verify_case1_weight(po, pe, rng, w)
         certified = True
         data = {"proof_exponents": pe, "objects": po, "weight_report": report}
         reason = None
@@ -320,7 +314,7 @@ def _cmd_verify_sweep(args):
             with open(args.plan_file) as fh:
                 saved = json.load(fh)
             qs = [Exponent(saved["data"][k]) for k in ("q1", "q2")]
-        except (OSError, ValueError, KeyError, TypeError) as e:
+        except (OSError, ValueError, KeyError, TypeError, DomainError) as e:
             raise DomainError(f"{args.plan_file}: not a readable plan report ({e})")
     else:
         qs = [args.q1, args.q2]
@@ -348,18 +342,6 @@ def _cmd_verify_sweep(args):
         "grid": {"L": rr.config.get("L"), "N": rr.resolutions},
     }
     return fields, lambda: [{"member": i, "ratio": r} for i, r in enumerate(rr.ratios)]
-
-
-def _cmd_verify_truncation(args):
-    _, w, (f,) = _one_member(args, 1)
-    rows = ver.truncation_study(f, w, args.q, args.ncuts)
-    fields = {
-        "feasible": True,
-        "data": {"rows": rows, "q": args.q},
-        "seed": args.seed,
-        "grid": {"L": args.L, "N": args.N[0]},
-    }
-    return fields, lambda: rows
 
 
 # --------------------------------------------------------------------------
@@ -490,12 +472,6 @@ def build_parser() -> _Parser:
     vm.add_argument("--surrogate", choices=ver.SURROGATES, default="tensor-hilbert")
     vm.add_argument("--K", type=int, default=4)
     _add_common(vm, grid_default="1024,2048")
-
-    vt = _command(vf_sub, "truncation", _cmd_verify_truncation)
-    vt.add_argument("--q", type=_exp, required=True)
-    vt.add_argument("--w", type=_weight_descriptor, default="unit")
-    vt.add_argument("--ncuts", type=_list(_frac), required=True, help="comma-separated cutoffs")
-    _add_common(vt, grid_default="2048", one_member=True)
 
     return root
 

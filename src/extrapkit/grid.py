@@ -25,8 +25,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not (0 < self.L < np.inf):
-            raise DomainError(f"half-width must be positive and finite, got {self.L}")
+        if not (0 < self.L and 2.0 * self.L < np.inf):  # h = 2L/N must be finite
+            raise DomainError(f"half-width must be positive with 2L finite, got {self.L}")
         if self.N < 2 or self.N & (self.N - 1) != 0:
             raise DomainError(f"sample count must be a power of two >= 2, got {self.N}")
 

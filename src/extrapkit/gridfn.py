@@ -42,7 +42,6 @@ __all__ = [
     "maximal",
     "hilbert",
     "bht",
-    "truncate",
     "make_family",
 ]
 
@@ -292,25 +291,6 @@ def bht(
         hi = min(n - k, max(s[1] for s in spans) + 1)
         out[lo:hi] += (F[lo - k : hi - k] * G[lo + k : hi + k] - F[lo + k : hi + k] * G[lo - k : hi - k]) / k
     return GridFunction(out, grid)
-
-
-# --------------------------------------------------------------------------
-# truncation
-# --------------------------------------------------------------------------
-
-
-def truncate(f: GridFunction, n_cut: float) -> GridFunction:
-    """f restricted to {|x| <= n_cut, f(x) <= n_cut}, zero elsewhere.
-
-    For nonnegative f this is monotone in n_cut and increases to f.
-    """
-    if not n_cut > 0:
-        raise DomainError(f"cutoff must be positive, got {n_cut}")
-    if np.iscomplexobj(f.samples):
-        raise DomainError("truncation applies to real (nonnegative) functions")
-    x = f.grid.x()
-    keep = (np.abs(x) <= n_cut) & (f.samples <= n_cut)
-    return GridFunction(np.where(keep, f.samples, 0.0), f.grid)
 
 
 # --------------------------------------------------------------------------

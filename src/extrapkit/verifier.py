@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
-from .errors import DomainError, require
+from .errors import DomainError
 from .exponents import ExponentLike, as_exponent, harmonic_sum
 from .grid import Grid
 from .gridfn import (
@@ -52,7 +52,6 @@ from .gridfn import (
     bht,
     hilbert,
     make_family,
-    truncate,
     weighted_norm,
 )
 from .weights import GridWeight, PowerWeight, power_in_class
@@ -63,7 +62,6 @@ __all__ = [
     "vv_sweep",
     "iterated_vv_sweep",
     "mz_sweep",
-    "truncation_study",
 ]
 
 EVIDENCE_CAVEAT = (
@@ -409,37 +407,3 @@ def mz_sweep(
         seed, resolutions, L, config,
         levels=[(K, (r, r, r))], pairs=True,
     )
-
-
-def truncation_study(
-    f: GridFunction, w: GridWeight, q: ExponentLike, n_cuts
-) -> list[dict]:
-    """Norms of the truncations f_N against the a-priori bound.
-
-    For each cutoff: ||f_N||_{L^q(w^q)} together with the bound
-    N * (w^q-mass of B(0, N))^{1/q}; the norm column is monotone
-    nondecreasing and ends at ||f|| once the cutoff dominates.  f_N keeps
-    only f <= N on |x| <= N, so the bound holds up to rounding; a norm that
-    decreases or exceeds its bound raises CertificationFailed.
-    """
-    q = as_exponent(q)
-    if q.is_inf:
-        raise DomainError("truncation study needs a finite exponent")
-    cuts = sorted(float(c) for c in n_cuts)
-    if not cuts or cuts[0] <= 0:
-        raise DomainError("cutoffs must be positive and nonempty")
-    x = f.grid.x()
-    wq = w.power(q.frac).samples
-    qf = float(q.frac)
-    rows = []
-    prev = 0.0
-    for c in cuts:
-        fn = truncate(f, c)
-        nrm = weighted_norm(fn, w, q)
-        ball_mass = float((wq * (np.abs(x) <= c)).sum() * f.grid.h)
-        bound = c * ball_mass ** (1.0 / qf)
-        require(nrm >= prev - 1e-12, "truncation norms must be nondecreasing")
-        require(nrm <= bound * (1 + 1e-9), f"truncation norm {nrm:.6g} exceeds its bound {bound:.6g}")
-        prev = nrm
-        rows.append({"n_cut": c, "norm": nrm, "bound": bound})
-    return rows

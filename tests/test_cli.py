@@ -51,9 +51,12 @@ def test_plan_bht_rejects_float_literal(capsys):
 
 
 def test_usage_error_exit_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["plan", "nonsense"])
-    assert exc.value.code == 1
+    # `verify truncation` is gone: it checked a bound its truncation met by construction
+    for argv in (["plan", "nonsense"], ["verify", "truncation", "--q", "2", "--ncuts", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
 
 def test_plan_extrapolate_fields(capsys):
@@ -221,12 +224,13 @@ def test_verify_bht_plan_file_excludes_q_flags(tmp_path, capsys):
     assert out.out == "" and out.err == "error: give --plan-file or --q1/--q2, not both\n"
 
 
-def test_verify_truncation(capsys):
-    code, rep = run_json(
-        ["verify", "truncation", "--q", "2", "--ncuts", "1,2,4,8", "--N", "512"],
-        capsys,
-    )
-    assert code == 0 and rep["feasible"]
+def test_verify_bht_plan_file_bad_exponent_names_the_file(tmp_path, capsys):
+    # a float q1 used to print the bare exponent error without the file name
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"data": {"q1": 2.5, "q2": "2"}}))
+    assert main(["verify", "bht", "--plan-file", str(plan_path), "--N", "256"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {plan_path}: not a readable plan report (")
 
 
 def test_verify_mz_zero_sups_are_stable(capsys):
@@ -405,20 +409,19 @@ def test_rdf_demo_case_has_one_value(capsys):
 
 
 RDF_DEMO = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3"]
-TRUNCATION = ["verify", "truncation", "--q", "2", "--ncuts", "1,2"]
 
 
-@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+@pytest.mark.parametrize("base", [RDF_DEMO], ids=["rdf-demo"])
 @pytest.mark.parametrize("family", ["modulated", "dyadic-concentration"])
 def test_one_member_commands_reject_other_families(capsys, base, family):
-    # both handlers build one smooth-bumps member; another family was ignored
+    # the handler builds one smooth-bumps member; another family was ignored
     with pytest.raises(SystemExit) as exc:
         main(base + ["--N", "256", "--family", family])
     assert exc.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+@pytest.mark.parametrize("base", [RDF_DEMO], ids=["rdf-demo"])
 def test_one_member_commands_reject_several_resolutions(capsys, base):
     # every --N after the first was ignored
     assert main(base + ["--N", "256,512"]) == 1
@@ -426,18 +429,10 @@ def test_one_member_commands_reject_several_resolutions(capsys, base):
     assert err.startswith("error:") and "one resolution" in err and "256,512" in err
 
 
-@pytest.mark.parametrize("base", [RDF_DEMO, TRUNCATION], ids=["rdf-demo", "truncation"])
+@pytest.mark.parametrize("base", [RDF_DEMO], ids=["rdf-demo"])
 def test_one_member_commands_still_parse_count(capsys, base):
     code, rep = run_json(base + ["--N", "256", "--family", "smooth-bumps", "--count", "16", "--emit", "json"], capsys)
     assert code == 0 and rep["feasible"] is True and rep["grid"]["N"] == 256
-
-
-def test_truncation_over_bound_exits_2(monkeypatch, capsys):
-    from extrapkit import verifier
-
-    monkeypatch.setattr(verifier, "truncate", lambda fn, c: fn * 1e6)
-    code, rep = run_json(["verify", "truncation", "--q", "2", "--ncuts", "1,2", "--N", "256"], capsys)
-    assert code == 2 and rep["feasible"] is False and "exceeds its bound" in rep["reason"]
 
 
 @pytest.mark.parametrize(
@@ -460,12 +455,11 @@ def test_commands_without_a_table_accept_only_emit_json(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "truncation", "--q", "2", "--N", "256", "--ncuts"],
         ["plan", "bht", "--q1", "2", "--q2", "2", "--emit", "csv", "--grid"],
         ["plan", "mz", "--r", "3/2", "--q"],
         ["verify", "mz", "--r", "3/2", "--N", "256", "--q"],
     ],
-    ids=["ncuts", "grid", "plan-mz-q", "verify-mz-q"],
+    ids=["grid", "plan-mz-q", "verify-mz-q"],
 )
 def test_bad_list_token_is_a_usage_error(capsys, argv, token):
     with pytest.raises(SystemExit) as exc:

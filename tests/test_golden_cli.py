@@ -5,9 +5,10 @@ tests/golden/: every field exactly, floats to a relative 1e-12.  The
 verify, rdf and weights-estimate files were recorded before the sweep
 engine and the verify handlers were merged; the plan, CSV, weights-check
 and operator files before the handlers stopped building their own
-reports.  The two truncation files were re-recorded when the
-`within_bound` column, which could not be false, became a certification
-check.  weights_check_csv was re-recorded when `weights check`, which has
+reports.  rdf_demo was re-recorded when its weight report dropped
+`re_derived_equal`: the check re-derived the proof exponents the command
+had just derived from the same range, so it could not be false.
+weights_check_csv was re-recorded when `weights check`, which has
 no table, stopped accepting `--emit csv`: it is now a usage error (exit
 1, nothing on stdout) instead of a JSON report under a CSV flag.
 plan_bht_with_s now runs `plan bht-vv`, the one spelling of the
@@ -57,8 +58,6 @@ CASES = {
     "verify_mz_product": ["verify", "mz", "--q", "3,3", "--r", "2", "--surrogate",
                           "product-identity", "--count", "6", "--K", "3", "--seed", "2",
                           "--N", "512,1024", "--emit", "csv"],
-    "verify_truncation": ["verify", "truncation", "--q", "2", "--w", "power:1/8",
-                          "--ncuts", "1/2,1,2,4,8", "--N", "512"],
     "weights_estimate": ["weights", "estimate", "--file", "weight.csv", "--ap", "2",
                          "--rh", "2", "--depth", "5"],
     "plan_bht_grid_csv": ["plan", "bht", "--q1", "2", "--q2", "2", "--grid", "4/3,2,3",
@@ -85,8 +84,6 @@ CASES = {
                           "--emit", "csv"],
     "weights_estimate_csv": ["weights", "estimate", "--file", "weight.csv", "--ap", "2",
                              "--rh", "2", "--depth", "3", "--emit", "csv"],
-    "verify_truncation_csv": ["verify", "truncation", "--q", "2", "--ncuts", "1,2,4",
-                              "--N", "256", "--emit", "csv"],
     "operator_hilbert": ["operator", "apply", "--op", "hilbert", "--in", "weight.csv"],
     "operator_maximal": ["operator", "apply", "--op", "maximal", "--in", "weight.csv"],
     "operator_bht_complex": ["operator", "apply", "--op", "bht", "--in", "complex.csv",

@@ -16,7 +16,6 @@ from extrapkit.gridfn import (
     make_family,
     maximal,
     measure_norm,
-    truncate,
     weighted_norm,
 )
 from extrapkit.weights import GridWeight, PowerWeight
@@ -34,6 +33,13 @@ def bump(x, c=0.0, wd=1.0):
 
 
 # -- norms ----------------------------------------------------------------------
+
+
+def test_grid_rejects_half_width_whose_cell_width_overflows():
+    # 2L = inf used to give h = inf and an all-inf midpoint grid
+    with pytest.raises(DomainError, match="half-width"):
+        Grid(1e308, 256)
+    assert Grid(8e307, 256).h == 2.0 * 8e307 / 256
 
 
 def test_weighted_norm_indicator_unit_weight():
@@ -340,30 +346,6 @@ def test_bht_truncation_validation():
         bht(f, f, t_max=100.0)
     with pytest.raises(DomainError, match=need):
         bht(f, f, t_min=1.0, t_max=0.5)
-
-
-# -- truncation --------------------------------------------------------------------
-
-
-def test_truncate_identity_when_large():
-    f = GridFunction(bump(X) * 3, G)
-    out = truncate(f, 100.0)
-    assert np.array_equal(out.samples, f.samples)
-
-
-def test_truncate_caps_and_restricts():
-    f = GridFunction(np.abs(X), G)
-    out = truncate(f, 2.0)
-    assert np.max(out.samples) <= 2.0
-    assert np.all(out.samples[np.abs(X) > 2.0] == 0.0)
-    assert np.all(out.samples <= f.samples)
-
-
-def test_truncate_monotone():
-    f = GridFunction(np.abs(X) ** 1.5, G)
-    a = truncate(f, 1.0).samples
-    b = truncate(f, 3.0).samples
-    assert np.all(a <= b)
 
 
 # -- families ----------------------------------------------------------------------

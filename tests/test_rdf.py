@@ -154,7 +154,7 @@ def test_proof_objects_power_weight_certificates():
     w = PowerWeight(Fraction(1, 8)).on_grid(GRID)
     po = build_proof_objects(f, g, w, pe, rng, 3)
     assert all(v["ok"] for v in po.certificates.values())
-    rep = verify_case1_weight(po, pe, rng, 3, w)
+    rep = verify_case1_weight(po, pe, rng, w)
     assert rep["W_q0_bitwise"]
     assert np.isfinite(rep["W_p0_ap_const"]) and np.isfinite(rep["W_p0_rh_const"])
 
@@ -166,7 +166,7 @@ def test_verify_unit_weight_constants_near_one():
     pe = proof_exponents(rng, 2)  # diagonal: q = p = 2
     f, _ = _pair(4)
     po = build_proof_objects(f, f, GridWeight.unit(GRID), pe, rng, 2)
-    rep = verify_case1_weight(po, pe, rng, 2, GridWeight.unit(GRID))
+    rep = verify_case1_weight(po, pe, rng, GridWeight.unit(GRID))
     assert rep["W_p0_ap_const"] < 50
     assert rep["W_p0_rh_const"] < 10
 

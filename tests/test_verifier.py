@@ -5,17 +5,16 @@ from fractions import Fraction
 from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
-from extrapkit.gridfn import FamilySpec, GridFunction, make_family
+from extrapkit.gridfn import FamilySpec, make_family
 from extrapkit.verifier import (
     _verdict,
     iterated_vv_sweep,
     mz_sweep,
     ratio_sweep,
     realize_weight,
-    truncation_study,
     vv_sweep,
 )
-from extrapkit.weights import GridWeight, PowerWeight
+from extrapkit.weights import PowerWeight
 
 SMOOTH8 = FamilySpec("smooth-bumps", count=8, arity=2)
 SMOOTH16 = FamilySpec("smooth-bumps", count=16, arity=2)
@@ -185,34 +184,6 @@ def test_mz_r_outside_window_rejected():
 def test_mz_unknown_surrogate():
     with pytest.raises(DomainError, match="unknown surrogate"):
         mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus")
-
-
-# -- truncation study ----------------------------------------------------------------
-
-
-def test_truncation_monotone_and_bounded():
-    grid = Grid(8.0, 2048)
-    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=1), 3, grid)
-    f = fam.members[0][0].abs()
-    w = PowerWeight(Fraction(1, 8)).on_grid(grid)
-    rows = truncation_study(f, w, 2, [0.5, 1, 2, 4, 8])
-    norms = [r["norm"] for r in rows]
-    assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-    assert all(r["norm"] <= r["bound"] * (1 + 1e-9) for r in rows)
-    # stabilizes at ||f|| once the cutoff dominates sup|f| and the support
-    from extrapkit.gridfn import weighted_norm
-
-    assert norms[-1] == pytest.approx(weighted_norm(f, w, 2), rel=1e-12)
-
-
-def test_truncation_validates_input():
-    grid = Grid(8.0, 1024)
-    f = GridFunction(np.ones(1024), grid)
-    w = GridWeight.unit(grid)
-    with pytest.raises(DomainError):
-        truncation_study(f, w, 2, [])
-    with pytest.raises(DomainError):
-        truncation_study(f, w, 2, [-1.0, 2.0])
 
 
 # -- weight descriptors ---------------------------------------------------------------
