@@ -29,6 +29,10 @@ class Grid:
             raise DomainError(f"half-width must be positive with 2L finite, got {self.L}")
         if self.N < 2 or self.N & (self.N - 1) != 0:
             raise DomainError(f"sample count must be a power of two >= 2, got {self.N}")
+        if self.h < np.finfo(float).tiny:  # a subnormal h loses its precision
+            raise DomainError(
+                f"half-width {self.L} is too small for N={self.N}: the cell width 2L/N is subnormal"
+            )
 
     @property
     def h(self) -> float:

@@ -167,10 +167,12 @@ def _maximal_sliding(a: np.ndarray) -> np.ndarray:
 def maximal(f: GridFunction, mode: str = "exact") -> GridFunction:
     """Discrete uncentered maximal function over grid-aligned intervals.
 
-    mode="exact" is the O(N^2) reference (the supremum over *all* aligned
-    intervals; serves as the oracle); mode="sliding" restricts to dyadic
-    window lengths, an O(N log N) two-sided approximation with
-    M_slide <= M_exact <= 2 M_slide.
+    mode="exact" is the O(N^2) reference, the supremum over *all* aligned
+    intervals: the test oracle, `operator apply --op maximal`, and the A_1
+    check of the RDF majorants.  mode="sliding" restricts to dyadic window
+    lengths in every position, an O(N log N) two-sided approximation with
+    M_slide <= M_exact <= 2 M_slide (N a power of two); the RDF series and
+    its norm-bound probe run on it.
     """
     a = np.abs(f.samples)
     if mode == "exact":

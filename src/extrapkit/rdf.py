@@ -1,20 +1,27 @@
 """Rubio de Francia iteration and the constructive majorant certificates.
 
-The iteration algorithm, truncated at K terms, is
+The iteration runs on the dyadic maximal operator S = maximal(., "sliding"),
+the O(N log N) sup over dyadic window lengths, with B an upper bound for
+its norm on the configured weighted space:
 
-    R G = sum_{k=0}^{K-1} M^k G / (2^k * B^k),
+    R_K G = sum_{k=0}^{K-1} S^k G / (2B)^k,    T_K = S^K G / (2B)^K.
 
-where M is the grid maximal operator and B an upper bound for its norm on
-the configured weighted space.  Provided the observed growth of ||M^k G||
-stays below B^k, the construction guarantees
+The series stops at the first term T_K whose norm is at most
+2^-DEFAULT_TERMS ||G|| (or at the cap `terms`); T_K is the first dropped
+term.  Provided every ||S^k G / (2B)^k|| stays below 2^-k ||G||, the
+construction guarantees
 
-    G <= R G,    ||R G|| <= 2 ||G||,    M(R G) <= 2 B * (R G),
+    G <= R G,    ||R G|| <= 2 ||G||,    S(R_K G) <= 2B (R_K G - G + T_K),
 
-i.e. R G is a pointwise majorant with an A_1-type bound.  The first two
-are certified numerically on every run (the R-majorant and R-doubling
-certificates below); the third is only measured: `a1_ratio` = max M(RG)/RG
-is reported and compared with nothing.  ROADMAP.md plans its
-certificate for the truncated series.
+the last by sublinearity.  On power-of-two grids the exact maximal
+operator M (the sup over all grid-aligned intervals) obeys M <= 2S
+pointwise, since every interval lies in a window of dyadic length less
+than twice its own.  So
+
+    M(R_K G) <= 4B (R_K G + T_K),
+
+the A_1-type bound, checked with one exact M call per majorant; that call
+also gives `a1_ratio` = max M(RG)/RG.
 
 On top of the iteration the engine builds the proof objects for the
 two-sided construction (the `Case I` regime of the planner):
@@ -25,7 +32,7 @@ two-sided construction (the `Case I` regime of the planner):
     mu1 = R1(h1^delta w^eps),  mu2 = R2(h2^beta w^gam)
     W^{q0} = H1^{-alpha q0/s} H2 w^q
 
-with the ten certificates
+with the twelve certificates
 
     h1-norm:     ||h1||_{L^q(w^q)} <= 2
     H1-norm:     ||H1||_{L^q(w^q)} <= 2^(1+1/delta)
@@ -37,9 +44,12 @@ with the ten certificates
     R2-majorant: h2^beta w^gam <= mu2
     R1-doubling: ||mu1||_{L^tau(w^{p (p_+/p)'})} <= 2 ||h1^delta w^eps||
     R2-doubling: ||mu2||_{L^tau'(w^{-sigma})} <= 2 ||h2^beta w^gam||
+    R1-A1:       M(mu1) <= 4 B1 (mu1 + T_K of R1)
+    R2-A1:       M(mu2) <= 4 B2 (mu2 + T_K of R2)
 
-the norm bounds checked to a 1% quadrature slack (NORM_SLACK), the
-pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
+where B1, B2 are the bounds on S that the iterations ran with, after any
+retries.  The norm certificates are checked to a 1% quadrature slack
+(NORM_SLACK), the pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
 """
 
 from __future__ import annotations
@@ -76,11 +86,16 @@ WEIGHT_DEPTH = 6  # dyadic halvings of the W^{p0} class-constant estimate
 
 @dataclass
 class IterationResult:
-    function: GridFunction
-    a1_ratio: float  # max M(RG)/RG, the empirical A_1-type constant
+    """One truncated series: summed on the dyadic operator S, checked with
+    the exact maximal M."""
+
+    function: GridFunction  # R_K G, summed with the dyadic operator S
+    a1_ratio: float  # max M(RG)/RG with the exact maximal M
     input_norm: float
     output_norm: float
-    term_norms: list
+    term_norms: list  # norms of the K added terms
+    exact_maximal: GridFunction  # exact M(R_K G), the oracle for the A_1 certificate
+    dropped: GridFunction  # T_K = S^K G / (2B)^K, the first term left out
 
 
 def rdf_iterate(
@@ -90,13 +105,17 @@ def rdf_iterate(
     exponent: ExponentLike,
     terms: int = DEFAULT_TERMS,
 ) -> IterationResult:
-    """Truncated majorant series with certified geometric decay.
+    """Truncated majorant series on S with certified geometric decay.
 
     `weight` is the measure density of the space (already fully powered) and
-    `exponent` its Lebesgue index; `norm_bound` stands in for the maximal
-    operator norm on that space.  Raises NormBoundTooSmall when the observed
-    ||M^k G|| growth exceeds norm_bound^k (the series would not be summable
-    as configured).
+    `exponent` its Lebesgue index; `norm_bound` B stands in for the norm of
+    S = maximal(., "sliding") on that space.  Term k is S(term_{k-1})/(2B);
+    the series stops at the first term whose norm is at most
+    2^-DEFAULT_TERMS ||G||, or at k = `terms`, and that term T_K is
+    returned as `dropped`, not added.  The exact maximal of the sum is
+    computed once, for `a1_ratio` and the A_1 certificate.  Raises
+    NormBoundTooSmall when an observed ||term_k|| exceeds 2^-k ||G|| (the
+    series would not be summable as configured).
     """
     if not (norm_bound >= 1):
         raise DomainError(f"norm bound must be >= 1, got {norm_bound}")
@@ -109,38 +128,45 @@ def rdf_iterate(
         raise DomainError("iteration input must be nonnegative")
     G.grid.require_same(weight.grid)
     base_norm = measure_norm(G, weight, exponent)
+    negligible = base_norm * 2.0**-DEFAULT_TERMS
     term = G
     total = G.samples.copy()
     term_norms = [base_norm]
     scale = 2.0 * norm_bound
-    for k in range(1, terms):
-        term = GridFunction(maximal(term).samples / scale, G.grid)
-        total += term.samples
+    for k in range(1, terms + 1):
+        term = GridFunction(maximal(term, "sliding").samples / scale, G.grid)
         tn = measure_norm(term, weight, exponent)
-        term_norms.append(tn)
         if base_norm > 0 and tn > base_norm * 2.0**-k * (1.0 + GROWTH_SLACK):
             raise NormBoundTooSmall(
                 f"term {k} norm {tn:.3e} exceeds {base_norm:.3e} * 2^-{k}: "
                 "the configured norm bound underestimates the operator"
             )
+        if tn <= negligible or k == terms:
+            break
+        total += term.samples
+        term_norms.append(tn)
     out = GridFunction(total, G.grid)
-    mratio = maximal(out).samples / np.where(total > 0, total, np.inf)
+    m_out = maximal(out)
+    mratio = m_out.samples / np.where(total > 0, total, np.inf)
     return IterationResult(
         function=out,
         a1_ratio=float(np.max(mratio)),
         input_norm=base_norm,
         output_norm=measure_norm(out, weight, exponent),
         term_norms=term_norms,
+        exact_maximal=m_out,
+        dropped=term,
     )
 
 
 def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float:
-    """Empirical upper bound for ||M|| on L^p(w) (w the measure density).
+    """Empirical upper bound for the norm of S = maximal(., "sliding") on
+    L^p(w) (w the measure density), the operator the series runs on.
 
-    Takes the max ratio ||Mf||/||f|| over the probe functions, floored at 1,
+    Takes the max ratio ||Sf||/||f|| over the probe functions, floored at 1,
     times a safety factor of 2; the result is >= 2 and monotone in the probe
-    set.  The floor is the ratio of a constant probe: on the grid M1 = 1
-    exactly (every interval average of ones is an exact 1.0), so constants
+    set.  The floor is the ratio of a constant probe: on the grid S1 = 1
+    exactly (every window average of ones is an exact 1.0), so constants
     need no maximal call.  DomainError is raised if any ratio exceeds the
     ceiling.
     """
@@ -153,7 +179,7 @@ def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float
         denom = measure_norm(fn, w, p)
         if denom == 0:
             continue
-        ratio = measure_norm(maximal(fn), w, p) / denom
+        ratio = measure_norm(maximal(fn, "sliding"), w, p) / denom
         if ratio > PROBE_CEILING:
             raise DomainError(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
         best = max(best, ratio)
@@ -298,6 +324,8 @@ def build_proof_objects(
     _pt_cert("R2-majorant", seed2.samples, r2.function.samples)
     _norm_cert("R1-doubling", r1.output_norm, 2.0 * r1.input_norm)
     _norm_cert("R2-doubling", r2.output_norm, 2.0 * r2.input_norm)
+    for tag, r, bound in (("R1-A1", r1, bound1), ("R2-A1", r2, bound2)):
+        _pt_cert(tag, r.exact_maximal.samples, 4.0 * bound * (r.function.samples + r.dropped.samples))
 
     if failures:
         raise CertificationFailed(failures)

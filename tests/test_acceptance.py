@@ -248,9 +248,12 @@ def test_criterion_08_rdf_certificates():
         assert po.certificates["R2-majorant"]["max_violation"] <= 0
         assert po.r1.output_norm <= 2 * po.r1.input_norm * 1.01
         assert po.r2.output_norm <= 2 * po.r2.input_norm * 1.01
+        # M(RG) <= 4B (RG + T_K) with the exact maximal, to 1e-9
+        assert po.certificates["R1-A1"]["ok"] and po.certificates["R2-A1"]["ok"], i
         n_pass += 1
     report(8, n_pass == 50, f"five H-certificates at <=1% slack, RG>=G exact, "
-                            f"||RG||<=2||G|| within 1% on {n_pass}/50 scenarios")
+                            f"||RG||<=2||G|| within 1%, M(RG)<=4B(RG+T_K) "
+                            f"on {n_pass}/50 scenarios")
 
 
 def test_criterion_09_verification_sweeps():

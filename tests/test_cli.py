@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,18 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
 def test_bad_verify_input_exit_1(capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_subnormal_cell_width_is_one_clean_error(capsys):
+    # the grid used to build with h = 8e-323; bht then overflowed with
+    # RuntimeWarnings and the run failed on "samples must be finite"
+    argv = ["verify", "bht", "--q1", "2", "--q2", "2", "--L", "1e-320", "--N", "256", "--count", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: half-width 1e-320")
 
 
 def test_non_finite_numbers_serialize_as_strings():

@@ -7,7 +7,11 @@ engine and the verify handlers were merged; the plan, CSV, weights-check
 and operator files before the handlers stopped building their own
 reports.  rdf_demo was re-recorded when its weight report dropped
 `re_derived_equal`: the check re-derived the proof exponents the command
-had just derived from the same range, so it could not be false.
+had just derived from the same range, so it could not be false.  It was
+re-recorded again when the RDF series moved to the dyadic maximal and
+stopped at its first negligible term, which changed its certificate
+values, norm bounds, a1 ratios and W constants and added the R1-A1 and
+R2-A1 certificates.
 weights_check_csv was re-recorded when `weights check`, which has
 no table, stopped accepting `--emit csv`: it is now a usage error (exit
 1, nothing on stdout) instead of a JSON report under a CSV flag.

@@ -42,6 +42,16 @@ def test_grid_rejects_half_width_whose_cell_width_overflows():
     assert Grid(8e307, 256).h == 2.0 * 8e307 / 256
 
 
+def test_grid_rejects_half_width_whose_cell_width_is_subnormal():
+    # h = 8e-323 used to build a grid on which the operators overflow
+    with pytest.raises(DomainError, match="half-width"):
+        Grid(1e-320, 256)
+    tiny = np.finfo(float).tiny
+    with pytest.raises(DomainError, match="half-width"):
+        Grid(tiny * 64, 256)  # h = tiny / 2
+    assert Grid(tiny * 128, 256).h == 2.0 * (tiny * 128) / 256 == tiny
+
+
 def test_weighted_norm_indicator_unit_weight():
     f = GridFunction.indicator(-1.0, 1.0, G)
     val = weighted_norm(f, GridWeight.unit(G), 2)
@@ -129,13 +139,18 @@ def test_maximal_positive_homogeneous():
 
 
 def test_maximal_sliding_brackets_exact():
+    # M_slide <= M <= 2 M_slide: the RDF A_1 certificate's 4B rests on it
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        f = GridFunction(rng.random(256), Grid(2.0, 256))
-        exact = maximal(f, "exact").samples
-        slide = maximal(f, "sliding").samples
-        assert np.all(slide <= exact + 1e-12)
-        assert np.all(exact <= 2 * slide + 1e-12)
+    for n in (64, 256, 1024):
+        spike = np.zeros(n)
+        spike[n // 3] = 1.0
+        edge = (np.arange(n) < n // 5).astype(float)  # an indicator touching x = -L
+        for a in [rng.random(n) for _ in range(5)] + [spike, edge, edge[::-1]]:
+            f = GridFunction(a, Grid(2.0, n))
+            exact = maximal(f, "exact").samples
+            slide = maximal(f, "sliding").samples
+            assert np.all(slide <= exact + 1e-12)
+            assert np.all(exact <= 2 * slide + 1e-12)
 
 
 def test_maximal_unknown_mode():

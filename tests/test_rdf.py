@@ -8,7 +8,7 @@ from extrapkit.exponents import Exponent
 from extrapkit.extrapolation import ExtrapolationRange, proof_exponents
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, GridFunction, make_family, maximal, measure_norm
-from extrapkit import rdf
+from extrapkit import gridfn, rdf
 from extrapkit.rdf import (
     build_proof_objects,
     estimate_maximal_norm,
@@ -29,11 +29,15 @@ def _pair(seed=42, grid=GRID):
 
 
 def test_iterate_constant_closed_form():
+    # term k is 2.5 * 4^-k, first at most 2^-24 of the input at k = 12,
+    # which is dropped, so K = 12 terms are summed
     c = GridFunction(np.full(GRID.N, 2.5), GRID)
     nb = 2.0
     res = rdf_iterate(c, nb, GridWeight.unit(GRID), 2, terms=24)
-    expected = 2.5 * sum((2 * nb) ** -k for k in range(24))
+    assert len(res.term_norms) == 12
+    expected = 2.5 * sum((2 * nb) ** -k for k in range(12))
     assert np.allclose(res.function.samples, expected, rtol=1e-12)
+    assert np.allclose(res.dropped.samples, 2.5 * (2 * nb) ** -12, rtol=1e-12)
     assert res.a1_ratio == pytest.approx(1.0, abs=1e-9)
 
 
@@ -64,11 +68,19 @@ def test_iterate_truncation_control():
 
 
 def test_iterate_a1_ratio_bound():
+    # the series runs on S = maximal(., "sliding"): S(RG) <= 2B (RG + T_K);
+    # with M <= 2S the exact maximal obeys M(RG) <= 4B (RG + T_K)
     f, _ = _pair(13)
     w = GridWeight.unit(GRID)
     nb = estimate_maximal_norm(2, w, [f])
     res = rdf_iterate(f, nb, w, 2)
-    assert res.a1_ratio <= 2.0 * nb * 1.05
+    rg, tail = res.function.samples, res.dropped.samples
+    slide = maximal(res.function, "sliding").samples
+    exact = maximal(res.function).samples
+    assert np.all(slide <= 2.0 * nb * (rg + tail) * (1 + 1e-9))
+    assert np.all(exact <= 4.0 * nb * (rg + tail) * (1 + 1e-9))
+    assert np.array_equal(res.exact_maximal.samples, exact)
+    assert res.a1_ratio == np.max(exact / rg)
 
 
 def test_iterate_rejects_small_norm_bound():
@@ -169,6 +181,19 @@ def test_verify_unit_weight_constants_near_one():
     rep = verify_case1_weight(po, pe, rng, GridWeight.unit(GRID))
     assert rep["W_p0_ap_const"] < 50
     assert rep["W_p0_rh_const"] < 10
+
+
+def test_a1_certificate_can_fail(monkeypatch):
+    # with S the identity the series no longer spreads mass, and the exact
+    # maximal of R G exceeds 4B (R G + T_K) where G vanishes
+    monkeypatch.setattr(gridfn, "_maximal_sliding", lambda a: a)
+    rng, p, pe = case1_scenarios(1000, 1)[0]
+    grid = Grid(4.0, 2**9)
+    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), 100, grid)
+    f, g = fam.members[0][0].abs(), fam.members[0][1].abs()
+    with pytest.raises(CertificationFailed) as exc:
+        build_proof_objects(f, g, GridWeight.unit(grid), pe, rng, p)
+    assert any(x.startswith("R1-A1:") for x in exc.value.failures)
 
 
 def test_proof_objects_case_guard():
