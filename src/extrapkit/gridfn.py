@@ -96,7 +96,11 @@ def measure_norm(f: GridFunction, v: GridWeight, p: ExponentLike) -> float:
     pf = float(p.frac)
     if pf <= 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
-    return float((a**pf * v.samples).sum() * f.grid.h) ** (1.0 / pf)
+    with np.errstate(over="ignore"):
+        norm = float((a**pf * v.samples).sum() * f.grid.h) ** (1.0 / pf)
+    if not math.isfinite(norm):
+        raise DomainError(f"the L^{p} norm overflows on the grid (L={f.grid.L}, N={f.grid.N})")
+    return norm
 
 
 def weighted_norm(f: GridFunction, w: GridWeight, p: ExponentLike) -> float:
@@ -230,6 +234,14 @@ def hilbert(f: GridFunction) -> GridFunction:
 # truncated bilinear Hilbert transform
 # --------------------------------------------------------------------------
 
+_BHT_BLOCK = 16  # shifts per numpy call in `bht`
+
+
+def _shift_rows(a: np.ndarray, start: int, step: int, b: int, w: int) -> np.ndarray:
+    """Read-only (b, w) view with element (r, j) = a[start + j + step*r]."""
+    s = a.itemsize
+    return np.lib.stride_tricks.as_strided(a[start:], shape=(b, w), strides=(step * s, s), writeable=False)
+
 
 def bht(
     f: GridFunction,
@@ -247,13 +259,29 @@ def bht(
     The work is clipped to the supports.  With [af, bf] and [ag, bg] the
     first and last nonzero indices of f and g, the +t product of shift k
     is nonzero only for i in [max(af+k, ag-k), min(bf+k, bg-k)] and the -t
-    product only for i in [max(af-k, ag+k), min(bf-k, bg+k)].  Each shift
-    updates the hull of its nonempty spans, a shift with both spans empty
-    is skipped, and no shift beyond max(bg-af, bf-ag)/2 has a nonempty
-    span.  This is exact, bit for bit: every cell inside a hull gets the
-    same expression on the same operands in the same shift order, and a
-    cell outside it would only have received +-0, which changes no bit of
-    an output that starts at +0.0 (no sum reaches -0.0 from there).
+    product only for i in [max(af-k, ag+k), min(bf-k, bg+k)]; these spans
+    are nonempty exactly for ag-bf <= 2k <= bg-af and af-bg <= 2k <= bf-ag,
+    so no shift beyond max(bg-af, bf-ag)/2 contributes.
+
+    Shifts run _BHT_BLOCK at a time, one numpy call per step for the whole
+    block.  A block k0..k1 updates the hull of its rows' nonempty spans,
+    taken at its extreme shifts (max(af+k0, ag-k1) to min(bf+k1, bg-k0) for
+    +t, likewise for -t) and clamped to [k0, n-k0); a block with no
+    nonempty span is skipped.  The operands F[i-k], G[i+k], F[i+k], G[i-k]
+    are strided views of copies of F and G padded with _BHT_BLOCK zeros on
+    each side, so a cell of the hull outside row k's own span reads zeros
+    where the grid ends.  A product with no nonempty span in the block is
+    not formed: if only -t is active the rows are -p2/k, not (+-0 - p2)/k.
+    The rows, each divided by its k, are added to the running sum in k
+    order by `np.add.reduce` over axis 0, which adds row after row.
+
+    This is exact, bit for bit, against the unclipped loop over every shift:
+    every cell that a shift's span reaches gets the same expression on the
+    same operands in the same shift order, and every other term is +-0
+    (a product with a zero factor, all samples being finite, or a skipped
+    product, which differs from the computed one only in the sign of a
+    zero).  Adding +-0 changes no bit of an output that starts at +0.0,
+    since no sum reaches -0.0 from there.
     """
     f.grid.require_same(g.grid)
     grid = f.grid
@@ -277,21 +305,41 @@ def bht(
     if nz_f.size == 0 or nz_g.size == 0:
         return GridFunction(out, grid)
     af, bf, ag, bg = int(nz_f[0]), int(nz_f[-1]), int(nz_g[0]), int(nz_g[-1])
-    k_stop = min(k_max, (n - 1) // 2, max(bg - af, bf - ag) // 2)  # also 2k < n
-    for k in range(k_min, k_stop + 1):
-        spans = [
-            (lo, hi)
-            for lo, hi in (
-                (max(af + k, ag - k), min(bf + k, bg - k)),  # f(x-t) g(x+t)
-                (max(af - k, ag + k), min(bf - k, bg + k)),  # f(x+t) g(x-t)
-            )
-            if lo <= hi
-        ]
+    # the shifts whose +t (f(x-t) g(x+t)) or -t (f(x+t) g(x-t)) span is nonempty
+    plus_ks = ((ag - bf + 1) // 2, (bg - af) // 2)
+    minus_ks = ((af - bg + 1) // 2, (bf - ag) // 2)
+    k_stop = min(k_max, (n - 1) // 2, max(plus_ks[1], minus_ks[1]))  # also 2k < n
+    B = _BHT_BLOCK
+    Fp, Gp = (np.concatenate((np.zeros(B, a.dtype), a, np.zeros(B, a.dtype))) for a in (F, G))
+    for k0 in range(k_min, k_stop + 1, B):
+        k1 = min(k0 + B - 1, k_stop)
+        plus = max(k0, plus_ks[0]) <= min(k1, plus_ks[1])
+        minus = max(k0, minus_ks[0]) <= min(k1, minus_ks[1])
+        spans = []
+        if plus:
+            spans.append((max(af + k0, ag - k1), min(bf + k1, bg - k0)))
+        if minus:
+            spans.append((max(af - k1, ag + k0), min(bf - k0, bg + k1)))
         if not spans:
             continue
-        lo = max(k, min(s[0] for s in spans))
-        hi = min(n - k, max(s[1] for s in spans) + 1)
-        out[lo:hi] += (F[lo - k : hi - k] * G[lo + k : hi + k] - F[lo + k : hi + k] * G[lo - k : hi - k]) / k
+        lo = max(k0, min(s[0] for s in spans))
+        hi = min(n - k0, max(s[1] for s in spans) + 1)
+        b, w = k1 - k0 + 1, hi - lo
+        # T[0] is the running sum, T[1 + r] the term of shift k0 + r
+        T = np.empty((b + 1, w), dtype=out.dtype)
+        T[0] = out[lo:hi]
+        terms = T[1:]
+        if plus:
+            np.multiply(_shift_rows(Fp, B + lo - k0, -1, b, w), _shift_rows(Gp, B + lo + k0, 1, b, w), out=terms)
+        if minus:
+            p2 = _shift_rows(Fp, B + lo + k0, 1, b, w) * _shift_rows(Gp, B + lo - k0, -1, b, w)
+            if plus:
+                np.subtract(terms, p2, out=terms)
+            else:
+                np.negative(p2, out=terms)
+        # each k in the output dtype, as numpy casts a Python int divisor
+        np.divide(terms, np.arange(k0, k1 + 1, dtype=out.dtype)[:, None], out=terms)
+        np.add.reduce(T, axis=0, out=out[lo:hi])
     return GridFunction(out, grid)
 
 

@@ -347,6 +347,20 @@ def test_subnormal_cell_width_is_one_clean_error(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: half-width 1e-320")
 
 
+def test_norm_overflow_on_tiny_half_width_is_one_clean_error(capsys):
+    # h = 7.8e-303 is a normal cell width, but unit-L^2 samples of size
+    # ~1e150 overflow in |f|^3; this used to warn and fail on "h2 must be nonzero"
+    argv = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3",
+            "--L", "1e-300", "--N", "256"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the L^3 norm overflows on the grid (L=1e-300, N=256)\n"
+
+
 def test_non_finite_numbers_serialize_as_strings():
     from extrapkit.reports import dumps, envelope, to_jsonable
 

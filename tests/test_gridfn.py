@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from extrapkit.errors import DomainError
 from extrapkit.exponents import INF, Exponent
 from extrapkit.grid import Grid
 from extrapkit.gridfn import (
+    _BHT_BLOCK as B,
     FamilySpec,
     GridFunction,
     _hilbert_kernel_spectrum,
@@ -350,6 +354,111 @@ def test_bht_support_clipping_is_bitwise_exact(case):
     ref = _bht_reference(f, g, t_min, t_max)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
+
+
+def _assert_bht_bitwise(fs, gs, t_min=None, t_max=None):
+    # t_min, t_max in units of h, as in _bht_cases
+    grid = Grid(8.0, fs.size)
+    f, g = GridFunction(fs, grid), GridFunction(gs, grid)
+    h = grid.h
+    t_min = None if t_min is None else t_min * h
+    t_max = None if t_max is None else min(t_max * h, grid.L)
+    got = bht(f, g, t_min, t_max).samples
+    ref = _bht_reference(f, g, t_min, t_max)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+_DTYPES = {"real": (False, False), "complex": (True, True), "real-by-complex": (False, True)}
+
+
+def _bht_block_edge_cases():
+    # (name, n, f support, g support, t_min, t_max); supports are [lo, hi)
+    # cell ranges, t in units of h.  The t-window check pins t_min <= h, so
+    # k_min is 1 and blocks start at 1, 1 + B, ...; a window ends mid-block.
+    n, q = 256, 64
+    for ks in (B - 1, B, B + 1):
+        yield f"k_stop={ks}-by-t_max", n, (q, 3 * q), (q, 3 * q), 0.5, float(ks)
+        # +t spans nonempty only at k = ks - 1 and ks, the last two shifts
+        yield f"k_stop={ks}-by-support", n, (q, q + 2), (q + 2 * ks - 1, q + 2 * ks + 1), None, None
+    yield "window-ends-mid-block", n, (q, 3 * q), (q + 5, 2 * q), 0.25, 2 * B + 5.5
+    yield "window-ends-at-block-end", n, (q, 3 * q), (q + 5, 2 * q), 1.0, 2.0 * B
+    # the gap makes k = B, the last row of the first block, the first active shift
+    yield "disjoint-plus-only", n, (q, q + 10), (q + 9 + 2 * B, q + 70), None, None
+    yield "disjoint-minus-only", n, (q + 9 + 2 * B, q + 70), (q, q + 10), None, None
+    yield "disjoint-plus-only-one-block", n, (q, q + 3), (q + 3, q + 9), None, None
+    yield "both-edges", n, (0, n // 2 + 3), (n // 2 - 3, n), None, None
+    yield "both-edges-reversed", n, (n // 2 - 3, n), (0, n // 2 + 3), 1.0, float(n)
+    yield "both-edges-full", n, (0, n), (0, n), 1.0, float(n)
+
+
+@pytest.mark.parametrize("dtypes", list(_DTYPES), ids=str)
+@pytest.mark.parametrize("case", list(_bht_block_edge_cases()), ids=lambda c: c[0])
+def test_bht_block_edges_are_bitwise_exact(case, dtypes):
+    _, n, (fa, fb), (ga, gb), t_min, t_max = case
+    rng = np.random.default_rng(1733)
+    fc, gc = _DTYPES[dtypes]
+    _assert_bht_bitwise(_on_cells(rng, n, fa, fb, fc), _on_cells(rng, n, ga, gb, gc), t_min, t_max)
+
+
+@pytest.mark.parametrize("kind", ["smooth-bumps", "modulated", "dyadic-concentration"])
+def test_bht_pool_family_members_are_bitwise_exact(kind):
+    # the families, count and seed of the benchmark's `verify bht` tasks
+    for f, g in make_family(FamilySpec(kind, count=4, arity=2), 1, Grid(8.0, 8192)).members:
+        _assert_bht_bitwise(f.samples, g.samples)
+
+
+def test_bht_sums_shifts_in_k_order():
+    # terms over 12 orders of magnitude: summing the 16 shifts of a block
+    # first, then adding the block to the output, changes the bits, so
+    # this pins the row-by-row order of the block reduction
+    n = 256
+    rng = np.random.default_rng(5)
+    fs = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    gs = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    grid = Grid(8.0, n)
+    k_max = round(grid.L / 2 / grid.h)
+    terms = np.zeros((k_max, n))
+    for k in range(1, k_max + 1):
+        terms[k - 1, k : n - k] = (fs[: n - 2 * k] * gs[2 * k :] - fs[2 * k :] * gs[: n - 2 * k]) / k
+    blockwise = np.zeros(n)
+    for k0 in range(0, k_max, B):
+        blockwise += terms[k0 : k0 + B].sum(axis=0)
+    ref = _bht_reference(GridFunction(fs, grid), GridFunction(gs, grid))
+    assert blockwise.tobytes() != ref.tobytes()
+    _assert_bht_bitwise(fs, gs)
+
+
+@given(
+    log2n=st.integers(1, 9),
+    cuts=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+    cplx=st.tuples(st.booleans(), st.booleans()),
+    t_min=st.floats(0.01, 1.0),
+    t_max=st.floats(0, 1),
+    seed=st.integers(0, 2**16),
+)
+def test_bht_matches_reference_property(log2n, cuts, cplx, t_min, t_max, seed):
+    # random supports, empty or touching an edge included, and t-windows
+    n = 2**log2n
+    fa, fb, ga, gb = (round(c * n) for c in sorted(cuts[:2]) + sorted(cuts[2:]))
+    rng = np.random.default_rng(seed)
+    fs = _on_cells(rng, n, fa, fb, cplx[0])
+    gs = _on_cells(rng, n, ga, gb, cplx[1])
+    _assert_bht_bitwise(fs, gs, t_min, 1.0 + t_max * (n / 2 - 1))
+
+
+def test_bht_memory_peak_stays_small():
+    # the block buffers hold B + 1 rows of a support hull, not of the whole grid
+    fam = make_family(FamilySpec("modulated", count=4, arity=2), 1, Grid(8.0, 8192))
+    peaks = []
+    for f, g in fam.members:
+        tracemalloc.start()
+        try:
+            bht(f, g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2_000_000
 
 
 def test_bht_truncation_validation():
