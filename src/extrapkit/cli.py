@@ -251,13 +251,13 @@ def _cmd_weights_estimate(args):
 
 def _cmd_operator_apply(args):
     """The output function as `x,re[,im]` rows of `.17g` strings."""
-    if args.op != "bht" and (args.in2, args.tmin, args.tmax) != (None, None, None):
-        raise DomainError(f"--in2, --tmin and --tmax apply to --op bht only, not --op {args.op}")
+    if args.op != "bht" and (args.in2, args.tmax) != (None, None):
+        raise DomainError(f"--in2 and --tmax apply to --op bht only, not --op {args.op}")
     f = _read_function_csv(getattr(args, "in"))
     if args.op == "bht":
         if args.in2 is None:
             raise DomainError("--op bht needs --in2")
-        out = bht(f, _read_function_csv(args.in2), args.tmin, args.tmax)
+        out = bht(f, _read_function_csv(args.in2), t_max=args.tmax)
     else:
         out = (maximal if args.op == "maximal" else hilbert)(f)
     cols = [out.grid.x(), out.samples.real, out.samples.imag][: 2 + np.iscomplexobj(out.samples)]
@@ -428,7 +428,6 @@ def build_parser() -> _Parser:
     oa.add_argument("--op", choices=("maximal", "hilbert", "bht"), required=True)
     oa.add_argument("--in", dest="in", required=True)
     oa.add_argument("--in2", default=None)
-    oa.add_argument("--tmin", type=float, default=None)
     oa.add_argument("--tmax", type=float, default=None)
     oa.set_defaults(handler=_cmd_operator_apply, emit="csv")
 

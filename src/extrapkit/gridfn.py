@@ -9,15 +9,15 @@ All operators act on midpoint-sampled functions over [-L, L] (see
 * the bilinear transform carries no 1/pi, kernel dt/t:
       BH(f, g)(x) = p.v. Int f(x - t) g(x + t) dt/t,
   discretized as a symmetric truncated sum over whole-cell shifts
-  t = k*h, t_min <= |t| <= t_max, with the +t/-t cells paired so the odd
+  t = k*h, h <= |t| <= t_max, with the +t/-t cells paired so the odd
   kernel cancels exactly on constants.  Under the pairing, swapping the
   two arguments flips the sign: BH(g, f) = -BH(f, g), the discrete image
   of the t -> -t substitution in the integral.
 
-Truncation defaults: t_min = h (the singular cell is skipped) and
-t_max = L/2, which keeps the principal-value error controlled at desk
-scale.  Interior-error statements are always made on the middle half of
-the support, away from truncation boundary effects.
+The singular cell t = 0 is always skipped; t_max defaults to L/2, which
+keeps the principal-value error controlled at desk scale.  Interior-error
+statements are always made on the middle half of the support, away from
+truncation boundary effects.
 """
 
 from __future__ import annotations
@@ -136,34 +136,24 @@ def _maximal_exact(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sliding_max(v: np.ndarray, m: int) -> np.ndarray:
-    """Trailing sliding max: out[i] = max(v[max(0, i-m+1) : i+1])."""
-    n = v.size
-    if m == 1:
-        return v.copy()
-    pad = (-n) % m
-    ext = np.concatenate([v, np.full(pad, -np.inf)])
-    blocks = ext.reshape(-1, m)
-    run_right = np.maximum.accumulate(blocks, axis=1).ravel()  # block prefix max
-    run_left = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    idx = np.arange(n)
-    starts = idx - m + 1
-    out = np.where(starts < 0, run_right[idx], np.maximum(run_left[np.maximum(starts, 0)], run_right[idx]))
-    return out
-
-
 def _maximal_sliding(a: np.ndarray) -> np.ndarray:
-    # dyadic window lengths with all sliding positions: an O(N log N)
-    # lower bound M_slide <= M_exact <= 2 * M_slide.
+    # dyadic window lengths m in every position, the lower bound
+    # M_slide <= M_exact <= 2 * M_slide.  The window averages, padded with
+    # m-1 -inf on each side, fold in log2(m) doublings to c[i] = the max
+    # over windows [j, j+m) with i-m < j <= i: those containing i.
+    # O(N log^2 N) element operations in O(log^2 N) numpy calls.
     n = a.size
     pref = np.concatenate(([0.0], np.cumsum(a)))
     out = a.copy()
     m = 2
     while m <= n:
-        avg = (pref[m:] - pref[:-m]) / m  # windows [j, j+m), j = 0..n-m
-        ext = np.concatenate([avg, np.full(m - 1, -np.inf)])
-        cover = _sliding_max(ext, m)  # max over windows containing i
-        np.maximum(out, cover[: n], out=out)
+        pad = np.full(m - 1, -np.inf)
+        c = np.concatenate((pad, (pref[m:] - pref[:-m]) / m, pad))
+        w = 1
+        while w < m:
+            c = np.maximum(c[:-w], c[w:])
+            w *= 2
+        np.maximum(out, c, out=out)
         m *= 2
     return out
 
@@ -174,7 +164,7 @@ def maximal(f: GridFunction, mode: str = "exact") -> GridFunction:
     mode="exact" is the O(N^2) reference, the supremum over *all* aligned
     intervals: the test oracle, `operator apply --op maximal`, and the A_1
     check of the RDF majorants.  mode="sliding" restricts to dyadic window
-    lengths in every position, an O(N log N) two-sided approximation with
+    lengths in every position, an O(N log^2 N) two-sided approximation with
     M_slide <= M_exact <= 2 M_slide (N a power of two); the RDF series and
     its norm-bound probe run on it.
     """
@@ -243,15 +233,10 @@ def _shift_rows(a: np.ndarray, start: int, step: int, b: int, w: int) -> np.ndar
     return np.lib.stride_tricks.as_strided(a[start:], shape=(b, w), strides=(step * s, s), writeable=False)
 
 
-def bht(
-    f: GridFunction,
-    g: GridFunction,
-    t_min: float | None = None,
-    t_max: float | None = None,
-) -> GridFunction:
+def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> GridFunction:
     """Symmetric truncated quadrature of p.v. Int f(x-t) g(x+t) dt/t.
 
-    Sums whole-cell shifts t = k*h with t_min <= |t| <= t_max, each +-t
+    Sums whole-cell shifts t = k*h with h <= |t| <= t_max, each +-t
     pair combined as (f_{i-k} g_{i+k} - f_{i+k} g_{i-k})/k, which is exact
     cancellation for constant inputs.  Out-of-window samples are treated
     as zero; keep supports away from the boundary.
@@ -286,17 +271,11 @@ def bht(
     f.grid.require_same(g.grid)
     grid = f.grid
     h = grid.h
-    if t_min is None:
-        t_min = h
     if t_max is None:
         t_max = grid.L / 2
-    if not (0 < t_min <= h <= t_max <= grid.L):
-        raise DomainError(
-            f"need 0 < t_min <= h <= t_max <= L, got t_min={t_min}, h={h}, "
-            f"t_max={t_max}, L={grid.L}"
-        )
+    if not (h <= t_max <= grid.L):
+        raise DomainError(f"need h <= t_max <= L, got h={h}, t_max={t_max}, L={grid.L}")
     n = grid.N
-    k_min = max(1, math.ceil(t_min / h - 1e-12))
     k_max = min(n - 1, math.floor(t_max / h + 1e-12))
 
     F, G = f.samples, g.samples
@@ -311,7 +290,7 @@ def bht(
     k_stop = min(k_max, (n - 1) // 2, max(plus_ks[1], minus_ks[1]))  # also 2k < n
     B = _BHT_BLOCK
     Fp, Gp = (np.concatenate((np.zeros(B, a.dtype), a, np.zeros(B, a.dtype))) for a in (F, G))
-    for k0 in range(k_min, k_stop + 1, B):
+    for k0 in range(1, k_stop + 1, B):
         k1 = min(k0 + B - 1, k_stop)
         plus = max(k0, plus_ks[0]) <= min(k1, plus_ks[1])
         minus = max(k0, minus_ks[0]) <= min(k1, minus_ks[1])

@@ -1,7 +1,7 @@
 """Rubio de Francia iteration and the constructive majorant certificates.
 
 The iteration runs on the dyadic maximal operator S = maximal(., "sliding"),
-the O(N log N) sup over dyadic window lengths, with B an upper bound for
+the O(N log^2 N) sup over dyadic window lengths, with B an upper bound for
 its norm on the configured weighted space:
 
     R_K G = sum_{k=0}^{K-1} S^k G / (2B)^k,    T_K = S^K G / (2B)^K.

@@ -52,8 +52,13 @@ def test_plan_bht_rejects_float_literal(capsys):
 
 
 def test_usage_error_exit_1(capsys):
-    # `verify truncation` is gone: it checked a bound its truncation met by construction
-    for argv in (["plan", "nonsense"], ["verify", "truncation", "--q", "2", "--ncuts", "1,2"]):
+    # `verify truncation` is gone: it checked a bound its truncation met by
+    # construction; so is `--tmin`, which could only skip the cell bht skips
+    for argv in (
+        ["plan", "nonsense"],
+        ["verify", "truncation", "--q", "2", "--ncuts", "1,2"],
+        ["operator", "apply", "--op", "bht", "--in", "f.csv", "--in2", "g.csv", "--tmin", "0.01"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -543,15 +548,14 @@ def test_operator_apply_names_the_bad_second_input(tmp_path, capsys):
     assert out.out == "" and out.err == f"error: {bad}: sample count must be a power of two >= 2, got 6\n"
 
 
-@pytest.mark.parametrize("extra", [["--in2", "g.csv"], ["--tmin", "5"], ["--tmax", "1"]],
-                         ids=["in2", "tmin", "tmax"])
+@pytest.mark.parametrize("extra", [["--in2", "g.csv"], ["--tmax", "1"]], ids=["in2", "tmax"])
 @pytest.mark.parametrize("op", ["maximal", "hilbert"])
 def test_operator_apply_rejects_bht_options_for_other_ops(tmp_path, capsys, op, extra):
     path = tmp_path / "f.csv"
     _write_rows(path, _uniform_rows(8))
     assert main(["operator", "apply", "--op", op, "--in", str(path)] + extra) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: --in2, --tmin and --tmax apply to --op bht only, not --op {op}\n"
+    assert out.out == "" and out.err == f"error: --in2 and --tmax apply to --op bht only, not --op {op}\n"
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,10 @@ vector-valued plan (`plan bht` no longer takes --s1/--s2); only its argv
 changed, its recorded output is the same.  operator_maximal and
 operator_bht_complex (a complex x real pair) were recorded before
 `operator apply` stopped writing its own CSV and printed through `main`.
+operator_bht_tmax was recorded before `bht` dropped its `t_min` (and
+`operator apply` its --tmin), which could only skip the singular cell
+that `bht` always skips; it pins the surviving --tmax, whose window
+t_max = 1 gives a different output from the t_max = L/2 default.
 A refactor that changes any report shows up here.
 
 Re-record (only when a report is meant to change):
@@ -92,6 +96,8 @@ CASES = {
     "operator_maximal": ["operator", "apply", "--op", "maximal", "--in", "weight.csv"],
     "operator_bht_complex": ["operator", "apply", "--op", "bht", "--in", "complex.csv",
                              "--in2", "weight.csv"],
+    "operator_bht_tmax": ["operator", "apply", "--op", "bht", "--in", "complex.csv",
+                          "--in2", "weight.csv", "--tmax", "1"],
 }
 
 

@@ -157,6 +157,50 @@ def test_maximal_sliding_brackets_exact():
             assert np.all(exact <= 2 * slide + 1e-12)
 
 
+def _maximal_sliding_reference(a):
+    # brute force: for each i and dyadic m, the max over the starts j of the
+    # windows [j, j+m) that contain i, then the max with a[i]
+    n = a.size
+    pref = np.concatenate(([0.0], np.cumsum(a)))
+    out = a.copy()
+    m = 2
+    while m <= n:
+        avg = (pref[m:] - pref[:-m]) / m
+        for i in range(n):
+            out[i] = max(out[i], avg[max(0, i - m + 1) : min(i, n - m) + 1].max())
+        m *= 2
+    return out
+
+
+def _assert_maximal_sliding_bitwise(a):
+    got = maximal(GridFunction(a, Grid(2.0, a.size)), "sliding").samples
+    assert got.tobytes() == _maximal_sliding_reference(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 1024])
+def test_maximal_sliding_matches_brute_force_bitwise(n):
+    rng = np.random.default_rng(33)
+    spike = np.zeros(n)
+    spike[n // 3] = 1.0
+    edge = (np.arange(n) < max(1, n // 5)).astype(float)
+    sparse = rng.random(n) * (rng.random(n) < 0.1)
+    for a in (rng.random(n), sparse, spike, edge, edge[::-1], rng.lognormal(0.0, 20.0, n)):
+        _assert_maximal_sliding_bitwise(a)
+
+
+@given(
+    log2n=st.integers(1, 9),
+    density=st.floats(0, 1),
+    sigma=st.floats(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_maximal_sliding_matches_brute_force_property(log2n, density, sigma, seed):
+    # sparse to dense, flat to a huge dynamic range
+    n = 2**log2n
+    rng = np.random.default_rng(seed)
+    _assert_maximal_sliding_bitwise(rng.lognormal(0.0, sigma, n) * (rng.random(n) < density))
+
+
 def test_maximal_unknown_mode():
     with pytest.raises(DomainError, match="unknown maximal mode"):
         maximal(GridFunction(np.ones(256), Grid(2.0, 256)), "bogus")
@@ -289,22 +333,18 @@ def test_bht_bilinear():
     assert np.allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
 
 
-def _bht_reference(f, g, t_min=None, t_max=None):
+def _bht_reference(f, g, t_max=None):
     # the unclipped k-loop: every shift over the full grid, kept as the oracle
     grid = f.grid
-    h = grid.h
-    if t_min is None:
-        t_min = h
     if t_max is None:
         t_max = grid.L / 2
     n = grid.N
-    k_min = max(1, math.ceil(t_min / h - 1e-12))
-    k_max = min(n - 1, math.floor(t_max / h + 1e-12))
+    k_max = min(n - 1, math.floor(t_max / grid.h + 1e-12))
 
     F, G = f.samples, g.samples
     dtype = np.result_type(F, G)
     out = np.zeros(n, dtype=dtype)
-    for k in range(k_min, k_max + 1):
+    for k in range(1, k_max + 1):
         if 2 * k >= n:
             break
         seg = slice(k, n - k)
@@ -321,50 +361,40 @@ def _on_cells(rng, n, lo, hi, cplx=False):
 
 
 def _bht_cases():
-    # (name, n, f samples, g samples, t_min, t_max), t in units of h
+    # (name, n, f samples, g samples, t_max), t_max in units of h
     rng = np.random.default_rng(1704)
     for n in (8, 4096):
         q = n // 4
-        yield "real", n, _on_cells(rng, n, q, 2 * q), _on_cells(rng, n, q + 1, 3 * q), None, None
-        yield "complex", n, _on_cells(rng, n, q, 3 * q, True), _on_cells(rng, n, 1, 2 * q, True), None, None
-        yield "real-by-complex", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q, True), None, None
-        yield "f-zero", n, np.zeros(n), _on_cells(rng, n, 0, n), None, None
-        yield "g-zero", n, _on_cells(rng, n, 0, n, True), np.zeros(n), None, None
-        yield "disjoint-far", n, _on_cells(rng, n, 0, 2), _on_cells(rng, n, n - 2, n), None, None
-        yield "disjoint-far-reversed", n, _on_cells(rng, n, n - 3, n), _on_cells(rng, n, 0, 1, True), None, None
-        yield "touch-left", n, _on_cells(rng, n, 0, q), _on_cells(rng, n, 0, 2 * q), None, None
-        yield "touch-right", n, _on_cells(rng, n, 3 * q, n, True), _on_cells(rng, n, 2 * q, n), None, None
-        yield "full", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, 0, n), None, None
-        yield "full-complex", n, _on_cells(rng, n, 0, n, True), _on_cells(rng, n, 0, n, True), None, None
+        yield "real", n, _on_cells(rng, n, q, 2 * q), _on_cells(rng, n, q + 1, 3 * q), None
+        yield "complex", n, _on_cells(rng, n, q, 3 * q, True), _on_cells(rng, n, 1, 2 * q, True), None
+        yield "real-by-complex", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q, True), None
+        yield "f-zero", n, np.zeros(n), _on_cells(rng, n, 0, n), None
+        yield "g-zero", n, _on_cells(rng, n, 0, n, True), np.zeros(n), None
+        yield "disjoint-far", n, _on_cells(rng, n, 0, 2), _on_cells(rng, n, n - 2, n), None
+        yield "disjoint-far-reversed", n, _on_cells(rng, n, n - 3, n), _on_cells(rng, n, 0, 1, True), None
+        yield "touch-left", n, _on_cells(rng, n, 0, q), _on_cells(rng, n, 0, 2 * q), None
+        yield "touch-right", n, _on_cells(rng, n, 3 * q, n, True), _on_cells(rng, n, 2 * q, n), None
+        yield "full", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, 0, n), None
+        yield "full-complex", n, _on_cells(rng, n, 0, n, True), _on_cells(rng, n, 0, n, True), None
         scattered = np.where(rng.random(n) < 0.1, rng.standard_normal(n), 0.0)
-        yield "scattered", n, scattered, _on_cells(rng, n, q, 3 * q), None, None
-        yield "t-window", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q), 0.5, 3.0
-        yield "t-max-L", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, q, n, True), 1.0, float(n)
+        yield "scattered", n, scattered, _on_cells(rng, n, q, 3 * q), None
+        yield "t-window", n, _on_cells(rng, n, q, 3 * q), _on_cells(rng, n, q, 2 * q), 3.0
+        yield "t-max-L", n, _on_cells(rng, n, 0, n), _on_cells(rng, n, q, n, True), float(n)
 
 
 @pytest.mark.parametrize("case", list(_bht_cases()), ids=lambda c: f"{c[0]}-N{c[1]}")
 def test_bht_support_clipping_is_bitwise_exact(case):
-    _, n, fs, gs, t_min, t_max = case
-    grid = Grid(8.0, n)
-    f, g = GridFunction(fs, grid), GridFunction(gs, grid)
-    h = grid.h
-    t_min = None if t_min is None else t_min * h
-    t_max = None if t_max is None else min(t_max * h, grid.L)
-    got = bht(f, g, t_min, t_max).samples
-    ref = _bht_reference(f, g, t_min, t_max)
-    assert got.dtype == ref.dtype
-    assert got.tobytes() == ref.tobytes()
+    _, n, fs, gs, t_max = case
+    _assert_bht_bitwise(fs, gs, t_max)
 
 
-def _assert_bht_bitwise(fs, gs, t_min=None, t_max=None):
-    # t_min, t_max in units of h, as in _bht_cases
+def _assert_bht_bitwise(fs, gs, t_max=None):
+    # t_max in units of h, as in _bht_cases
     grid = Grid(8.0, fs.size)
     f, g = GridFunction(fs, grid), GridFunction(gs, grid)
-    h = grid.h
-    t_min = None if t_min is None else t_min * h
-    t_max = None if t_max is None else min(t_max * h, grid.L)
-    got = bht(f, g, t_min, t_max).samples
-    ref = _bht_reference(f, g, t_min, t_max)
+    t_max = None if t_max is None else min(t_max * grid.h, grid.L)
+    got = bht(f, g, t_max=t_max).samples
+    ref = _bht_reference(f, g, t_max)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
 
@@ -373,32 +403,32 @@ _DTYPES = {"real": (False, False), "complex": (True, True), "real-by-complex": (
 
 
 def _bht_block_edge_cases():
-    # (name, n, f support, g support, t_min, t_max); supports are [lo, hi)
-    # cell ranges, t in units of h.  The t-window check pins t_min <= h, so
-    # k_min is 1 and blocks start at 1, 1 + B, ...; a window ends mid-block.
+    # (name, n, f support, g support, t_max); supports are [lo, hi) cell
+    # ranges, t_max in units of h.  Blocks start at k = 1, 1 + B, ...; a
+    # window ends mid-block.
     n, q = 256, 64
     for ks in (B - 1, B, B + 1):
-        yield f"k_stop={ks}-by-t_max", n, (q, 3 * q), (q, 3 * q), 0.5, float(ks)
+        yield f"k_stop={ks}-by-t_max", n, (q, 3 * q), (q, 3 * q), float(ks)
         # +t spans nonempty only at k = ks - 1 and ks, the last two shifts
-        yield f"k_stop={ks}-by-support", n, (q, q + 2), (q + 2 * ks - 1, q + 2 * ks + 1), None, None
-    yield "window-ends-mid-block", n, (q, 3 * q), (q + 5, 2 * q), 0.25, 2 * B + 5.5
-    yield "window-ends-at-block-end", n, (q, 3 * q), (q + 5, 2 * q), 1.0, 2.0 * B
+        yield f"k_stop={ks}-by-support", n, (q, q + 2), (q + 2 * ks - 1, q + 2 * ks + 1), None
+    yield "window-ends-mid-block", n, (q, 3 * q), (q + 5, 2 * q), 2 * B + 5.5
+    yield "window-ends-at-block-end", n, (q, 3 * q), (q + 5, 2 * q), 2.0 * B
     # the gap makes k = B, the last row of the first block, the first active shift
-    yield "disjoint-plus-only", n, (q, q + 10), (q + 9 + 2 * B, q + 70), None, None
-    yield "disjoint-minus-only", n, (q + 9 + 2 * B, q + 70), (q, q + 10), None, None
-    yield "disjoint-plus-only-one-block", n, (q, q + 3), (q + 3, q + 9), None, None
-    yield "both-edges", n, (0, n // 2 + 3), (n // 2 - 3, n), None, None
-    yield "both-edges-reversed", n, (n // 2 - 3, n), (0, n // 2 + 3), 1.0, float(n)
-    yield "both-edges-full", n, (0, n), (0, n), 1.0, float(n)
+    yield "disjoint-plus-only", n, (q, q + 10), (q + 9 + 2 * B, q + 70), None
+    yield "disjoint-minus-only", n, (q + 9 + 2 * B, q + 70), (q, q + 10), None
+    yield "disjoint-plus-only-one-block", n, (q, q + 3), (q + 3, q + 9), None
+    yield "both-edges", n, (0, n // 2 + 3), (n // 2 - 3, n), None
+    yield "both-edges-reversed", n, (n // 2 - 3, n), (0, n // 2 + 3), float(n)
+    yield "both-edges-full", n, (0, n), (0, n), float(n)
 
 
 @pytest.mark.parametrize("dtypes", list(_DTYPES), ids=str)
 @pytest.mark.parametrize("case", list(_bht_block_edge_cases()), ids=lambda c: c[0])
 def test_bht_block_edges_are_bitwise_exact(case, dtypes):
-    _, n, (fa, fb), (ga, gb), t_min, t_max = case
+    _, n, (fa, fb), (ga, gb), t_max = case
     rng = np.random.default_rng(1733)
     fc, gc = _DTYPES[dtypes]
-    _assert_bht_bitwise(_on_cells(rng, n, fa, fb, fc), _on_cells(rng, n, ga, gb, gc), t_min, t_max)
+    _assert_bht_bitwise(_on_cells(rng, n, fa, fb, fc), _on_cells(rng, n, ga, gb, gc), t_max)
 
 
 @pytest.mark.parametrize("kind", ["smooth-bumps", "modulated", "dyadic-concentration"])
@@ -433,18 +463,17 @@ def test_bht_sums_shifts_in_k_order():
     log2n=st.integers(1, 9),
     cuts=st.lists(st.floats(0, 1), min_size=4, max_size=4),
     cplx=st.tuples(st.booleans(), st.booleans()),
-    t_min=st.floats(0.01, 1.0),
     t_max=st.floats(0, 1),
     seed=st.integers(0, 2**16),
 )
-def test_bht_matches_reference_property(log2n, cuts, cplx, t_min, t_max, seed):
+def test_bht_matches_reference_property(log2n, cuts, cplx, t_max, seed):
     # random supports, empty or touching an edge included, and t-windows
     n = 2**log2n
     fa, fb, ga, gb = (round(c * n) for c in sorted(cuts[:2]) + sorted(cuts[2:]))
     rng = np.random.default_rng(seed)
     fs = _on_cells(rng, n, fa, fb, cplx[0])
     gs = _on_cells(rng, n, ga, gb, cplx[1])
-    _assert_bht_bitwise(fs, gs, t_min, 1.0 + t_max * (n / 2 - 1))
+    _assert_bht_bitwise(fs, gs, 1.0 + t_max * (n / 2 - 1))
 
 
 def test_bht_memory_peak_stays_small():
@@ -463,13 +492,13 @@ def test_bht_memory_peak_stays_small():
 
 def test_bht_truncation_validation():
     f = GridFunction(bump(X), G)
-    need = r"need 0 < t_min <= h <= t_max <= L"
-    with pytest.raises(DomainError, match=need):
-        bht(f, f, t_min=0.0)
+    need = r"need h <= t_max <= L"
     with pytest.raises(DomainError, match=need):
         bht(f, f, t_max=100.0)
     with pytest.raises(DomainError, match=need):
-        bht(f, f, t_min=1.0, t_max=0.5)
+        bht(f, f, t_max=G.h / 2)
+    with pytest.raises(TypeError):  # t_max is keyword-only
+        bht(f, f, 1.0)
 
 
 # -- families ----------------------------------------------------------------------
