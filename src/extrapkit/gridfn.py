@@ -217,7 +217,8 @@ def hilbert(f: GridFunction) -> GridFunction:
     out = conv[n - 1 : 2 * n - 1]
     if not np.iscomplexobj(s):
         out = out.real
-    return GridFunction(np.ascontiguousarray(out), f.grid)
+    # a copy, not a view: the padded convolution is freed on return
+    return GridFunction(out.copy(), f.grid)
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from extrapkit import verifier
 from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
-from extrapkit.gridfn import FamilySpec, make_family
+from extrapkit.gridfn import FamilySpec, hilbert, make_family
 from extrapkit.verifier import (
+    _FACTOR_MAPS,
+    _aggregate,
+    _block_arrays,
     _verdict,
     iterated_vv_sweep,
     mz_sweep,
@@ -184,6 +190,83 @@ def test_mz_r_outside_window_rejected():
 def test_mz_unknown_surrogate():
     with pytest.raises(DomainError, match="unknown surrogate"):
         mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus")
+
+
+# The surrogates as pairwise operators, each pair transformed afresh: the
+# reference that the once-per-factor block must match bit for bit.
+PAIR_OPS = {
+    "tensor-hilbert": lambda f, g: hilbert(f) * hilbert(g),
+    "product-identity": lambda f, g: f * g,
+}
+
+
+def _pairwise_block_arrays(pair_op):
+    """`_block_arrays` for one MZ level, with `pair_op` on every (f_i, g_j)."""
+
+    def block_arrays(op, block, levels, pairs):
+        ((_, (r, _, _)),) = levels  # an MZ block is one innermost group
+        outs = [pair_op(f, g).samples for f, _ in block for _, g in block]
+        cols = (outs, [f.samples for f, _ in block], [g.samples for _, g in block])
+        return [_aggregate(col, r) for col in cols]
+
+    return block_arrays
+
+
+MZ_CASES = [
+    (surrogate, kind, K, count)
+    for surrogate in PAIR_OPS
+    for kind in ("smooth-bumps", "modulated")
+    for K, count in ((1, 3), (2, 5), (3, 7), (4, 9))  # count % K != 0 from K = 2 on
+]
+
+
+@pytest.mark.parametrize("surrogate,kind,K,count", MZ_CASES)
+def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, monkeypatch):
+    spec = FamilySpec(kind, count=count, arity=2)
+    r = Fraction(3, 2)
+    levels = [(K, (1.5, 1.5, 1.5))]
+    block = make_family(spec, 3, Grid(8.0, 512)).members[:K]
+    got = _block_arrays(_FACTOR_MAPS[surrogate], block, levels, True)
+    want = _pairwise_block_arrays(PAIR_OPS[surrogate])(None, block, levels, True)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    args = ([2, 2], r, ["unit", "unit"], spec, surrogate)
+    kw = dict(seed=3, resolutions=(512, 1024), K=K)
+    rr = mz_sweep(*args, **kw)
+    monkeypatch.setattr(verifier, "_block_arrays", _pairwise_block_arrays(PAIR_OPS[surrogate]))
+    ref = mz_sweep(*args, **kw)
+    assert len(rr.ratios) == count // K
+    assert np.array(rr.ratios).tobytes() == np.array(ref.ratios).tobytes()
+    assert np.array(rr.sup_by_resolution).tobytes() == np.array(ref.sup_by_resolution).tobytes()
+
+
+@pytest.mark.parametrize("surrogate,calls", [("tensor-hilbert", 32), ("product-identity", 0)])
+def test_mz_transforms_each_factor_once(surrogate, calls, monkeypatch):
+    # 2 resolutions x 2 blocks x (4 f + 4 g) transforms; pairwise would take 128.
+    # Patching the module attribute also pins the call-time lookup of `hilbert`.
+    seen = []
+
+    def counting_hilbert(f):
+        seen.append(f)
+        return hilbert(f)
+
+    monkeypatch.setattr(verifier, "hilbert", counting_hilbert)
+    mz_sweep([2, 2], Fraction(3, 2), ["unit", "unit"], SMOOTH8, surrogate, resolutions=(512, 1024), K=4)
+    assert len(seen) == calls
+
+
+def test_mz_block_memory_peak_stays_small():
+    # K transforms of f and of g, then the K^2 products: about 1.6 MB here
+    # (each complex output at N = 4096 is 64 kB)
+    block = make_family(FamilySpec("modulated", count=4, arity=2), 1, Grid(8.0, 4096)).members
+    hilbert(block[0][0])  # the kernel spectrum is cached per grid size, outside the block
+    tracemalloc.start()
+    try:
+        _block_arrays(_FACTOR_MAPS["tensor-hilbert"], block, [(4, (1.5, 1.5, 1.5))], True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 # -- weight descriptors ---------------------------------------------------------------
