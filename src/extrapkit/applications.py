@@ -44,7 +44,7 @@ from .exponents import (
     Exponent,
     ExponentLike,
     as_exponent,
-    conjugate,
+    conjugate_ratio,
     from_rec,
     harmonic_sum,
     rec,
@@ -224,7 +224,7 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
     r_equiv = []
     for i in range(2):
         ap = Exponent(qf[i] * rec(r_minus[i]))
-        rh = conjugate(r_plus[i] / Exponent(qf[i]))
+        rh = conjugate_ratio(r_plus[i], qf[i])
         specs.append(WeightClassSpec(ap, rh))
         inv_r = 2 / qf[i] - inv_p[i]
         if not (0 < inv_r < 1):
@@ -409,7 +409,8 @@ def section5_plan(
         min{1/s_1, 1/q_1} + min{1/s_2, 1/q_2} > (1 - gamma_3)/2,
 
     both strict.  eta is chosen by the two documented branches; the open
-    p interval is resolved to its midpoint in reciprocal coordinates.
+    interval of 1/p, ((1 - gamma_3)/2, 1/max eta_i), is resolved to its
+    midpoint and 1/p_i = eta_i/p.
     """
     q1, q2, s1, s2 = _open(q1=q1, q2=q2, s1=s1, s2=s2)
     g = [Fraction(gamma1), Fraction(gamma2), Fraction(gamma3)]
@@ -441,7 +442,6 @@ def section5_plan(
 
     mt1 = 2 * m1 / (1 - g[2])
     mt2 = 2 * m2 / (1 - g[2])
-    require(mt1 + mt2 > 1, f"mt1 + mt2 = {mt1 + mt2} must exceed 1")
 
     if abs(mt1 - mt2) < 1:
         eta1 = HALF + (mt1 - mt2) / 2
@@ -460,20 +460,11 @@ def section5_plan(
     )
     certified.append("eta-choice")
 
-    # open p interval, midpoint in reciprocal coordinates
-    if eta1 <= eta2:
-        lo, hi = (1 - g[2]) * eta1 / 2, eta1 / (2 * eta2)
-        inv_p1 = (lo + hi) / 2
-        inv_p2 = inv_p1 * eta2 / eta1
-    else:
-        lo, hi = (1 - g[2]) * eta2 / 2, eta2 / (2 * eta1)
-        inv_p2 = (lo + hi) / 2
-        inv_p1 = inv_p2 * eta1 / eta2
-    p1, p2 = from_rec(inv_p1), from_rec(inv_p2)
-    inv_p = inv_p1 + inv_p2
-    p = from_rec(inv_p)
+    # 1/p at the midpoint of its open interval; 1/p1 + 1/p2 = 1/p as eta1 + eta2 = 1
+    inv_p = ((1 - g[2]) / 2 + 1 / (2 * max(eta1, eta2))) / 2
+    inv_p1, inv_p2 = eta1 * inv_p, eta2 * inv_p
+    p1, p2, p = from_rec(inv_p1), from_rec(inv_p2), from_rec(inv_p)
     require(p1 > 2 and p2 > 2 and inv_p < 1, f"need p1, p2 > 2 and p > 1, got {p1}, {p2}, {p}")
-    require(inv_p1 / eta1 == inv_p and inv_p2 / eta2 == inv_p, "need p = p_i eta_i")
 
     theta1 = (1 - g[0]) / 2 / (1 - inv_p1)  # p_1' * (1-gamma_1)/2
     theta2 = (1 - g[1]) / 2 / (1 - inv_p2)

@@ -14,7 +14,8 @@ where ' denotes the Hoelder conjugate, 1/p + 1/p' = 1.
 Most planner algebra is affine in *reciprocals* of exponents, and reciprocal
 differences may legitimately be negative (off-diagonal shifts).  Those signed
 intermediate quantities are plain :class:`fractions.Fraction` values; only the
-exponents themselves are confined to [0, inf].
+exponents themselves are confined to [0, inf], and :class:`Exponent` has no
+arithmetic: all algebra runs on Fractions through :func:`rec` and :func:`from_rec`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "INF",
     "as_exponent",
     "conjugate",
+    "conjugate_ratio",
     "harmonic_sum",
     "parse_rational",
     "exp_str",
@@ -43,13 +45,11 @@ ExponentLike = Union["Exponent", int, Fraction, str]
 
 @functools.total_ordering
 class Exponent:
-    """A nonnegative rational or +infinity, with exact arithmetic.
+    """A nonnegative rational or +infinity: a pure value type.
 
     Instances are immutable, hashable and totally ordered (infinity is the
-    maximum).  Division is the one arithmetic operation, exact and following
-    the conventions above; the indeterminate quotients 0/0 and inf/inf raise
-    :class:`DomainError`.  Other algebra works on plain Fractions through
-    :func:`rec` and :func:`from_rec`.
+    maximum).  They define no arithmetic; all algebra works on plain
+    Fractions through :func:`rec` and :func:`from_rec`.
     """
 
     __slots__ = ("_num",)
@@ -114,22 +114,6 @@ class Exponent:
     def __hash__(self):
         return hash(("Exponent", self._num))
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __truediv__(self, other: ExponentLike) -> "Exponent":
-        o = as_exponent(other)
-        if self.is_inf and o.is_inf:
-            raise DomainError("inf / inf is indeterminate")
-        if self.is_inf:
-            return INF
-        if o.is_inf:
-            return Exponent(0)
-        if o._num == 0:
-            if self._num == 0:
-                raise DomainError("0 / 0 is indeterminate")
-            return INF  # 1/0 = inf convention
-        return Exponent(self._num / o._num)
-
 
 def parse_rational(text: str) -> Fraction:
     """The exact signed rational of a literal '[+-]num[/den]' in decimal
@@ -193,7 +177,15 @@ def conjugate(p: ExponentLike) -> Exponent:
     p = as_exponent(p)
     if p < 1:
         raise DomainError(f"conjugate requires p >= 1, got {p}")
-    return from_rec(1 - rec(p))
+    return conjugate_ratio(p, 1)
+
+
+def conjugate_ratio(a: ExponentLike, b: ExponentLike) -> Exponent:
+    """(a/b)' for a >= b > 0, b finite, via 1/(a/b)' = 1 - b/a: (inf/b)' = 1, (a/a)' = inf."""
+    a, b = as_exponent(a), as_exponent(b)
+    if not a >= b > 0:
+        raise DomainError(f"conjugate_ratio requires a >= b > 0, got {a}, {b}")
+    return from_rec(1 - rec(a) * b.frac)
 
 
 def harmonic_sum(qs: Iterable[ExponentLike]) -> Exponent:

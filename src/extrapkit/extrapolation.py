@@ -26,9 +26,9 @@ reports) that make the constructed weight factor through two A_1 weights:
                      + (q/tau - (p/tau)(p_+/p)')(1 - p0/p_-)
 
 All of these are certified as exact rational identities at construction
-time; the numeric layer re-checks nothing symbolic.  Identities involving
-conjugates of ratios that may degenerate to 1 (hence conjugate inf) are
-certified in an equivalent cleared form using 1/(r)' = 1 - 1/r.
+time; the numeric layer re-checks nothing symbolic.  A conjugate of a ratio,
+(a/b)', is `conjugate_ratio`, exact through 1/(a/b)' = 1 - b/a, so a ratio
+that degenerates to 1 (conjugate inf) needs no special case.
 
 Case split on the range:
 
@@ -46,10 +46,10 @@ from fractions import Fraction
 
 from .errors import DomainError, Infeasible, require
 from .exponents import (
-    INF,
     Exponent,
     ExponentLike,
     as_exponent,
+    conjugate_ratio,
     from_rec,
     harmonic_sum,
     rec,
@@ -153,11 +153,6 @@ def case_select(rng: ExtrapolationRange) -> Case:
     return Case.I
 
 
-def _conj_ratio(ratio: Fraction) -> Fraction:
-    """(r)' for a finite ratio r > 1, as a Fraction."""
-    return ratio / (ratio - 1)
-
-
 @dataclass(frozen=True)
 class ProofExponents:
     """All derived proof exponents for one (range, p), exact.
@@ -226,22 +221,17 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
     # alpha = s/(q0/s)' = s*(1 - s/q0); valid uniformly (0 in Case II).
     alpha = s * (1 - s / q0f)
 
-    # phi = (q/s)' * q0/p0; infinite exactly when s = q (Case III).
-    if s == qf:
-        phi: Exponent = INF
-    else:
-        phi = Exponent(_conj_ratio(qf / s) * q0f / p0f)
-        require(case is not Case.I or phi > 1, f"phi={phi} must exceed 1 in Case I")
+    # phi = (q/s)' * q0/p0 and beta = (q/s)'/tau', inf exactly when s = q (Case III).
+    qs = conjugate_ratio(q, s)
+    phi = from_rec(rec(qs) * p0f / q0f)
+    require(case is not Case.I or phi > 1, f"phi={phi} must exceed 1 in Case I")
+    beta = from_rec(rec(qs) * tau_prime)
 
-    cpp = Fraction(1) if rng.p_plus.is_inf else _conj_ratio(rng.p_plus.frac / pf)
+    cpp = conjugate_ratio(rng.p_plus, p).frac
     delta = qf / tau
     epsilon = (qf - pf * cpp) / tau
-    sigma = pf * (_conj_ratio(pf / rng.p_minus.frac) - 1)
+    sigma = pf * (conjugate_ratio(p, rng.p_minus).frac - 1)
     gamma = (sigma + qf) / tau_prime
-    if s == qf:
-        beta: Exponent = INF
-    else:
-        beta = Exponent(_conj_ratio(qf / s) / tau_prime)
 
     # The three matching identities, cleared of degenerate conjugates via
     # 1/(r)' = 1 - 1/r (all terms below are finite rationals).
@@ -313,6 +303,8 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
     target role, so step j's range is (r_j^-, r_j^+) with base pair
     (p_j, current aggregate).  The final aggregate provably equals the
     harmonic sum of the targets, and that equality is asserted exactly.
+    Each step validates its own range and target, raising DomainError("step
+    j: ..."); a zero p_j already fails the harmonic sum of the bases.
     """
     pjs = [as_exponent(x) for x in pjs]
     rms = [as_exponent(x) for x in r_minus_js]
@@ -321,14 +313,6 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
     m = len(pjs)
     if not (len(rms) == len(rps) == len(qjs) == m) or m == 0:
         raise DomainError("step 0: coordinate lists must share a positive length")
-
-    for j in range(m):
-        if not (rms[j] <= pjs[j] <= rps[j]):
-            raise DomainError(f"step {j}: need r^- <= p_j <= r^+: {rms[j]}, {pjs[j]}, {rps[j]}")
-        if not (rms[j] < qjs[j] < rps[j]):
-            raise DomainError(f"step {j}: need r^- < q_j < r^+: {rms[j]}, {qjs[j]}, {rps[j]}")
-        if pjs[j].is_inf or pjs[j] <= 0:
-            raise DomainError(f"step {j}: p_j must be finite positive, got {pjs[j]}")
 
     steps: list[LinearStep] = []
     aggregate = harmonic_sum(pjs)

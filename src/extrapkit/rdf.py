@@ -60,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, DomainError, NormBoundTooSmall
-from .exponents import Exponent, ExponentLike, as_exponent, conjugate, rec
+from .exponents import Exponent, ExponentLike, as_exponent, conjugate_ratio, rec
 from .extrapolation import Case, ExtrapolationRange, ProofExponents
 from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
 from .weights import GridWeight, WeightClassSpec, estimate_class_constants
@@ -262,7 +262,7 @@ def build_proof_objects(
 
     # h2, normalized in L^{(q/s)'}(w^q)
     h2 = GridFunction((f.samples / nf) ** float(qf - pe.s), grid)
-    qs_conj = conjugate(Exponent(qf / pe.s))
+    qs_conj = conjugate_ratio(qf, pe.s)
     w_q = w.power(qf)
     nh2 = measure_norm(h2, w_q, qs_conj)
     if nh2 == 0:
@@ -288,7 +288,7 @@ def build_proof_objects(
         return seed, r, bound, mu, H
 
     # R1 runs on L^tau(w^{p (p_+/p)'}), R2 on L^tau'(w^{-sigma})
-    v1 = w.power(pf * conjugate(rng.p_plus / p).frac)  # (p_+/p)' = 1 when p_+ = inf
+    v1 = w.power(pf * conjugate_ratio(rng.p_plus, p).frac)  # (p_+/p)' = 1 when p_+ = inf
     seed1, r1, bound1, mu1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, v1)
     beta = pe.beta.frac
     seed2, r2, bound2, mu2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
@@ -377,7 +377,7 @@ def verify_case1_weight(
         raise CertificationFailed(["W^{q0} replay differs from stored array"])
 
     ap_index = Exponent(rng.p0.frac * rec(rng.p_minus))
-    rh_index = conjugate(rng.p_plus / rng.p0)  # p0 < p_+ in Case I
+    rh_index = conjugate_ratio(rng.p_plus, rng.p0)  # p0 < p_+ in Case I
     w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), w.grid)
     ap_c, rh_c = estimate_class_constants(
         w_p0, WeightClassSpec(ap_index, rh_index), WEIGHT_DEPTH

@@ -80,7 +80,7 @@ class PowerWeight:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
 
     def on_grid(self, grid: Grid) -> "GridWeight":
-        return GridWeight(np.abs(grid.x()) ** float(self.alpha), grid)
+        return GridWeight._checked(lambda: np.abs(grid.x()) ** float(self.alpha), f"|x|^{self.alpha}", grid)
 
 
 def cjn_index(p: ExponentLike, s: ExponentLike) -> Exponent:
@@ -158,13 +158,22 @@ class GridWeight:
     def unit(cls, grid: Grid) -> "GridWeight":
         return cls(np.ones(grid.N), grid)
 
+    @classmethod
+    def _checked(cls, samples, what: str, grid: Grid) -> "GridWeight":
+        """The weight samples() on grid; a DomainError naming `what` if they overflow."""
+        with np.errstate(over="ignore"):
+            values = samples()
+        if np.isinf(values).any():
+            raise DomainError(f"the weight {what} overflows on the grid (L={grid.L}, N={grid.N})")
+        return cls(values, grid)
+
     def power(self, e) -> "GridWeight":
         """Pointwise self**e for a rational (possibly signed) exponent."""
-        return GridWeight(self.samples ** float(e), self.grid)
+        return GridWeight._checked(lambda: self.samples ** float(e), f"power w^{e}", self.grid)
 
     def __mul__(self, other: "GridWeight") -> "GridWeight":
         self.grid.require_same(other.grid, "weight grids")
-        return GridWeight(self.samples * other.samples, self.grid)
+        return GridWeight._checked(lambda: self.samples * other.samples, "product w1*w2", self.grid)
 
 
 # --------------------------------------------------------------------------

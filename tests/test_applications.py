@@ -101,9 +101,7 @@ def test_plan_invariants_on_corpus():
             assert plan.r_equiv[i] == Exponent(1 / inv_r)
             # class spec consistency
             assert plan.weight_specs[i].p == Exponent(q.frac * rec(plan.r_minus[i]))
-            assert plan.weight_specs[i].s == conjugate(
-                plan.r_plus[i] / q
-            )
+            assert plan.weight_specs[i].s == conjugate(Exponent(plan.r_plus[i].frac / q.frac))
 
 
 def test_eta_monotone_shrinking_stays_feasible():

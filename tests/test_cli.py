@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -621,3 +622,43 @@ def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
     else:
         rep = json.loads(out.out)
         assert out.err == "" and rep["feasible"] is False and rep["reason"] == "boom"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "bht", "--q1", "2", "--q2", "2", "--a", "300", "--N", "1024,2048", "--count", "4"],
+         "error: the weight |x|^-150 overflows on the grid (L=8.0, N=1024)\n"),
+        (["verify", "vv", "--q1", "24/5", "--q2", "24/5", "--s1", "24/11", "--s2", "24", "--a", "400",
+          "--K", "2", "--count", "4", "--N", "1024"],
+         "error: the weight product w1*w2 overflows on the grid (L=8.0, N=1024)\n"),
+        (["verify", "bht", "--q1", "24", "--q2", "24", "--a", "300", "--N", "1024", "--count", "2"],
+         "error: the weight power w^12 overflows on the grid (L=8.0, N=1024)\n"),
+    ],
+    ids=["power-weight", "product", "power"],
+)
+def test_weight_overflow_is_one_clean_error(capsys, argv, message):
+    # numpy's overflow RuntimeWarning used to reach stderr before a generic error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == message
+
+
+def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):
+    # the samples of --w power:1/8 on the L = 8, N = 256 grid give the same report
+    from extrapkit.weights import PowerWeight
+
+    grid = Grid(8.0, 256)
+    path = tmp_path / "w.csv"
+    samples = PowerWeight(Fraction(1, 8)).on_grid(grid).samples
+    _write_rows(path, [["x", "re"]] + [[f"{x:.17g}", f"{v:.17g}"] for x, v in zip(grid.x(), samples)])
+    code, want = run_cli(RDF_DEMO + ["--w", "power:1/8", "--N", "256"], capsys)
+    assert code == 0
+    assert run_cli(RDF_DEMO + ["--w", f"file:{path}", "--N", "256"], capsys) == (0, want)
+    assert main(RDF_DEMO + ["--w", f"file:{path}", "--N", "512"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: weight file grid differ: (L=8.0, N=256) vs (L=8.0, N=512)\n"

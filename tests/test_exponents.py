@@ -12,6 +12,7 @@ from extrapkit.exponents import (
     Exponent,
     as_exponent,
     conjugate,
+    conjugate_ratio,
     exp_str,
     from_rec,
     harmonic_sum,
@@ -33,6 +34,26 @@ def test_conjugate_rejects_below_one():
         conjugate(Fraction(1, 2))
 
 
+def test_conjugate_ratio_endpoints():
+    assert conjugate_ratio(INF, Fraction(3, 2)) == Exponent(1)  # (inf/p)' = 1
+    assert conjugate_ratio(Fraction(7, 3), Fraction(7, 3)) == INF  # (a/a)' = inf
+    assert conjugate_ratio(4, 2) == Exponent(2)
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (Fraction(3, 2), INF), (2, 0)])
+def test_conjugate_ratio_needs_a_ge_b_gt_0(a, b):
+    with pytest.raises(DomainError):
+        conjugate_ratio(a, b)
+
+
+def test_conjugate_ratio_matches_conjugate_of_the_ratio():
+    rnd = random.Random(20261019)
+    for _ in range(500):
+        b = Fraction(rnd.randint(1, 400), rnd.randint(1, 40))
+        a = b + Fraction(rnd.randint(1, 400), rnd.randint(1, 40))
+        assert conjugate_ratio(a, b) == conjugate(Exponent(a / b))
+
+
 def test_harmonic_sum_examples():
     assert harmonic_sum([2, 2]) == Exponent(1)
     assert harmonic_sum([INF, 3]) == Exponent(3)
@@ -45,10 +66,10 @@ def test_harmonic_sum_rejects_zero():
 
 
 def test_reciprocal_convention():
-    one = Exponent(1)
-    assert one / INF == Exponent(0)
-    assert one / Exponent(0) == INF
-    assert one / Exponent(Fraction(3, 2)) == Exponent(Fraction(2, 3))
+    # 1/inf = 0 and 1/0 = inf, through the reciprocal form
+    assert rec(INF) == 0
+    assert from_rec(Fraction(0)) == INF
+    assert rec(Exponent(Fraction(3, 2))) == Fraction(2, 3)
 
 
 def test_negative_rejected_at_boundary():
@@ -75,8 +96,12 @@ def test_exp_str_signed_fraction():
 
 
 def test_arithmetic_conventions():
-    assert Exponent(3) / INF == Exponent(0)
-    assert Exponent(3) / Exponent(0) == INF
+    # Exponent is a pure value type: quotients are Fractions through rec
+    with pytest.raises(TypeError):
+        Exponent(3) / INF
+    assert 3 * rec(INF) == 0  # 3/inf = 0
+    with pytest.raises(DomainError):  # 1/0 = inf is an exponent, not a reciprocal
+        rec(Exponent(0))
 
 
 def test_ordering_total_with_inf_max():

@@ -239,7 +239,7 @@ def test_multilinear_two_coordinate_example():
 
 
 def test_multilinear_boundary_target_invalid():
-    with pytest.raises(DomainError, match=r"step 0: need r\^- < q_j < r\^\+"):
+    with pytest.raises(DomainError, match=r"step 0: p=8/5 is not inside \(8/5, 8\)"):
         multilinear_plan([4, 4], [Fraction(8, 5)] * 2, [8] * 2, [Fraction(8, 5), 2])
 
 

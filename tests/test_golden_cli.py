@@ -24,6 +24,11 @@ operator_bht_tmax was recorded before `bht` dropped its `t_min` (and
 `operator apply` its --tmin), which could only skip the singular cell
 that `bht` always skips; it pins the surviving --tmax, whose window
 t_max = 1 gives a different output from the t_max = L/2 default.
+plan_extrapolate_case2 (p_+ = inf), plan_extrapolate_case3 (phi = beta =
+inf), plan_section5_eta2 (eta_1 < eta_2) and plan_section5_eta1 (eta_1 >
+eta_2) were recorded before the planners computed every conjugate of a
+ratio through `conjugate_ratio` and the Section-5 p interval through one
+closed form; they pin the paths that rewrite touched.
 A refactor that changes any report shows up here.
 
 Re-record (only when a report is meant to change):
@@ -84,6 +89,14 @@ CASES = {
     "plan_bht_with_s": ["plan", "bht-vv", "--q1", "2", "--q2", "2", "--s1", "3/2", "--s2", "2"],
     "plan_section5_csv": ["plan", "section5", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2",
                           "--g1", "1/4", "--g2", "1/4", "--g3", "1/2", "--emit", "csv"],
+    "plan_extrapolate_case2": ["plan", "extrapolate", "--pm", "3", "--pp", "inf", "--p0", "3",
+                               "--q0", "24/19", "--p", "4"],
+    "plan_extrapolate_case3": ["plan", "extrapolate", "--pm", "3/2", "--pp", "4", "--p0", "4",
+                               "--q0", "12/5", "--p", "192/113"],
+    "plan_section5_eta2": ["plan", "section5", "--q1", "8/3", "--q2", "4", "--s1", "24/5",
+                           "--s2", "8/3", "--g1", "5/16", "--g2", "1/4", "--g3", "7/16"],
+    "plan_section5_eta1": ["plan", "section5", "--q1", "12/5", "--q2", "24", "--s1", "24/17",
+                           "--s2", "6", "--g1", "7/16", "--g2", "3/16", "--g3", "3/8"],
     "plan_mz": ["plan", "mz", "--q", "3,3", "--r", "3/2"],
     "plan_mz_csv": ["plan", "mz", "--q", "3,3/2,4", "--r", "3/2", "--emit", "csv"],
     "plan_mz_base_csv": ["plan", "mz", "--q", "3,3", "--r", "2", "--emit", "csv"],

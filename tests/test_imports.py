@@ -10,7 +10,9 @@ function the benchmark's tracer wraps (`WRAPPED` in `perfbench/tracer.py`,
 read without importing it) still exists, so a rename cannot leave a layer
 untraced, and no function but `cli.main` writes to stdout, so every report
 goes out through its one writer, and no module but `reports.py` imports
-`exp_str`, so exponents stay exact values until `to_jsonable` writes them.
+`exp_str`, so exponents stay exact values until `to_jsonable` writes them,
+and `Exponent` defines no arithmetic operator, so exponent algebra stays
+on Fractions through `rec` and `from_rec`.
 `__init__.py` is exempt from the first rule: its imports are the
 package's public namespace.
 """
@@ -256,3 +258,34 @@ def test_only_reports_writes_exponents_as_strings():
 def test_import_name_detector():
     assert imports_name("from .exponents import Exponent, exp_str\n", "exp_str")
     assert not imports_name("from .exponents import Exponent\nexp_str = str\n", "exp_str")
+
+
+ARITHMETIC = [f"__{r}{op}__" for op in ("add", "sub", "mul", "truediv", "pow") for r in ("", "r")]
+
+
+def arithmetic_dunders(cls) -> list[str]:
+    """The arithmetic operators a class defines or inherits."""
+    return [name for name in ARITHMETIC if hasattr(cls, name)]
+
+
+def test_exponent_defines_no_arithmetic():
+    # exponent algebra runs on Fractions through `rec` / `from_rec`
+    from extrapkit.exponents import Exponent
+
+    assert arithmetic_dunders(Exponent) == []
+
+
+def test_arithmetic_dunder_detector():
+    class Base:
+        def __rpow__(self, other):
+            return other
+
+    class Value(Base):
+        def __truediv__(self, other):
+            return other
+
+        def __lt__(self, other):
+            return False
+
+    assert arithmetic_dunders(Value) == ["__truediv__", "__rpow__"]
+    assert arithmetic_dunders(object) == []
