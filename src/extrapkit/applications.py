@@ -43,14 +43,15 @@ from .exponents import (
     INF,
     Exponent,
     ExponentLike,
+    WeightClassSpec,
     as_exponent,
+    cjn_index,
     conjugate_ratio,
     from_rec,
     harmonic_sum,
     rec,
 )
 from .extrapolation import multilinear_plan
-from .weights import WeightClassSpec, cjn_index
 
 __all__ = [
     "BHTPlan",

@@ -43,19 +43,13 @@ import numpy as np
 from . import applications as app
 from . import verifier as ver
 from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible
-from .exponents import Exponent, parse_rational
+from .exponents import Exponent, WeightClassSpec, parse_rational
 from .extrapolation import ExtrapolationRange, dual_range, proof_exponents
 from .grid import Grid
 from .gridfn import FAMILY_KINDS, FamilySpec, GridFunction, bht, hilbert, maximal, make_family
 from .rdf import build_proof_objects, verify_case1_weight
 from .reports import dumps, envelope, to_jsonable
-from .weights import (
-    GridWeight,
-    PowerWeight,
-    WeightClassSpec,
-    estimate_class_constants,
-    power_membership,
-)
+from .weights import GridWeight, PowerWeight, estimate_class_constants, power_membership
 
 USAGE_EXIT = 1
 INFEASIBLE_EXIT = 2

@@ -16,12 +16,18 @@ differences may legitimately be negative (off-diagonal shifts).  Those signed
 intermediate quantities are plain :class:`fractions.Fraction` values; only the
 exponents themselves are confined to [0, inf], and :class:`Exponent` has no
 arithmetic: all algebra runs on Fractions through :func:`rec` and :func:`from_rec`.
+
+The weight classes A_p & RH_s are exact index pairs too
+(:class:`WeightClassSpec`); :func:`cjn_index` is the index rule linking them,
+
+    v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -36,6 +42,8 @@ __all__ = [
     "harmonic_sum",
     "parse_rational",
     "exp_str",
+    "WeightClassSpec",
+    "cjn_index",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -214,3 +222,36 @@ def exp_str(x) -> str:
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
     raise DomainError(f"cannot serialize {x!r} as an exponent string")
+
+
+@dataclass(frozen=True)
+class WeightClassSpec:
+    """A membership claim v in A_p intersect RH_s.
+
+    p is finite and >= 1; s is >= 1 and may be infinity (RH_1 is the trivial
+    reverse-Hoelder class, so s = 1 encodes "A_p only").
+    """
+
+    p: Exponent
+    s: Exponent
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", as_exponent(self.p))
+        object.__setattr__(self, "s", as_exponent(self.s))
+        if self.p.is_inf:
+            raise DomainError("A_p index must be finite")
+        if self.p < 1 or self.s < 1:
+            raise DomainError(f"class indices must be >= 1, got ({self.p}, {self.s})")
+
+
+def cjn_index(p: ExponentLike, s: ExponentLike) -> Exponent:
+    """The index q = s(p-1) + 1 with v in A_p & RH_s  <=>  v^s in A_q.
+
+    Requires finite 1 <= p and 1 <= s < inf; exact.
+    """
+    p, s = as_exponent(p), as_exponent(s)
+    if p.is_inf or s.is_inf:
+        raise DomainError("cjn_index requires finite p and s")
+    if p < 1 or s < 1:
+        raise DomainError(f"cjn_index requires p, s >= 1, got ({p}, {s})")
+    return Exponent(s.frac * (p.frac - 1) + 1)

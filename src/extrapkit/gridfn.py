@@ -391,6 +391,7 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
     L = grid.L
     members = []
     if spec.kind in ("smooth-bumps", "modulated"):
+        unit = GridWeight.unit(grid)
         for _ in range(spec.count):
             tup = []
             for _ in range(spec.arity):
@@ -401,7 +402,7 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
                 if spec.kind == "modulated":
                     vals = vals * np.exp(1j * 2 * np.pi * freq * x)
                 fn = GridFunction(vals, grid)
-                nrm = measure_norm(fn, GridWeight.unit(grid), Exponent(2))
+                nrm = measure_norm(fn, unit, Exponent(2))
                 if nrm > 0:
                     fn = GridFunction(fn.samples / nrm, grid)
                 tup.append(fn)

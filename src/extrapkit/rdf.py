@@ -60,10 +60,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, DomainError, NormBoundTooSmall
-from .exponents import Exponent, ExponentLike, as_exponent, conjugate_ratio, rec
+from .exponents import Exponent, ExponentLike, WeightClassSpec, as_exponent, conjugate_ratio, rec
 from .extrapolation import Case, ExtrapolationRange, ProofExponents
 from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
-from .weights import GridWeight, WeightClassSpec, estimate_class_constants
+from .weights import GridWeight, estimate_class_constants
 
 __all__ = [
     "IterationResult",
@@ -220,10 +220,6 @@ class ProofObjects:
         }
 
 
-def _pw(weight: GridWeight, e: Fraction) -> np.ndarray:
-    return weight.samples ** float(e)
-
-
 def build_proof_objects(
     f: GridFunction,
     g: GridFunction,
@@ -251,19 +247,19 @@ def build_proof_objects(
     grid = f.grid
     grid.require_same(w.grid)
 
-    nf = weighted_norm(f, w, qf)
+    w_q = w.power(qf)
+    nf = measure_norm(f, w_q, qf)
     ng = weighted_norm(g, w, p)
     if nf == 0 or ng == 0:
         raise DomainError("f and g must be nonzero on the grid")
 
     ratio = pf / qf
-    dual_term = g.samples**float(ratio) * _pw(w, ratio - 1) / ng ** float(ratio)
+    dual_term = g.samples**float(ratio) * w.power(ratio - 1).samples / ng ** float(ratio)
     h1 = GridFunction(f.samples / nf + dual_term, grid)
 
     # h2, normalized in L^{(q/s)'}(w^q)
     h2 = GridFunction((f.samples / nf) ** float(qf - pe.s), grid)
     qs_conj = conjugate_ratio(qf, pe.s)
-    w_q = w.power(qf)
     nh2 = measure_norm(h2, w_q, qs_conj)
     if nh2 == 0:
         raise DomainError("h2 must be nonzero")
@@ -273,7 +269,7 @@ def build_proof_objects(
         """seed = h^power w^w_exp, r = R seed on L^space_p(v), mu = max(r, tiny),
         H = r^(1/power) w^(-w_exp/power); the norm bound doubles after each
         NormBoundTooSmall, and the last of BOUND_ATTEMPTS attempts re-raises."""
-        seed = GridFunction(h.samples ** float(power) * _pw(w, w_exp), grid)
+        seed = GridFunction(h.samples ** float(power) * w.power(w_exp).samples, grid)
         bound = estimate_maximal_norm(space_p, v, [seed])
         for attempt in range(1, BOUND_ATTEMPTS + 1):
             try:
@@ -284,7 +280,7 @@ def build_proof_objects(
                     raise
                 bound *= 2.0  # rare: probe estimate too optimistic; retry
         mu = GridWeight(np.maximum(r.function.samples, np.finfo(float).tiny), grid)
-        H = GridFunction(r.function.samples ** float(1 / power) * _pw(w, -w_exp / power), grid)
+        H = GridFunction(r.function.samples ** float(1 / power) * w.power(-w_exp / power).samples, grid)
         return seed, r, bound, mu, H
 
     # R1 runs on L^tau(w^{p (p_+/p)'}), R2 on L^tau'(w^{-sigma})
@@ -314,8 +310,8 @@ def build_proof_objects(
         if not ok:
             failures.append(f"{tag}: pointwise violation {worst:.3e}")
 
-    _norm_cert("h1-norm", weighted_norm(h1, w, qf), 2.0)
-    _norm_cert("H1-norm", weighted_norm(H1, w, qf), C1)
+    _norm_cert("h1-norm", measure_norm(h1, w_q, qf), 2.0)
+    _norm_cert("H1-norm", measure_norm(H1, w_q, qf), C1)
     _pt_cert("H1-f", f.samples / nf, H1.samples)
     _pt_cert("H1-pt3", dual_term, H1.samples)
     _norm_cert("H2-norm", measure_norm(H2, w_q, qs_conj), C2)
@@ -331,7 +327,7 @@ def build_proof_objects(
         raise CertificationFailed(failures)
 
     q0f = rng.q0.frac
-    W_q0 = H1.samples ** float(-pe.alpha * q0f / pe.s) * H2.samples * _pw(w, qf)
+    W_q0 = H1.samples ** float(-pe.alpha * q0f / pe.s) * H2.samples * w_q.samples
     W = GridWeight(W_q0 ** float(1 / q0f), grid)
 
     return ProofObjects(
@@ -369,9 +365,7 @@ def verify_case1_weight(
     defining identity W^{q0} = H1^{-alpha q0/s} H2 w^q.
     """
     q0f = rng.q0.frac
-    replay = po.H1.samples ** float(-pe.alpha * q0f / pe.s) * po.H2.samples * _pw(
-        w, pe.q
-    )
+    replay = po.H1.samples ** float(-pe.alpha * q0f / pe.s) * po.H2.samples * w.power(pe.q).samples
     bitwise = bool(np.array_equal(replay, po.W_q0))
     if not bitwise:
         raise CertificationFailed(["W^{q0} replay differs from stored array"])

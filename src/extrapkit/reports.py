@@ -31,8 +31,6 @@ import math
 from fractions import Fraction
 from typing import Any
 
-import numpy as np
-
 from .exponents import Exponent, exp_str
 
 SCHEMA = "extrapkit-report/1"
@@ -42,16 +40,14 @@ __all__ = ["SCHEMA", "envelope", "to_jsonable", "dumps"]
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert package values to JSON-encodable ones."""
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
+    if type(obj).__module__ == "numpy":  # scalars and arrays, without importing numpy
+        obj = obj.tolist()
     if isinstance(obj, float) and not math.isfinite(obj):
         return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     if isinstance(obj, (Exponent, Fraction)):
         return exp_str(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -1,19 +1,15 @@
-"""Muckenhoupt / reverse-Hoelder weight calculus.
+"""Muckenhoupt / reverse-Hoelder weights: power weights and grid weights.
 
-Three layers:
+Two layers over the exact class specifications of :mod:`extrapkit.exponents`
+(:class:`WeightClassSpec`, with the index rule :func:`cjn_index`):
 
-* exact index algebra on class specifications (A_p and RH_s indices),
 * closed-form membership for power weights |x|^alpha on the line,
 * grid-based estimation of the class constants by a supremum of the
   defining functionals over dyadic subintervals of [-L, L].
 
-The index transform linking the two class scales is
-
-    v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1,
-
-implemented exactly by :func:`cjn_index`.  The constructive factorization
-v = v1^(1/s) * v2^(1-p) with v1, v2 in A_1 is not built on grids; for power
-weights its exponent algebra reduces to the closed forms below.
+The constructive factorization v = v1^(1/s) * v2^(1-p) with v1, v2 in A_1
+is not built on grids; for power weights its exponent algebra reduces to
+the closed forms below.
 
 All closed forms are one-dimensional: on R (n = 1),
 
@@ -31,14 +27,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .exponents import Exponent, ExponentLike, as_exponent, rec
+from .exponents import WeightClassSpec, rec
 from .grid import Grid
 
 __all__ = [
-    "WeightClassSpec",
     "PowerWeight",
     "GridWeight",
-    "cjn_index",
     "power_in_class",
     "power_membership",
     "estimate_class_constants",
@@ -46,28 +40,8 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# class specifications and power weights
+# power weights
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightClassSpec:
-    """A membership claim v in A_p intersect RH_s.
-
-    p is finite and >= 1; s is >= 1 and may be infinity (RH_1 is the trivial
-    reverse-Hoelder class, so s = 1 encodes "A_p only").
-    """
-
-    p: Exponent
-    s: Exponent
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_exponent(self.p))
-        object.__setattr__(self, "s", as_exponent(self.s))
-        if self.p.is_inf:
-            raise DomainError("A_p index must be finite")
-        if self.p < 1 or self.s < 1:
-            raise DomainError(f"class indices must be >= 1, got ({self.p}, {self.s})")
 
 
 @dataclass(frozen=True)
@@ -81,19 +55,6 @@ class PowerWeight:
 
     def on_grid(self, grid: Grid) -> "GridWeight":
         return GridWeight._checked(lambda: np.abs(grid.x()) ** float(self.alpha), f"|x|^{self.alpha}", grid)
-
-
-def cjn_index(p: ExponentLike, s: ExponentLike) -> Exponent:
-    """The index q = s(p-1) + 1 with v in A_p & RH_s  <=>  v^s in A_q.
-
-    Requires finite 1 <= p and 1 <= s < inf; exact.
-    """
-    p, s = as_exponent(p), as_exponent(s)
-    if p.is_inf or s.is_inf:
-        raise DomainError("cjn_index requires finite p and s")
-    if p < 1 or s < 1:
-        raise DomainError(f"cjn_index requires p, s >= 1, got ({p}, {s})")
-    return Exponent(s.frac * (p.frac - 1) + 1)
 
 
 def power_in_class(w: PowerWeight, spec: WeightClassSpec) -> bool:
@@ -160,11 +121,13 @@ class GridWeight:
 
     @classmethod
     def _checked(cls, samples, what: str, grid: Grid) -> "GridWeight":
-        """The weight samples() on grid; a DomainError naming `what` if they overflow."""
+        """The weight samples() on grid; a DomainError naming `what` if they
+        overflow or underflow to 0."""
         with np.errstate(over="ignore"):
             values = samples()
-        if np.isinf(values).any():
-            raise DomainError(f"the weight {what} overflows on the grid (L={grid.L}, N={grid.N})")
+        fault = "overflows" if np.isinf(values).any() else None if values.all() else "underflows to 0"
+        if fault:
+            raise DomainError(f"the weight {what} {fault} on the grid (L={grid.L}, N={grid.N})")
         return cls(values, grid)
 
     def power(self, e) -> "GridWeight":

@@ -24,7 +24,7 @@ from extrapkit.applications import (
     section5_plan,
     section5_weight_classes,
 )
-from extrapkit.exponents import Exponent, rec
+from extrapkit.exponents import Exponent, WeightClassSpec, cjn_index, rec
 from extrapkit.extrapolation import Case, proof_exponents
 from extrapkit.grid import Grid
 from extrapkit.gridfn import (
@@ -37,14 +37,7 @@ from extrapkit.gridfn import (
 )
 from extrapkit.rdf import build_proof_objects
 from extrapkit.verifier import ratio_sweep
-from extrapkit.weights import (
-    GridWeight,
-    PowerWeight,
-    WeightClassSpec,
-    cjn_index,
-    estimate_class_constants,
-    power_in_class,
-)
+from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants, power_in_class
 
 HALF = Fraction(1, 2)
 

@@ -18,8 +18,7 @@ from extrapkit.applications import (
     section5_weight_classes,
 )
 from extrapkit.errors import DomainError, Infeasible
-from extrapkit.exponents import INF, Exponent, conjugate, rec
-from extrapkit.weights import cjn_index
+from extrapkit.exponents import INF, Exponent, cjn_index, conjugate, rec
 
 HALF = Fraction(1, 2)
 

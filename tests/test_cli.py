@@ -382,6 +382,18 @@ def test_non_finite_numbers_serialize_as_strings():
     assert json.loads(dumps(rep), parse_constant=reject)["data"] == {"v": want}
 
 
+def test_numpy_values_serialize_as_python_values():
+    # np.bool_ and 0-d arrays used to reach json.dumps unconverted
+    from extrapkit.reports import dumps, envelope, to_jsonable
+
+    values = [np.float32("inf"), np.int64(3), np.bool_(True), np.array(2.5),
+              np.array([[1, 2], [3, -np.inf]])]
+    want = ["inf", 3, True, 2.5, [[1.0, 2.0], [3.0, "-inf"]]]
+    got = to_jsonable(values)
+    assert got == want and [type(v) for v in got] == [str, int, bool, float, list]
+    assert json.loads(dumps(envelope("test", feasible=True, data=values)))["data"] == want
+
+
 def test_plan_bht_grid_needs_csv(capsys):
     argv = ["plan", "bht", "--q1", "2", "--q2", "2", "--grid", "2,3"]
     assert main(argv) == 1
@@ -634,17 +646,36 @@ def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
          "error: the weight product w1*w2 overflows on the grid (L=8.0, N=1024)\n"),
         (["verify", "bht", "--q1", "24", "--q2", "24", "--a", "300", "--N", "1024", "--count", "2"],
          "error: the weight power w^12 overflows on the grid (L=8.0, N=1024)\n"),
+        (["verify", "bht", "--q1", "2", "--q2", "2", "--a", "-400", "--N", "1024", "--count", "2"],
+         "error: the weight |x|^200 underflows to 0 on the grid (L=8.0, N=1024)\n"),
+        (["verify", "bht", "--q1", "2", "--q2", "2", "--a", "-300", "--N", "1024", "--count", "2"],
+         "error: the weight product w1*w2 underflows to 0 on the grid (L=8.0, N=1024)\n"),
+        (["verify", "bht", "--q1", "2", "--q2", "2", "--a", "-170", "--N", "1024", "--count", "2"],
+         "error: the weight product w1*w2 underflows to 0 on the grid (L=8.0, N=1024)\n"),
+        (["verify", "bht", "--q1", "24", "--q2", "24", "--a", "-300", "--N", "1024", "--count", "2"],
+         "error: the weight power w^12 underflows to 0 on the grid (L=8.0, N=1024)\n"),
     ],
-    ids=["power-weight", "product", "power"],
+    ids=["power-weight", "product", "power", "underflow-power-weight", "underflow-product",
+         "underflow-product-a170", "underflow-power"],
 )
 def test_weight_overflow_is_one_clean_error(capsys, argv, message):
-    # numpy's overflow RuntimeWarning used to reach stderr before a generic error
+    # numpy's overflow RuntimeWarning used to reach stderr before a generic error,
+    # and an underflow to 0 failed that generic positivity check naming no weight
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1
     assert caught == []
     out = capsys.readouterr()
     assert out.out == "" and out.err == message
+
+
+def test_zero_weight_file_keeps_the_positivity_error(tmp_path, capsys):
+    grid = Grid(8.0, 256)
+    path = tmp_path / "w.csv"
+    _write_rows(path, [["x", "re"]] + [[f"{x:.17g}", "0" if i == 5 else "1"] for i, x in enumerate(grid.x())])
+    assert main(RDF_DEMO + ["--w", f"file:{path}", "--N", "256"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: weight samples must be strictly positive and finite\n"
 
 
 def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):

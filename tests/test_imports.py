@@ -2,30 +2,33 @@
 
 A stdlib-only stand-in for a linter: every name a module imports is used
 in it, every name in its `__all__` is defined in it (so a deletion cannot
-leave a stale export behind), the exact planner layer
-(`extrapolation.py`) imports no numeric module, and every exception class
-in `errors.py` is raised somewhere in the package or extended by one that
-is (so the class list cannot regrow entries nothing raises), and every
-function the benchmark's tracer wraps (`WRAPPED` in `perfbench/tracer.py`,
-read without importing it) still exists, so a rename cannot leave a layer
-untraced, and no function but `cli.main` writes to stdout, so every report
-goes out through its one writer, and no module but `reports.py` imports
-`exp_str`, so exponents stay exact values until `to_jsonable` writes them,
-and `Exponent` defines no arithmetic operator, so exponent algebra stays
-on Fractions through `rec` and `from_rec`.
-`__init__.py` is exempt from the first rule: its imports are the
-package's public namespace.
+leave a stale export behind), the exact layer (`__init__`, `errors`,
+`exponents`, `extrapolation`, `applications`, `reports`) imports only from
+itself and never numpy, in its source and in a fresh interpreter, and
+every exception class in `errors.py` is raised somewhere in the package or
+extended by one that is (so the class list cannot regrow entries nothing
+raises), and every function the benchmark's tracer wraps (`WRAPPED` in
+`perfbench/tracer.py`, read without importing it) still exists, so a rename
+cannot leave a layer untraced, and no function but `cli.main` writes to
+stdout, so every report goes out through its one writer, and no module but
+`reports.py` imports `exp_str`, so exponents stay exact values until
+`to_jsonable` writes them, and `Exponent` defines no arithmetic operator,
+so exponent algebra stays on Fractions through `rec` and `from_rec`.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "extrapkit"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+EXACT_LAYER = ["__init__", "errors", "exponents", "extrapolation", "applications", "reports"]
 
 
 def _annotation_names(node):
@@ -124,9 +127,39 @@ def test_package_import_detector():
     assert package_imports(src) == {"weights", "errors", "gridfn", "rdf", "grid"}
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports absolutely."""
+    mods = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            mods.add(node.module.split(".")[0])
+    return mods
+
+
+def test_imported_module_detector():
+    src = (
+        "from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+        "from numpy.linalg import norm\nfrom . import grid\nfrom .gridfn import bht\n"
+    )
+    assert imported_modules(src) == {"__future__", "numpy", "os"}
+
+
 def test_exact_planner_layer_imports_no_numeric_module():
-    # floats never enter the exponent calculus
-    assert package_imports((SRC / "extrapolation.py").read_text()) <= {"errors", "exponents"}
+    # floats never enter the exponent calculus: the planners and their reports need no numpy
+    for name in EXACT_LAYER:
+        source = (SRC / f"{name}.py").read_text()
+        assert package_imports(source) <= {"errors", "exponents", "extrapolation"}, name
+        assert "numpy" not in imported_modules(source), name
+
+
+def test_exact_layer_loads_without_numpy():
+    # a fresh interpreter also sees transitive imports, the package root's included
+    code = "import sys, extrapkit.applications, extrapkit.reports; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def raised_names(source: str) -> set[str]:

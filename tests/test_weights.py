@@ -7,16 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extrapkit.errors import DomainError
-from extrapkit.exponents import INF, Exponent
+from extrapkit.exponents import INF, Exponent, WeightClassSpec, cjn_index
 from extrapkit.grid import Grid
-from extrapkit.weights import (
-    GridWeight,
-    PowerWeight,
-    WeightClassSpec,
-    cjn_index,
-    estimate_class_constants,
-    power_in_class,
-)
+from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants, power_in_class
 
 GRID = Grid(8.0, 2**12)
 
