@@ -248,12 +248,17 @@ def _cmd_operator_apply(args):
     if args.op != "bht" and (args.in2, args.tmax) != (None, None):
         raise DomainError(f"--in2 and --tmax apply to --op bht only, not --op {args.op}")
     f = _read_function_csv(getattr(args, "in"))
-    if args.op == "bht":
-        if args.in2 is None:
-            raise DomainError("--op bht needs --in2")
-        out = bht(f, _read_function_csv(args.in2), t_max=args.tmax)
-    else:
-        out = (maximal if args.op == "maximal" else hilbert)(f)
+    if args.op == "bht" and args.in2 is None:
+        raise DomainError("--op bht needs --in2")
+    g = _read_function_csv(args.in2) if args.op == "bht" else None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if g is None:
+                out = (maximal if args.op == "maximal" else hilbert)(f)
+            else:
+                out = bht(f, g, t_max=args.tmax)
+    except FloatingPointError:
+        raise DomainError(f"the operator {args.op} overflows on the grid (L={f.grid.L}, N={f.grid.N})")
     cols = [out.grid.x(), out.samples.real, out.samples.imag][: 2 + np.iscomplexobj(out.samples)]
     rows = [dict(zip(("x", "re", "im"), (f"{v:.17g}" for v in vals))) for vals in zip(*cols)]
     return {"feasible": True}, lambda: rows
@@ -478,8 +483,9 @@ def main(argv=None) -> int:
         table = rows() if rows is not None and args.emit == "csv" else None
     except (Infeasible, CertificationFailed) as e:
         fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None
-    except ExtrapkitError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ExtrapkitError, OverflowError) as e:
+        message = f"a value is outside the float range ({e.args[-1]})" if isinstance(e, OverflowError) else e
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_EXIT
     if table:
         wr = csv.writer(sys.stdout)

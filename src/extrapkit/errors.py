@@ -10,6 +10,8 @@ The class of an error decides what the CLI makes of it:
     CertificationFailed  a numeric or exact certificate misses  exit 2, infeasible report
     NormBoundTooSmall    the RDF retry signal; caught inside `rdf`, and
                          exit 1 should one ever escape
+    OverflowError        (built in) a value beyond the float range,
+                         such as an exponent of 10^400          exit 1, `error:` line
 
 Messages carry the violated condition so reports can surface it verbatim.
 Invariants that a certificate rests on are checked with `require`, which

@@ -87,32 +87,27 @@ class GridFunction:
 
 
 def measure_norm(f: GridFunction, v: GridWeight, p: ExponentLike) -> float:
-    """(Int |f|^p v dx)^(1/p) with v as the measure density; p=inf -> sup|f|."""
+    """(Int |f|^p v dx)^(1/p) with v as the measure density, for 0 < p < inf."""
     f.grid.require_same(v.grid)
     p = as_exponent(p)
-    a = np.abs(f.samples)
-    if p.is_inf:
-        return float(np.max(a))
     pf = float(p.frac)
     if pf <= 0:
         raise DomainError(f"norm exponent must be positive, got {p}")
     with np.errstate(over="ignore"):
-        norm = float((a**pf * v.samples).sum() * f.grid.h) ** (1.0 / pf)
+        norm = float((np.abs(f.samples) ** pf * v.samples).sum() * f.grid.h) ** (1.0 / pf)
     if not math.isfinite(norm):
         raise DomainError(f"the L^{p} norm overflows on the grid (L={f.grid.L}, N={f.grid.N})")
     return norm
 
 
 def weighted_norm(f: GridFunction, w: GridWeight, p: ExponentLike) -> float:
-    """The norm of f in L^p(w^p): (Int |f|^p w^p dx)^(1/p); p=inf -> sup|f|.
+    """The norm of f in L^p(w^p): (Int |f|^p w^p dx)^(1/p), for 0 < p < inf.
 
     This is the convention in which a weight w multiplies the function
     before the p-th power is taken: `measure_norm`, the raw-measure variant
-    used for the iteration spaces, with the density w^p (w itself at
-    p = inf, where only the grid check reads it).
+    used for the iteration spaces, with the density w^p.
     """
-    p = as_exponent(p)
-    return measure_norm(f, w if p.is_inf else w.power(p.frac), p)
+    return measure_norm(f, w.power(as_exponent(p).frac), p)
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ its norm on the configured weighted space:
     R_K G = sum_{k=0}^{K-1} S^k G / (2B)^k,    T_K = S^K G / (2B)^K.
 
 The series stops at the first term T_K whose norm is at most
-2^-DEFAULT_TERMS ||G|| (or at the cap `terms`); T_K is the first dropped
+2^-DEFAULT_TERMS ||G||, or at K = DEFAULT_TERMS; T_K is the first dropped
 term.  Provided every ||S^k G / (2B)^k|| stays below 2^-k ||G||, the
 construction guarantees
 
@@ -103,27 +103,24 @@ def rdf_iterate(
     norm_bound: float,
     weight: GridWeight,
     exponent: ExponentLike,
-    terms: int = DEFAULT_TERMS,
 ) -> IterationResult:
     """Truncated majorant series on S with certified geometric decay.
 
     `weight` is the measure density of the space (already fully powered) and
-    `exponent` its Lebesgue index; `norm_bound` B stands in for the norm of
-    S = maximal(., "sliding") on that space.  Term k is S(term_{k-1})/(2B);
-    the series stops at the first term whose norm is at most
-    2^-DEFAULT_TERMS ||G||, or at k = `terms`, and that term T_K is
-    returned as `dropped`, not added.  The exact maximal of the sum is
+    `exponent` its Lebesgue index, 0 < p < inf; `norm_bound` B stands in for
+    the norm of S = maximal(., "sliding") on that space.  Term k is
+    S(term_{k-1})/(2B); the series stops at the first term whose norm is at
+    most 2^-DEFAULT_TERMS ||G||, or at k = DEFAULT_TERMS, and that term T_K
+    is returned as `dropped`, not added.  The exact maximal of the sum is
     computed once, for `a1_ratio` and the A_1 certificate.  Raises
     NormBoundTooSmall when an observed ||term_k|| exceeds 2^-k ||G|| (the
     series would not be summable as configured).
     """
     if not (norm_bound >= 1):
         raise DomainError(f"norm bound must be >= 1, got {norm_bound}")
-    if terms < 1:
-        raise DomainError(f"need at least one series term, got {terms}")
     exponent = as_exponent(exponent)
-    if not exponent.is_inf and exponent.frac <= 0:
-        raise DomainError("iteration space exponent must be positive")
+    if exponent.is_inf or exponent.frac <= 0:
+        raise DomainError(f"iteration space exponent must satisfy 0 < p < inf, got {exponent}")
     if np.iscomplexobj(G.samples) or np.any(G.samples < 0):
         raise DomainError("iteration input must be nonnegative")
     G.grid.require_same(weight.grid)
@@ -133,7 +130,7 @@ def rdf_iterate(
     total = G.samples.copy()
     term_norms = [base_norm]
     scale = 2.0 * norm_bound
-    for k in range(1, terms + 1):
+    for k in range(1, DEFAULT_TERMS + 1):
         term = GridFunction(maximal(term, "sliding").samples / scale, G.grid)
         tn = measure_norm(term, weight, exponent)
         if base_norm > 0 and tn > base_norm * 2.0**-k * (1.0 + GROWTH_SLACK):
@@ -141,7 +138,7 @@ def rdf_iterate(
                 f"term {k} norm {tn:.3e} exceeds {base_norm:.3e} * 2^-{k}: "
                 "the configured norm bound underestimates the operator"
             )
-        if tn <= negligible or k == terms:
+        if tn <= negligible or k == DEFAULT_TERMS:
             break
         total += term.samples
         term_norms.append(tn)
@@ -159,31 +156,23 @@ def rdf_iterate(
     )
 
 
-def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probes: list) -> float:
+def estimate_maximal_norm(p: ExponentLike, w: GridWeight, probe: GridFunction) -> float:
     """Empirical upper bound for the norm of S = maximal(., "sliding") on
     L^p(w) (w the measure density), the operator the series runs on.
 
-    Takes the max ratio ||Sf||/||f|| over the probe functions, floored at 1,
-    times a safety factor of 2; the result is >= 2 and monotone in the probe
-    set.  The floor is the ratio of a constant probe: on the grid S1 = 1
-    exactly (every window average of ones is an exact 1.0), so constants
-    need no maximal call.  DomainError is raised if any ratio exceeds the
-    ceiling.
+    Takes the ratio ||S probe||/||probe||, floored at 1, times a safety
+    factor of 2; the result is >= 2.  The floor is the exact ratio of a
+    constant (S1 = 1 on the grid), and a zero probe gives it.  DomainError
+    is raised if the ratio exceeds the ceiling.
     """
     p = as_exponent(p)
     if p.is_inf or p <= 1:
         raise DomainError(f"maximal norm estimate needs 1 < p < inf, got {p}")
-    best = 1.0
-    for fn in probes:
-        fn = fn.abs()
-        denom = measure_norm(fn, w, p)
-        if denom == 0:
-            continue
-        ratio = measure_norm(maximal(fn, "sliding"), w, p) / denom
-        if ratio > PROBE_CEILING:
-            raise DomainError(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
-        best = max(best, ratio)
-    return PROBE_SAFETY * best
+    denom = measure_norm(probe, w, p)
+    ratio = measure_norm(maximal(probe, "sliding"), w, p) / denom if denom else 1.0
+    if ratio > PROBE_CEILING:
+        raise DomainError(f"probe ratio {ratio:.3e} exceeds ceiling {PROBE_CEILING:.3e}")
+    return PROBE_SAFETY * max(1.0, ratio)
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +259,7 @@ def build_proof_objects(
         H = r^(1/power) w^(-w_exp/power); the norm bound doubles after each
         NormBoundTooSmall, and the last of BOUND_ATTEMPTS attempts re-raises."""
         seed = GridFunction(h.samples ** float(power) * w.power(w_exp).samples, grid)
-        bound = estimate_maximal_norm(space_p, v, [seed])
+        bound = estimate_maximal_norm(space_p, v, seed)
         for attempt in range(1, BOUND_ATTEMPTS + 1):
             try:
                 r = rdf_iterate(seed, bound, v, space_p)
@@ -328,7 +317,7 @@ def build_proof_objects(
 
     q0f = rng.q0.frac
     W_q0 = H1.samples ** float(-pe.alpha * q0f / pe.s) * H2.samples * w_q.samples
-    W = GridWeight(W_q0 ** float(1 / q0f), grid)
+    W = GridWeight._checked(lambda: W_q0 ** float(1 / q0f), f"W = (W^q0)^(1/{rng.q0})", grid)
 
     return ProofObjects(
         h1=h1,
@@ -372,7 +361,7 @@ def verify_case1_weight(
 
     ap_index = Exponent(rng.p0.frac * rec(rng.p_minus))
     rh_index = conjugate_ratio(rng.p_plus, rng.p0)  # p0 < p_+ in Case I
-    w_p0 = GridWeight(po.W_q0 ** float(rng.p0.frac / q0f), w.grid)
+    w_p0 = GridWeight._checked(lambda: po.W_q0 ** float(rng.p0.frac / q0f), f"W^p0 = W^{rng.p0}", w.grid)
     ap_c, rh_c = estimate_class_constants(
         w_p0, WeightClassSpec(ap_index, rh_index), WEIGHT_DEPTH
     )[-1]

@@ -13,18 +13,18 @@ target norms read from the caller's plan (1/q = 1/q1 + 1/q2).  The tree
 is a list of levels from the inside out, each (size, (s1, s2, s_out)) with
 exponents from the plan: a level takes the l^s1 / l^s2 / l^s_out norm of
 `size` consecutive entries of the f / g / op-output columns.  A block
-holds the product of the sizes; a trailing partial block is dropped.  A
-flag says whether the output is formed for every (f_i, g_j) pair of an
-innermost group or only for (f_i, g_i):
+holds the product of the sizes; a trailing partial block is dropped.  The
+operator is a group map: it takes an innermost group of (f_i, g_i)
+members and returns its output samples in aggregation order.
 
-    sweep               levels                  op output
-    ratio_sweep         (none)                  op(f_i, g_i)
+    sweep               levels                  op output per group
+    ratio_sweep         [(1, q)]                op(f_i, g_i)
     vv_sweep            [(K, s)]                op(f_i, g_i)
     iterated_vv_sweep   [(K, s), (J, t)]        op(f_i, g_i)
     mz_sweep            [(K, (r, r, r))]        u(f_i) * u(g_j), every i, j
 
-The MZ surrogates are tensor products: the sweep is handed the per-factor
-map u, and each factor of an innermost group is transformed once per block.
+The MZ surrogates are tensor products of a per-factor map u, which
+transforms each factor of a group once.
 
 Each resolution must be twice the one before (one resolution alone is
 allowed, none is not).  The sup ratio's behaviour under resolution doubling is
@@ -134,20 +134,30 @@ def _verdict(sups: list) -> tuple[str, float]:
 # operators by name
 # --------------------------------------------------------------------------
 
+
+def _tensor(u):
+    """The group map of the surrogate u(f) * u(g): u(f_i) * u(g_j) for every
+    pair of the group, i outer, j inner, with each factor transformed once."""
+
+    def products(grp):
+        us = [u(f).samples for f, _ in grp]
+        vs = [u(g).samples for _, g in grp]
+        return [a * b for a in us for b in vs]
+
+    return products
+
+
 # Lambdas, not the functions themselves: each call looks `bht` / `hilbert`
 # up in this module, so a patched attribute (perfbench's --trace) sees it.
 _OPS = {
-    "bht": lambda f, g: bht(f, g),
-    "product": lambda f, g: f * g,
+    "bht": lambda grp: [bht(f, g).samples for f, g in grp],
+    "product": lambda grp: [(f * g).samples for f, g in grp],
 }
-
-# The MZ surrogates u(f) * u(g), each named by its per-factor map u; a block
-# applies u once to each of its factors, not once per pair.
-_FACTOR_MAPS = {
-    "tensor-hilbert": lambda f: hilbert(f),
-    "product-identity": lambda f: f,
+_MZ_OPS = {
+    "tensor-hilbert": _tensor(lambda f: hilbert(f)),
+    "product-identity": _tensor(lambda f: f),
 }
-SURROGATES = tuple(_FACTOR_MAPS)
+SURROGATES = tuple(_MZ_OPS)
 
 
 def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
@@ -166,30 +176,14 @@ def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _tensor_products(u, grp):
-    """u(f_i) * u(g_j) samples for every pair of `grp`, i outer, j inner.
-
-    Each factor is transformed once; the transforms are freed on return.
-    """
-    us = [u(f).samples for f, _ in grp]
-    vs = [u(g).samples for _, g in grp]
-    return [a * b for a in us for b in vs]
-
-
-def _block_arrays(op, block, levels, pairs):
-    """(op output, f, g) samples of one block, aggregated through `levels`.
-
-    With `pairs`, `op` is the per-factor map u of a tensor-product operator.
-    """
-    inner = levels[0][0] if levels else 1
-    outs = []
-    for k in range(0, len(block), inner):
-        grp = block[k : k + inner]
-        outs += _tensor_products(op, grp) if pairs else [op(f, g).samples for f, g in grp]
+def _block_arrays(op, block, levels):
+    """(op output, f, g) samples of one block, aggregated through `levels`."""
+    inner = levels[0][0]
+    outs = [a for k in range(0, len(block), inner) for a in op(block[k : k + inner])]
     cols = [outs, [f.samples for f, _ in block], [g.samples for _, g in block]]
-    for depth, (size, (s1, s2, s_out)) in enumerate(levels):
-        # with pairs, an innermost group of `size` members gave size**2 outputs
-        widths = (size * size if pairs and depth == 0 else size, size, size)
+    for size, (s1, s2, s_out) in levels:
+        # a group of `size` members gave `size` outputs, or size**2 if a tensor product
+        widths = (len(cols[0]) * size // len(cols[1]), size, size)
         cols = [
             [_aggregate(col[k : k + m], s) for k in range(0, len(col), m)]
             for col, m, s in zip(cols, widths, (s_out, s1, s2))
@@ -197,14 +191,11 @@ def _block_arrays(op, block, levels, pairs):
     return [col[0] for col in cols]
 
 
-def _sweep(
-    op, op_name, exps, weights, spec, seed, resolutions, L, config,
-    levels=(), pairs=False,
-) -> RatioReport:
+def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, levels) -> RatioReport:
     """The one per-resolution loop behind every sweep.
 
     `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
-    = (w1, w2) descriptors; `levels` and `pairs` as in the module docstring.
+    = (w1, w2) descriptors; `op` and `levels` as in the module docstring.
     """
     if not resolutions or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
@@ -220,17 +211,13 @@ def _sweep(
         grid = Grid(L, N)
         members = make_family(spec, seed, grid).members
         w1, w2 = (realize_weight(d, grid) for d in weights)
-        # the densities `weighted_norm` would take, once per resolution: w^p,
-        # or w itself at p = inf
-        v, v1, v2 = (
-            wt if p.is_inf else wt.power(p.frac)
-            for wt, p in ((w1 * w2, q), (w1, q1), (w2, q2))
-        )
+        # the densities w^p that `weighted_norm` would take, once per resolution
+        v, v1, v2 = (wt.power(p.frac) for wt, p in ((w1 * w2, q), (w1, q1), (w2, q2)))
         ratios, skipped = [], []
         for idx, k in enumerate(range(0, len(members) - size + 1, size)):
             out, f, g = (
                 GridFunction(a, grid)
-                for a in _block_arrays(op, members[k : k + size], levels, pairs)
+                for a in _block_arrays(op, members[k : k + size], levels)
             )
             num = measure_norm(out, v, q)
             d1 = measure_norm(f, v1, q1)
@@ -269,22 +256,20 @@ def ratio_sweep(
     family_spec: FamilySpec,
     *,
     seed: int = 7,
-    resolutions=(4096, 8192),
+    resolutions,
     L: float = 8.0,
 ) -> RatioReport:
     """Scalar ratio sweep of a bilinear operator against factor norms,
     with the target norm exponent q = (1/q1 + 1/q2)^(-1).
 
-    `op` is "bht", "product" or a callable.  For "bht" the (q1, q2) pair is
+    `op` is "bht" or "product".  For "bht" the (q1, q2) pair is
     certified through the scalar planner before sweeping, and power weights
     are checked against its class windows; the verdict of that check is
     recorded (sweeps against out-of-class weights are legitimate divergence
     probes, so membership failure is noted, not fatal).
     """
-    if isinstance(op, str) and op not in ("bht", "product"):
+    if op not in _OPS:
         raise DomainError(f"unknown operator {op!r}")
-    op_name = op if isinstance(op, str) else getattr(op, "__name__", "custom")
-    op_fn = _OPS[op] if isinstance(op, str) else op
     q1, q2 = as_exponent(q1), as_exponent(q2)
     plan = bht_plan(q1, q2) if op == "bht" else None
     q = plan.q if plan else harmonic_sum([q1, q2])
@@ -300,8 +285,8 @@ def ratio_sweep(
         "weights_in_class": _class_check(plan, w1_desc, w2_desc),
     }
     return _sweep(
-        op_fn, op_name, (q1, q2, q), (w1_desc, w2_desc), family_spec,
-        seed, resolutions, L, config,
+        _OPS[op], op, (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        seed, resolutions, L, config, [(1, (q1, q2, q))],
     )
 
 
@@ -328,9 +313,9 @@ def vv_sweep(
     w2_desc,
     family_spec: FamilySpec,
     *,
-    K: int = 1,
+    K: int,
     seed: int = 7,
-    resolutions=(4096, 8192),
+    resolutions,
     L: float = 8.0,
 ) -> RatioReport:
     """l^s-aggregated sweep over K-member blocks of the family.
@@ -353,8 +338,7 @@ def vv_sweep(
     }
     return _sweep(
         _OPS["bht"], "bht", (plan.q1, plan.q2, plan.q), (w1_desc, w2_desc), family_spec,
-        seed, resolutions, L, config,
-        levels=[(K, (plan.s1, plan.s2, plan.s))],
+        seed, resolutions, L, config, [(K, (plan.s1, plan.s2, plan.s))],
     )
 
 
@@ -364,10 +348,10 @@ def iterated_vv_sweep(
     qs,
     family_spec: FamilySpec,
     *,
-    J: int = 2,
-    K: int = 2,
+    J: int,
+    K: int,
     seed: int = 7,
-    resolutions=(2048, 4096),
+    resolutions,
     L: float = 8.0,
 ) -> RatioReport:
     """Doubly aggregated sweep: outer l^t over J blocks of inner l^s over K.
@@ -389,7 +373,7 @@ def iterated_vv_sweep(
     return _sweep(
         _OPS["bht"], "bht", (inner.q1, inner.q2, inner.q), ("unit", "unit"),
         family_spec, seed, resolutions, L, config,
-        levels=[(K, (inner.s1, inner.s2, inner.s)), (J, (outer.s1, outer.s2, outer.s))],
+        [(K, (inner.s1, inner.s2, inner.s)), (J, (outer.s1, outer.s2, outer.s))],
     )
 
 
@@ -401,8 +385,8 @@ def mz_sweep(
     surrogate: str = "tensor-hilbert",
     *,
     seed: int = 7,
-    resolutions=(2048, 4096),
-    K: int = 4,
+    resolutions,
+    K: int,
     L: float = 8.0,
 ) -> RatioReport:
     """l^r Marcinkiewicz-Zygmund aggregation over a K x K double index,
@@ -431,7 +415,6 @@ def mz_sweep(
         "L": L,
     }
     return _sweep(
-        _FACTOR_MAPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), wjs, family_spec,
-        seed, resolutions, L, config,
-        levels=[(K, (r, r, r))], pairs=True,
+        _MZ_OPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), wjs, family_spec,
+        seed, resolutions, L, config, [(K, (r, r, r))],
     )

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,9 +655,12 @@ def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
          "error: the weight product w1*w2 underflows to 0 on the grid (L=8.0, N=1024)\n"),
         (["verify", "bht", "--q1", "24", "--q2", "24", "--a", "-300", "--N", "1024", "--count", "2"],
          "error: the weight power w^12 underflows to 0 on the grid (L=8.0, N=1024)\n"),
+        # the weight that `rdf` builds: W is 0 in 226 of the 256 cells
+        (["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "1001/1000", "--N", "256"],
+         "error: the weight W = (W^q0)^(1/2) underflows to 0 on the grid (L=8.0, N=256)\n"),
     ],
     ids=["power-weight", "product", "power", "underflow-power-weight", "underflow-product",
-         "underflow-product-a170", "underflow-power"],
+         "underflow-product-a170", "underflow-power", "underflow-rdf-W"],
 )
 def test_weight_overflow_is_one_clean_error(capsys, argv, message):
     # numpy's overflow RuntimeWarning used to reach stderr before a generic error,
@@ -693,3 +697,60 @@ def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: weight file grid differ: (L=8.0, N=256) vs (L=8.0, N=512)\n"
+
+
+BIG = str(10**400)  # an exact rational that no float holds
+WEIGHT_CSV = str(Path(__file__).parent / "golden" / "weight.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rdf", "demo", "--pm", "1", "--pp", "4", "--p0", "2", "--q0", "2", "--p", "3999/1000", "--N", "256"],
+        ["verify", "bht", "--q1", BIG, "--q2", "2", "--count", "2", "--N", "256"],
+        ["verify", "vv", "--q1", BIG, "--q2", "2", "--s1", "2", "--s2", "2", "--count", "4", "--N", "256"],
+        ["verify", "mz", "--q", f"{BIG},3", "--r", "3/2", "--count", "4", "--N", "256"],
+        ["verify", "iterated", "--q1", "2", "--q2", "2", "--s1", BIG, "--s2", "2", "--t1", "2", "--t2", "2",
+         "--count", "4", "--N", "256"],
+        RDF_DEMO + ["--N", "256", "--w", f"power:{BIG}"],
+        ["weights", "estimate", "--file", WEIGHT_CSV, "--ap", BIG, "--rh", "2", "--depth", "2"],
+        ["weights", "estimate", "--file", WEIGHT_CSV, "--ap", "2", "--rh", BIG, "--depth", "2"],
+    ],
+    ids=["rdf-C1", "bht", "vv", "mz", "iterated", "rdf-power-weight", "estimate-ap", "estimate-rh"],
+)
+def test_value_beyond_the_float_range_is_one_clean_error(capsys, argv):
+    # 2^(1 + 1/delta) with 1/delta = 3000, or float() of a 401-digit exponent,
+    # used to end in an OverflowError traceback
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: a value is outside the float range (")
+    assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan", "bht", "--q1", BIG, "--q2", "2"],
+        ["plan", "mz", "--q", f"{BIG},3", "--r", "3/2"],
+        ["plan", "extrapolate", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", BIG],
+    ],
+    ids=["bht", "mz", "extrapolate"],
+)
+def test_exact_planners_take_values_beyond_the_float_range(capsys, argv):
+    assert run_cli(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "op, value", [("hilbert", "1e308"), ("maximal", "1e308"), ("bht", "1e308"), ("bht", "1e200")]
+)
+def test_operator_overflow_is_one_named_error(tmp_path, capsys, op, value):
+    # numpy's RuntimeWarnings used to reach stderr before a generic `samples must be finite`
+    path = tmp_path / "f.csv"
+    _write_rows(path, [["x", "re"]] + [[x, value] for x in ("-1.5", "-0.5", "0.5", "1.5")])
+    extra = ["--in2", str(path)] if op == "bht" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["operator", "apply", "--op", op, "--in", str(path)] + extra) == 1
+    assert caught == []
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: the operator {op} overflows on the grid (L=2.0, N=4)\n"

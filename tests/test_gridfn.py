@@ -91,8 +91,11 @@ def test_weighted_norm_triangle_inequality():
 
 
 def test_weighted_norm_sup_mode():
+    # the norms are for 0 < p < inf: p = inf has no sup-norm mode
     f = GridFunction(bump(X) * 3.0, G)
-    assert weighted_norm(f, GridWeight.unit(G), INF) == np.max(np.abs(f.samples))
+    for norm in (weighted_norm, measure_norm):
+        with pytest.raises(DomainError, match="infinite exponent"):
+            norm(f, GridWeight.unit(G), INF)
 
 
 def test_norm_grid_mismatch():

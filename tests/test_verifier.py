@@ -10,7 +10,7 @@ from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, hilbert, make_family
 from extrapkit.verifier import (
-    _FACTOR_MAPS,
+    _MZ_OPS,
     _aggregate,
     _block_arrays,
     _verdict,
@@ -91,29 +91,11 @@ def test_determinism_same_seed_same_report():
     assert a.ratios == b.ratios and a.sup_by_resolution == b.sup_by_resolution
 
 
-def test_rescaling_invariance():
-    # scaling every member leaves ratios invariant: custom op on a scaled family
-    grid = Grid(8.0, 1024)
-    fam = make_family(SMOOTH8, 5, grid)
-
-    calls = {"n": 0}
-
-    def scaled_op(f, g):
-        calls["n"] += 1
-        from extrapkit.gridfn import bht
-
-        return bht(f, g)
-
-    rr1 = ratio_sweep(scaled_op, 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
-
-    def scaling_op(f, g):
-        from extrapkit.gridfn import bht
-
-        return bht(f * 4.0, g * 4.0) * Fraction(1, 16)
-
-    rr2 = ratio_sweep(scaling_op, 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=(1024,))
-    for x, y in zip(rr1.ratios, rr2.ratios):
-        assert x == pytest.approx(y, rel=1e-12)
+@pytest.mark.parametrize("op", ["hilbert", lambda f, g: f * g], ids=["name", "callable"])
+def test_unknown_operator_rejected(op):
+    # the sweep runs "bht" and "product" only; an operator is named, never passed
+    with pytest.raises(DomainError, match="unknown operator"):
+        ratio_sweep(op, 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
 
 
 # -- vector-valued ---------------------------------------------------------------
@@ -143,7 +125,7 @@ def test_vv_weighted_power_window():
 
 def test_vv_infeasible_plan_rejected():
     with pytest.raises(Infeasible):
-        vv_sweep(2, 8, 2, Fraction(9, 8), "unit", "unit", SMOOTH8)
+        vv_sweep(2, 8, 2, Fraction(9, 8), "unit", "unit", SMOOTH8, K=1, resolutions=RES)
 
 
 # -- iterated ---------------------------------------------------------------------
@@ -184,12 +166,12 @@ def test_mz_tensor_hilbert_bounded():
 
 def test_mz_r_outside_window_rejected():
     with pytest.raises(Infeasible):
-        mz_sweep([3, 3], Fraction(5, 2), ["unit", "unit"], SMOOTH8)
+        mz_sweep([3, 3], Fraction(5, 2), ["unit", "unit"], SMOOTH8, K=4, resolutions=RES)
 
 
 def test_mz_unknown_surrogate():
     with pytest.raises(DomainError, match="unknown surrogate"):
-        mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus")
+        mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus", K=4, resolutions=RES)
 
 
 # The surrogates as pairwise operators, each pair transformed afresh: the
@@ -203,7 +185,7 @@ PAIR_OPS = {
 def _pairwise_block_arrays(pair_op):
     """`_block_arrays` for one MZ level, with `pair_op` on every (f_i, g_j)."""
 
-    def block_arrays(op, block, levels, pairs):
+    def block_arrays(op, block, levels):
         ((_, (r, _, _)),) = levels  # an MZ block is one innermost group
         outs = [pair_op(f, g).samples for f, _ in block for _, g in block]
         cols = (outs, [f.samples for f, _ in block], [g.samples for _, g in block])
@@ -226,8 +208,8 @@ def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, monkeypatc
     r = Fraction(3, 2)
     levels = [(K, (1.5, 1.5, 1.5))]
     block = make_family(spec, 3, Grid(8.0, 512)).members[:K]
-    got = _block_arrays(_FACTOR_MAPS[surrogate], block, levels, True)
-    want = _pairwise_block_arrays(PAIR_OPS[surrogate])(None, block, levels, True)
+    got = _block_arrays(_MZ_OPS[surrogate], block, levels)
+    want = _pairwise_block_arrays(PAIR_OPS[surrogate])(None, block, levels)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     args = ([2, 2], r, ["unit", "unit"], spec, surrogate)
@@ -262,7 +244,7 @@ def test_mz_block_memory_peak_stays_small():
     hilbert(block[0][0])  # the kernel spectrum is cached per grid size, outside the block
     tracemalloc.start()
     try:
-        _block_arrays(_FACTOR_MAPS["tensor-hilbert"], block, [(4, (1.5, 1.5, 1.5))], True)
+        _block_arrays(_MZ_OPS["tensor-hilbert"], block, [(4, (1.5, 1.5, 1.5))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
