@@ -6,15 +6,15 @@ aggregations).
 Layers, each imported directly as a submodule (the package root imports
 nothing):
 
-* :mod:`extrapkit.exponents` -- exact extended-rational exponent scalars and
-  the A_p / RH_s class indices;
+* :mod:`extrapkit.exponents` -- exact extended-rational exponent scalars,
+  the A_p / RH_s class indices and the closed-form power-weight classes;
 * :mod:`extrapkit.extrapolation` -- range calculus, case split, certified
   proof exponents, multilinear reduction;
 * :mod:`extrapkit.applications` -- bilinear-Hilbert / vector-valued /
   three-parameter / Marcinkiewicz-Zygmund planners;
 * :mod:`extrapkit.reports` -- the report envelope and its JSON form;
-* :mod:`extrapkit.weights` -- power-weight closed forms, grid weights,
-  dyadic constant estimation;
+* :mod:`extrapkit.weights` -- power and sampled weights on grids, dyadic
+  constant estimation;
 * :mod:`extrapkit.gridfn` -- grid operators (maximal, Hilbert, truncated
   bilinear Hilbert) and seeded test families;
 * :mod:`extrapkit.rdf` -- Rubio de Francia iteration with numeric

@@ -372,7 +372,7 @@ def section5_weight_classes(p1: ExponentLike, p2: ExponentLike, thetas):
     f1, f2 = p1.frac, p2.frac
     th = [Fraction(t) for t in thetas]
     if len(th) != 3 or any(not (0 < t < 1) for t in th):
-        raise DomainError(f"thetas must be three values in (0,1), got {thetas}")
+        raise DomainError(f"thetas must be three values in (0,1), got {', '.join(map(str, th))}")
     inv_p = rec(p1) + rec(p2)
     if not inv_p < 1:
         raise Infeasible(f"1/p = {inv_p} >= 1")
@@ -416,7 +416,7 @@ def section5_plan(
     q1, q2, s1, s2 = _open(q1=q1, q2=q2, s1=s1, s2=s2)
     g = [Fraction(gamma1), Fraction(gamma2), Fraction(gamma3)]
     if any(not (0 <= gi < 1) for gi in g):
-        raise DomainError(f"gamma_i must lie in [0, 1), got {g}")
+        raise DomainError(f"gamma_i must lie in [0, 1), got {', '.join(map(str, g))}")
     if sum(g) != 1:
         raise DomainError(f"gamma_1 + gamma_2 + gamma_3 = {sum(g)} != 1")
 

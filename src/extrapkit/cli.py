@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -43,13 +44,13 @@ import numpy as np
 from . import applications as app
 from . import verifier as ver
 from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible
-from .exponents import Exponent, WeightClassSpec, parse_rational
+from .exponents import Exponent, WeightClassSpec, parse_rational, power_membership
 from .extrapolation import ExtrapolationRange, dual_range, proof_exponents
 from .grid import Grid
 from .gridfn import FAMILY_KINDS, FamilySpec, GridFunction, bht, hilbert, maximal, make_family
-from .rdf import build_proof_objects, verify_case1_weight
+from .rdf import WEIGHT_DEPTH, build_proof_objects, verify_case1_weight
 from .reports import dumps, envelope, to_jsonable
-from .weights import GridWeight, PowerWeight, estimate_class_constants, power_membership
+from .weights import GridWeight, PowerWeight, estimate_class_constants
 
 USAGE_EXIT = 1
 INFEASIBLE_EXIT = 2
@@ -82,13 +83,13 @@ def _list(item):
 
 
 def _weight_descriptor(text: str):
+    """argparse type of `rdf demo --w`: the map from a grid to the weight on it."""
     if text == "unit":
-        return "unit"
+        return GridWeight.unit
     if text.startswith("power:"):
-        return PowerWeight(_frac(text[len("power:"):]))
+        return PowerWeight(_frac(text[len("power:"):])).on_grid
     if text.startswith("file:"):
-        path = text[len("file:"):]
-        return lambda grid: _read_weight_csv(path, grid)
+        return functools.partial(_read_weight_csv, text[len("file:"):])
     raise argparse.ArgumentTypeError(
         f"weight descriptor {text!r} must be unit | power:NUM/DEN | file:PATH"
     )
@@ -130,7 +131,10 @@ def _read_csv(path: str) -> tuple[Grid, np.ndarray, np.ndarray]:
 def _read_weight_csv(path: str, grid: Grid | None = None) -> GridWeight:
     inferred, vals, _ = _read_csv(path)
     if grid is not None:
-        inferred.require_same(grid, "weight file grid")
+        inferred.require_same(grid, f"{path}: the weight file and run grids")
+    bad = np.flatnonzero(~(np.isfinite(vals) & (vals > 0)))
+    if bad.size:
+        raise DomainError(f"{path}: data row {bad[0] + 1}: weight samples must be strictly positive and finite")
     return GridWeight(vals, inferred)
 
 
@@ -223,7 +227,7 @@ def _cmd_plan_mz(args):
 
 def _cmd_weights_check(args):
     spec = WeightClassSpec(args.ap, args.rh)
-    member, reasons = power_membership(PowerWeight(args.alpha), spec)
+    member, reasons = power_membership(args.alpha, spec)
     data = {"alpha": args.alpha, "ap": spec.p, "rh": spec.s, "member": member, "reasons": reasons}
     return {"feasible": member, "data": data}, None
 
@@ -265,11 +269,13 @@ def _cmd_operator_apply(args):
 
 
 def _cmd_rdf_demo(args):
-    rng, pe = _range(args)
     if len(args.N) != 1:
         raise DomainError(f"rdf demo runs on one resolution, got --N {','.join(map(str, args.N))}")
+    if args.N[0] < 2**WEIGHT_DEPTH:  # the W^p0 class constants take WEIGHT_DEPTH halvings
+        raise DomainError(f"rdf demo needs --N of at least {2**WEIGHT_DEPTH} samples, got {args.N[0]}")
+    rng, pe = _range(args)
     grid = Grid(args.L, args.N[0])
-    w = ver.realize_weight(args.w, grid)
+    w = args.w(grid)
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), args.seed, grid)
     f, g = (c.abs() for c in fam.members[0])
     try:
@@ -287,7 +293,7 @@ def _cmd_rdf_demo(args):
             with open(args.trace, "w", newline="") as fh:
                 wr = csv.writer(fh)
                 wr.writerow(["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"])
-                objs = (po.h1, po.H1, po.h2, po.H2, po.mu1, po.mu2, po.W)
+                objs = (po.h1, po.H1, po.h2, po.H2, po.r1.function, po.r2.function, po.W)
                 wr.writerows(zip(grid.x(), *(o.samples for o in objs)))
         except OSError as e:
             raise DomainError(f"{args.trace}: cannot write: {e.strerror}")

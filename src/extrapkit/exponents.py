@@ -20,7 +20,15 @@ arithmetic: all algebra runs on Fractions through :func:`rec` and :func:`from_re
 The weight classes A_p & RH_s are exact index pairs too
 (:class:`WeightClassSpec`); :func:`cjn_index` is the index rule linking them,
 
-    v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1.
+    v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1,
+
+and :func:`power_membership` decides the power weights |x|^alpha on the
+line (n = 1) in closed form:
+
+    |x|^alpha in A_p  <=>  -1 < alpha < p-1      (p > 1)
+                      <=>  -1 < alpha <= 0       (p = 1)
+    |x|^alpha in RH_s <=>  alpha > -1/s          (s < inf)
+                      <=>  alpha >= 0            (s = inf)
 """
 
 from __future__ import annotations
@@ -37,13 +45,13 @@ __all__ = [
     "Exponent",
     "INF",
     "as_exponent",
-    "conjugate",
     "conjugate_ratio",
     "harmonic_sum",
     "parse_rational",
     "exp_str",
     "WeightClassSpec",
     "cjn_index",
+    "power_membership",
 ]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -177,17 +185,6 @@ def from_rec(t: Fraction) -> Exponent:
     return Exponent(1 / t)
 
 
-def conjugate(p: ExponentLike) -> Exponent:
-    """Hoelder conjugate p' with 1/p + 1/p' = 1, for p >= 1.
-
-    1' = inf and inf' = 1; the map is an exact involution on [1, inf].
-    """
-    p = as_exponent(p)
-    if p < 1:
-        raise DomainError(f"conjugate requires p >= 1, got {p}")
-    return conjugate_ratio(p, 1)
-
-
 def conjugate_ratio(a: ExponentLike, b: ExponentLike) -> Exponent:
     """(a/b)' for a >= b > 0, b finite, via 1/(a/b)' = 1 - b/a: (inf/b)' = 1, (a/a)' = inf."""
     a, b = as_exponent(a), as_exponent(b)
@@ -255,3 +252,34 @@ def cjn_index(p: ExponentLike, s: ExponentLike) -> Exponent:
     if p < 1 or s < 1:
         raise DomainError(f"cjn_index requires p, s >= 1, got ({p}, {s})")
     return Exponent(s.frac * (p.frac - 1) + 1)
+
+
+def power_membership(alpha: Fraction, spec: WeightClassSpec):
+    """Closed-form verdict for |x|^alpha in A_p & RH_s on R, with the
+    per-condition reasons (for reports); alpha is an exact rational."""
+    p, s = spec.p, spec.s
+    reasons = []
+
+    if p == 1:
+        in_ap = Fraction(-1) < alpha <= 0
+        reasons.append(f"A_1 on R requires -1 < alpha <= 0: alpha={alpha} -> {in_ap}")
+    else:
+        in_ap = Fraction(-1) < alpha < p.frac - 1
+        reasons.append(
+            f"A_{p} on R requires -1 < alpha < p-1 = {p.frac - 1}: alpha={alpha} -> {in_ap}"
+        )
+
+    if s.is_inf:
+        in_rh = alpha >= 0
+        reasons.append(f"RH_inf on R requires alpha >= 0: alpha={alpha} -> {in_rh}")
+    elif s == 1:
+        in_rh = True
+        reasons.append("RH_1 is trivial")
+    else:
+        bound = -rec(s)
+        in_rh = alpha > bound
+        reasons.append(
+            f"RH_{s} on R requires alpha > -1/s = {bound}: alpha={alpha} -> {in_rh}"
+        )
+
+    return bool(in_ap and in_rh), reasons

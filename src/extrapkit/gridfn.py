@@ -15,9 +15,7 @@ All operators act on midpoint-sampled functions over [-L, L] (see
   of the t -> -t substitution in the integral.
 
 The singular cell t = 0 is always skipped; t_max defaults to L/2, which
-keeps the principal-value error controlled at desk scale.  Interior-error
-statements are always made on the middle half of the support, away from
-truncation boundary effects.
+keeps the principal-value error controlled at desk scale.
 """
 
 from __future__ import annotations
@@ -69,8 +67,6 @@ class GridFunction:
             self.grid.require_same(c.grid)
             return GridFunction(self.samples * c.samples, self.grid)
         return GridFunction(self.samples * c, self.grid)
-
-    __rmul__ = __mul__
 
     def abs(self) -> "GridFunction":
         return GridFunction(np.abs(self.samples), self.grid)
@@ -349,9 +345,7 @@ class FamilySpec:
 
 @dataclass
 class TestFamily:
-    seed: int
-    spec: FamilySpec
-    members: list  # list of tuples of GridFunction, len == spec.count
+    members: list  # one tuple of `arity` GridFunctions per member, `count` of them
 
     def functions(self):
         """All member components flattened (probe use)."""
@@ -412,4 +406,4 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
             while len(tup) < spec.arity:
                 tup.append(GridFunction(right.copy(), grid))
             members.append(tuple(tup[: spec.arity]))
-    return TestFamily(seed=seed, spec=spec, members=members)
+    return TestFamily(members)

@@ -48,8 +48,9 @@ with the twelve certificates
     R2-A1:       M(mu2) <= 4 B2 (mu2 + T_K of R2)
 
 where B1, B2 are the bounds on S that the iterations ran with, after any
-retries.  The norm certificates are checked to a 1% quadrature slack
-(NORM_SLACK), the pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
+retries: mu_i is r_i.function and B_i is r_i.norm_bound.  The norm
+certificates are checked to a 1% quadrature slack (NORM_SLACK), the
+pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class IterationResult:
 
     function: GridFunction  # R_K G, summed with the dyadic operator S
     a1_ratio: float  # max M(RG)/RG with the exact maximal M
-    input_norm: float
+    norm_bound: float  # the bound B on S that the series ran with
     output_norm: float
-    term_norms: list  # norms of the K added terms
+    term_norms: list  # norms of the K added terms, ||G|| first
     exact_maximal: GridFunction  # exact M(R_K G), the oracle for the A_1 certificate
     dropped: GridFunction  # T_K = S^K G / (2B)^K, the first term left out
 
@@ -148,7 +149,7 @@ def rdf_iterate(
     return IterationResult(
         function=out,
         a1_ratio=float(np.max(mratio)),
-        input_norm=base_norm,
+        norm_bound=norm_bound,
         output_norm=measure_norm(out, weight, exponent),
         term_norms=term_norms,
         exact_maximal=m_out,
@@ -186,24 +187,21 @@ class ProofObjects:
     H1: GridFunction
     h2: GridFunction
     H2: GridFunction
-    mu1: GridWeight
-    mu2: GridWeight
     W: GridWeight
     W_q0: np.ndarray  # H1^{-alpha q0/s} H2 w^q, stored for bitwise replay
     C1: float  # 2^(1+1/delta)
     C2: float  # 2^(1/beta)
     certificates: dict
-    norm_bounds: tuple[float, float]
-    r1: IterationResult
-    r2: IterationResult
+    r1: IterationResult  # mu1 = r1.function
+    r2: IterationResult  # mu2 = r2.function
 
     def as_dict(self) -> dict:
         return {
             "C1": self.C1,
             "C2": self.C2,
             "certificates": self.certificates,
-            "norm_bound_1": self.norm_bounds[0],
-            "norm_bound_2": self.norm_bounds[1],
+            "norm_bound_1": self.r1.norm_bound,
+            "norm_bound_2": self.r2.norm_bound,
             "a1_ratio_mu1": self.r1.a1_ratio,
             "a1_ratio_mu2": self.r2.a1_ratio,
         }
@@ -255,7 +253,7 @@ def build_proof_objects(
     h2 = GridFunction(h2.samples / nh2, grid)
 
     def _majorant(h: GridFunction, power: Fraction, w_exp: Fraction, space_p: Fraction, v: GridWeight):
-        """seed = h^power w^w_exp, r = R seed on L^space_p(v), mu = max(r, tiny),
+        """seed = h^power w^w_exp, r = R seed on L^space_p(v), and
         H = r^(1/power) w^(-w_exp/power); the norm bound doubles after each
         NormBoundTooSmall, and the last of BOUND_ATTEMPTS attempts re-raises."""
         seed = GridFunction(h.samples ** float(power) * w.power(w_exp).samples, grid)
@@ -268,15 +266,14 @@ def build_proof_objects(
                 if attempt == BOUND_ATTEMPTS:
                     raise
                 bound *= 2.0  # rare: probe estimate too optimistic; retry
-        mu = GridWeight(np.maximum(r.function.samples, np.finfo(float).tiny), grid)
         H = GridFunction(r.function.samples ** float(1 / power) * w.power(-w_exp / power).samples, grid)
-        return seed, r, bound, mu, H
+        return seed, r, H
 
     # R1 runs on L^tau(w^{p (p_+/p)'}), R2 on L^tau'(w^{-sigma})
     v1 = w.power(pf * conjugate_ratio(rng.p_plus, p).frac)  # (p_+/p)' = 1 when p_+ = inf
-    seed1, r1, bound1, mu1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, v1)
+    seed1, r1, H1 = _majorant(h1, pe.delta, pe.epsilon, pe.tau, v1)
     beta = pe.beta.frac
-    seed2, r2, bound2, mu2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
+    seed2, r2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
 
     C1 = 2.0 ** float(1 + 1 / pe.delta)
     C2 = 2.0 ** float(1 / beta)
@@ -307,10 +304,10 @@ def build_proof_objects(
     _pt_cert("H2-pt", h2.samples, H2.samples)
     _pt_cert("R1-majorant", seed1.samples, r1.function.samples)
     _pt_cert("R2-majorant", seed2.samples, r2.function.samples)
-    _norm_cert("R1-doubling", r1.output_norm, 2.0 * r1.input_norm)
-    _norm_cert("R2-doubling", r2.output_norm, 2.0 * r2.input_norm)
-    for tag, r, bound in (("R1-A1", r1, bound1), ("R2-A1", r2, bound2)):
-        _pt_cert(tag, r.exact_maximal.samples, 4.0 * bound * (r.function.samples + r.dropped.samples))
+    _norm_cert("R1-doubling", r1.output_norm, 2.0 * r1.term_norms[0])
+    _norm_cert("R2-doubling", r2.output_norm, 2.0 * r2.term_norms[0])
+    for tag, r in (("R1-A1", r1), ("R2-A1", r2)):
+        _pt_cert(tag, r.exact_maximal.samples, 4.0 * r.norm_bound * (r.function.samples + r.dropped.samples))
 
     if failures:
         raise CertificationFailed(failures)
@@ -324,14 +321,11 @@ def build_proof_objects(
         H1=H1,
         h2=h2,
         H2=H2,
-        mu1=mu1,
-        mu2=mu2,
         W=W,
         W_q0=W_q0,
         C1=C1,
         C2=C2,
         certificates=certs,
-        norm_bounds=(bound1, bound2),
         r1=r1,
         r2=r2,
     )

@@ -47,7 +47,7 @@ import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
 from .errors import DomainError
-from .exponents import ExponentLike, as_exponent, harmonic_sum
+from .exponents import ExponentLike, as_exponent, harmonic_sum, power_membership
 from .grid import Grid
 from .gridfn import (
     FamilySpec,
@@ -57,7 +57,7 @@ from .gridfn import (
     make_family,
     measure_norm,
 )
-from .weights import GridWeight, PowerWeight, power_in_class
+from .weights import GridWeight, PowerWeight
 
 __all__ = [
     "RatioReport",
@@ -80,21 +80,17 @@ DIVERGENT_GROWTH = 1.5
 # --------------------------------------------------------------------------
 
 def realize_weight(desc, grid: Grid) -> GridWeight:
-    if desc == "unit":
-        return GridWeight.unit(grid)
-    if isinstance(desc, PowerWeight):
-        return desc.on_grid(grid)
-    if callable(desc):
-        return desc(grid)
-    raise DomainError(f"cannot realize weight descriptor {desc!r}")
+    return GridWeight.unit(grid) if desc == "unit" else desc.on_grid(grid)
 
 
 def _describe_weight(desc) -> str:
+    """The report form of a descriptor; a DomainError if it is neither
+    "unit" nor a PowerWeight."""
     if desc == "unit":
         return "unit"
     if isinstance(desc, PowerWeight):
         return f"power:{desc.alpha}"
-    return str(desc)
+    raise DomainError(f"cannot realize weight descriptor {desc!r}")
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +197,8 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
         raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
+    for desc in weights:
+        _describe_weight(desc)  # a bad descriptor fails here, before any grid work
     levels = [(n, tuple(float(e.frac) for e in es)) for n, es in levels]
     q1, q2, q = exps
     size = math.prod(n for n, _ in levels)
@@ -299,8 +297,7 @@ def _class_check(plan, w1_desc, w2_desc):
         (w1_desc, plan.weight_specs[0], plan.q1),
         (w2_desc, plan.weight_specs[1], plan.q2),
     ):
-        powered = PowerWeight(desc.alpha * qi.frac)  # class is on w_i^{q_i}
-        ok = ok and power_in_class(powered, spec)
+        ok = ok and power_membership(desc.alpha * qi.frac, spec)[0]  # class is on w_i^{q_i}
     return ok
 
 

@@ -1,22 +1,12 @@
-"""Muckenhoupt / reverse-Hoelder weights: power weights and grid weights.
+"""Muckenhoupt / reverse-Hoelder weights on grids: power weights, grid
+weights, and the estimation of the class constants of
+:class:`~extrapkit.exponents.WeightClassSpec` by a supremum of the defining
+functionals over dyadic subintervals of [-L, L].
 
-Two layers over the exact class specifications of :mod:`extrapkit.exponents`
-(:class:`WeightClassSpec`, with the index rule :func:`cjn_index`):
-
-* closed-form membership for power weights |x|^alpha on the line,
-* grid-based estimation of the class constants by a supremum of the
-  defining functionals over dyadic subintervals of [-L, L].
-
-The constructive factorization v = v1^(1/s) * v2^(1-p) with v1, v2 in A_1
-is not built on grids; for power weights its exponent algebra reduces to
-the closed forms below.
-
-All closed forms are one-dimensional: on R (n = 1),
-
-    |x|^alpha in A_p  <=>  -1 < alpha < p-1      (p > 1)
-                      <=>  -1 < alpha <= 0       (p = 1)
-    |x|^alpha in RH_s <=>  alpha > -1/s          (s < inf)
-                      <=>  alpha >= 0            (s = inf)
+The closed-form membership of a power weight |x|^alpha is exact and lives
+in :mod:`extrapkit.exponents` (:func:`power_membership`).  The constructive
+factorization v = v1^(1/s) * v2^(1-p) with v1, v2 in A_1 is not built on
+grids; for power weights its exponent algebra reduces to those closed forms.
 """
 
 from __future__ import annotations
@@ -27,14 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .exponents import WeightClassSpec, rec
+from .exponents import WeightClassSpec
 from .grid import Grid
 
 __all__ = [
     "PowerWeight",
     "GridWeight",
-    "power_in_class",
-    "power_membership",
     "estimate_class_constants",
 ]
 
@@ -55,43 +43,6 @@ class PowerWeight:
 
     def on_grid(self, grid: Grid) -> "GridWeight":
         return GridWeight._checked(lambda: np.abs(grid.x()) ** float(self.alpha), f"|x|^{self.alpha}", grid)
-
-
-def power_in_class(w: PowerWeight, spec: WeightClassSpec) -> bool:
-    """Closed-form membership verdict for |x|^alpha in A_p & RH_s on R."""
-    ok, _ = power_membership(w, spec)
-    return ok
-
-
-def power_membership(w: PowerWeight, spec: WeightClassSpec):
-    """Membership verdict plus per-condition reasons (for reports)."""
-    a = w.alpha
-    p, s = spec.p, spec.s
-    reasons = []
-
-    if p == 1:
-        in_ap = Fraction(-1) < a <= 0
-        reasons.append(f"A_1 on R requires -1 < alpha <= 0: alpha={a} -> {in_ap}")
-    else:
-        in_ap = Fraction(-1) < a < p.frac - 1
-        reasons.append(
-            f"A_{p} on R requires -1 < alpha < p-1 = {p.frac - 1}: alpha={a} -> {in_ap}"
-        )
-
-    if s.is_inf:
-        in_rh = a >= 0
-        reasons.append(f"RH_inf on R requires alpha >= 0: alpha={a} -> {in_rh}")
-    elif s == 1:
-        in_rh = True
-        reasons.append("RH_1 is trivial")
-    else:
-        bound = -rec(s)
-        in_rh = a > bound
-        reasons.append(
-            f"RH_{s} on R requires alpha > -1/s = {bound}: alpha={a} -> {in_rh}"
-        )
-
-    return bool(in_ap and in_rh), reasons
 
 
 # --------------------------------------------------------------------------

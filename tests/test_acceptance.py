@@ -24,7 +24,7 @@ from extrapkit.applications import (
     section5_plan,
     section5_weight_classes,
 )
-from extrapkit.exponents import Exponent, WeightClassSpec, cjn_index, rec
+from extrapkit.exponents import Exponent, WeightClassSpec, cjn_index, power_membership, rec
 from extrapkit.extrapolation import Case, proof_exponents
 from extrapkit.grid import Grid
 from extrapkit.gridfn import (
@@ -37,7 +37,7 @@ from extrapkit.gridfn import (
 )
 from extrapkit.rdf import build_proof_objects
 from extrapkit.verifier import ratio_sweep
-from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants, power_in_class
+from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants
 
 HALF = Fraction(1, 2)
 
@@ -142,7 +142,7 @@ def test_criterion_06_weight_calculus():
         s = 1 + Fraction(rnd.randint(0, 24), 8)
         alpha = Fraction(rnd.randint(-40, 40), 16)
         q = cjn_index(p, s)
-        lhs = power_in_class(PowerWeight(alpha), WeightClassSpec(p, s))
+        lhs = power_membership(alpha, WeightClassSpec(p, s))[0]
         a_s = alpha * s
         rhs = (Fraction(-1) < a_s <= 0) if q == 1 else (Fraction(-1) < a_s < q.frac - 1)
         assert lhs == rhs
@@ -239,8 +239,8 @@ def test_criterion_08_rdf_certificates():
         # R G >= G exactly, ||R G|| <= 2 ||G|| within 1%
         assert po.certificates["R1-majorant"]["max_violation"] <= 0
         assert po.certificates["R2-majorant"]["max_violation"] <= 0
-        assert po.r1.output_norm <= 2 * po.r1.input_norm * 1.01
-        assert po.r2.output_norm <= 2 * po.r2.input_norm * 1.01
+        assert po.r1.output_norm <= 2 * po.r1.term_norms[0] * 1.01
+        assert po.r2.output_norm <= 2 * po.r2.term_norms[0] * 1.01
         # M(RG) <= 4B (RG + T_K) with the exact maximal, to 1e-9
         assert po.certificates["R1-A1"]["ok"] and po.certificates["R2-A1"]["ok"], i
         n_pass += 1

@@ -18,7 +18,7 @@ from extrapkit.applications import (
     section5_weight_classes,
 )
 from extrapkit.errors import DomainError, Infeasible
-from extrapkit.exponents import INF, Exponent, cjn_index, conjugate, rec
+from extrapkit.exponents import INF, Exponent, cjn_index, conjugate_ratio, rec
 
 HALF = Fraction(1, 2)
 
@@ -100,7 +100,7 @@ def test_plan_invariants_on_corpus():
             assert plan.r_equiv[i] == Exponent(1 / inv_r)
             # class spec consistency
             assert plan.weight_specs[i].p == Exponent(q.frac * rec(plan.r_minus[i]))
-            assert plan.weight_specs[i].s == conjugate(Exponent(plan.r_plus[i].frac / q.frac))
+            assert plan.weight_specs[i].s == conjugate_ratio(Exponent(plan.r_plus[i].frac / q.frac), 1)
 
 
 def test_eta_monotone_shrinking_stays_feasible():
@@ -257,8 +257,10 @@ def test_section5_worked_example():
 def test_section5_gamma_validation():
     with pytest.raises(DomainError, match=r"gamma_1 \+ gamma_2 \+ gamma_3 = 3/2 != 1"):
         section5_plan(2, 2, 2, 2, HALF, HALF, HALF)  # sums to 3/2
-    with pytest.raises(DomainError, match=r"gamma_i must lie in \[0, 1\)"):
+    with pytest.raises(DomainError, match=r"gamma_i must lie in \[0, 1\), got 1, 0, 0$"):
         section5_plan(2, 2, 2, 2, 1, 0, 0)  # gamma_1 = 1 excluded
+    with pytest.raises(DomainError, match=r"thetas must be three values in \(0,1\), got 1, 1/2, 1/2$"):
+        section5_weight_classes(3, 3, [1, HALF, HALF])
 
 
 def test_section5_strict_boundary_infeasible():

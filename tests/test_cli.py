@@ -99,6 +99,13 @@ def test_plan_section5(capsys):
     assert "needed-finish" in rep["certified"]
 
 
+def test_plan_section5_error_prints_rationals(capsys):
+    argv = ["plan", "section5", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--g1", "1", "--g2", "0", "--g3", "0"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: gamma_i must lie in [0, 1), got 1, 0, 0\n"
+
+
 def test_plan_mz(capsys):
     code, rep = run_json(["plan", "mz", "--q", "3,3", "--r", "3/2"], capsys)
     assert code == 0
@@ -186,6 +193,8 @@ def test_rdf_demo_json_and_trace(tmp_path, capsys):
     rows = list(csv.reader(open(trace)))
     assert rows[0] == ["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"]
     assert len(rows) == 513
+    # the majorants are written unfloored: each is a positive weight as summed
+    assert all(float(row[5]) > 0 and float(row[6]) > 0 for row in rows[1:])
 
 
 def test_verify_bht_report_shape(capsys):
@@ -523,11 +532,18 @@ def test_rdf_demo_unwritable_trace_exit_1(tmp_path, capsys):
     assert out.err.startswith("error:") and str(trace) in out.err and out.err.count("\n") == 1
 
 
-def test_rdf_demo_grid_too_coarse_for_weight_depth(capsys):
-    # the W^p0 class constants need 2^6 samples; a 32-point grid reported depth 6
+def test_rdf_demo_grid_too_coarse_for_weight_depth(monkeypatch, capsys):
+    # the W^p0 class constants need 2^6 samples: a coarser grid is refused
+    # before the construction starts, naming --N rather than the depth
+    from extrapkit import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("rdf demo built a family on a grid it must refuse")
+
+    monkeypatch.setattr(cli, "make_family", no_work)
     assert main(RDF_DEMO + ["--N", "32"]) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: depth 6 needs at least 2^6 samples, got 32\n"
+    assert out.out == "" and out.err == "error: rdf demo needs --N of at least 64 samples, got 32\n"
 
 
 def _uniform_rows(n, L=2.0):
@@ -679,7 +695,20 @@ def test_zero_weight_file_keeps_the_positivity_error(tmp_path, capsys):
     _write_rows(path, [["x", "re"]] + [[f"{x:.17g}", "0" if i == 5 else "1"] for i, x in enumerate(grid.x())])
     assert main(RDF_DEMO + ["--w", f"file:{path}", "--N", "256"]) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: weight samples must be strictly positive and finite\n"
+    assert out.out == ""
+    assert out.err == f"error: {path}: data row 6: weight samples must be strictly positive and finite\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_weights_estimate_names_the_bad_weight_row(tmp_path, capsys, value):
+    path = tmp_path / "w.csv"
+    rows = _uniform_rows(8)
+    rows[3][1] = value
+    _write_rows(path, [["# a comment line"]] + rows)
+    assert main(["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2", "--depth", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {path}: data row 3: weight samples must be strictly positive and finite\n"
 
 
 def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):
@@ -696,7 +725,7 @@ def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):
     assert main(RDF_DEMO + ["--w", f"file:{path}", "--N", "512"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: weight file grid differ: (L=8.0, N=256) vs (L=8.0, N=512)\n"
+    assert out.err == f"error: {path}: the weight file and run grids differ: (L=8.0, N=256) vs (L=8.0, N=512)\n"
 
 
 BIG = str(10**400)  # an exact rational that no float holds

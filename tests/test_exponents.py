@@ -11,7 +11,6 @@ from extrapkit.exponents import (
     INF,
     Exponent,
     as_exponent,
-    conjugate,
     conjugate_ratio,
     exp_str,
     from_rec,
@@ -23,15 +22,15 @@ positive_exponents = st.fractions(min_value=Fraction(1, 50), max_value=100).map(
 
 
 def test_conjugate_endpoints():
-    assert conjugate(1) == INF
-    assert conjugate(INF) == Exponent(1)
-    assert conjugate(2) == Exponent(2)
-    assert conjugate(Fraction(4, 3)) == Exponent(4)
+    assert conjugate_ratio(1, 1) == INF
+    assert conjugate_ratio(INF, 1) == Exponent(1)
+    assert conjugate_ratio(2, 1) == Exponent(2)
+    assert conjugate_ratio(Fraction(4, 3), 1) == Exponent(4)
 
 
 def test_conjugate_rejects_below_one():
     with pytest.raises(DomainError):
-        conjugate(Fraction(1, 2))
+        conjugate_ratio(Fraction(1, 2), 1)
 
 
 def test_conjugate_ratio_endpoints():
@@ -51,7 +50,7 @@ def test_conjugate_ratio_matches_conjugate_of_the_ratio():
     for _ in range(500):
         b = Fraction(rnd.randint(1, 400), rnd.randint(1, 40))
         a = b + Fraction(rnd.randint(1, 400), rnd.randint(1, 40))
-        assert conjugate_ratio(a, b) == conjugate(Exponent(a / b))
+        assert conjugate_ratio(a, b) == conjugate_ratio(Exponent(a / b), 1)
 
 
 def test_harmonic_sum_examples():
@@ -142,9 +141,9 @@ def test_seeded_conjugate_identity_corpus():
     rnd = random.Random(20240601)
     for _ in range(1000):
         p = Exponent(1 + Fraction(rnd.randint(1, 400), rnd.randint(1, 40)))
-        pp = conjugate(p)
+        pp = conjugate_ratio(p, 1)
         assert rec(p) + rec(pp) == 1
-        assert conjugate(pp) == p
+        assert conjugate_ratio(pp, 1) == p
 
 
 @given(positive_exponents, positive_exponents, positive_exponents)

@@ -13,7 +13,10 @@ cannot leave a layer untraced, and no function but `cli.main` writes to
 stdout, so every report goes out through its one writer, and no module but
 `reports.py` imports `exp_str`, so exponents stay exact values until
 `to_jsonable` writes them, and `Exponent` defines no arithmetic operator,
-so exponent algebra stays on Fractions through `rec` and `from_rec`.
+so exponent algebra stays on Fractions through `rec` and `from_rec`, and
+every name in an `__all__` is used somewhere in the package or the
+benchmark (`EXPORT_ALLOWLIST` names the exceptions and why), so no public
+name outlives its last user.
 """
 
 import ast
@@ -26,7 +29,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "extrapkit"
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 MODULES = sorted(SRC.glob("*.py"))
 EXACT_LAYER = ["__init__", "errors", "exponents", "extrapolation", "applications", "reports"]
 
@@ -36,6 +40,19 @@ def _annotation_names(node):
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         node = ast.parse(node.value, mode="eval")
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def annotation_uses(tree) -> set[str]:
+    """The names in the annotations of a tree, quoted ones included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return used
 
 
 def unused_imports(source: str) -> list[str]:
@@ -48,14 +65,7 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.arg) and node.annotation is not None:
-            used |= _annotation_names(node.annotation)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
-            used |= _annotation_names(node.returns)
-        elif isinstance(node, ast.AnnAssign):
-            used |= _annotation_names(node.annotation)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | annotation_uses(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -85,16 +95,20 @@ def top_level_names(tree) -> set[str]:
     return names
 
 
-def stale_exports(source: str) -> list[str]:
-    """Names listed in `__all__` that the module itself does not define."""
-    tree = ast.parse(source)
-    exported = []
+def exports(tree) -> list[str]:
+    """The names listed in a module's `__all__`."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = [ast.literal_eval(e) for e in node.value.elts]
-    return sorted(set(exported) - top_level_names(tree))
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names listed in `__all__` that the module itself does not define."""
+    tree = ast.parse(source)
+    return sorted(set(exports(tree)) - top_level_names(tree))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -322,3 +336,48 @@ def test_arithmetic_dunder_detector():
 
     assert arithmetic_dunders(Value) == ["__truediv__", "__rpow__"]
     assert arithmetic_dunders(object) == []
+
+
+# Exports that nothing in the package or the benchmark uses, kept on purpose.
+EXPORT_ALLOWLIST = {
+    "applications.bht_base_class": "criterion 5's oracle: Section 5 must recover the base BHT classes",
+}
+
+
+def referenced_names(source: str) -> set[str]:
+    """The names a source uses: loaded names, read attributes and annotations.
+    A definition or an assignment target is not a use, nor an `__all__` string."""
+    tree = ast.parse(source)
+    used = annotation_uses(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def unreferenced_exports(modules: dict[str, str], sources, extra=()) -> list[str]:
+    """`module.name` of each `__all__` entry of `modules` that no source and
+    no name in `extra` references."""
+    used = set(extra).union(*(referenced_names(s) for s in sources))
+    return sorted(f"{m}.{n}" for m, src in modules.items() for n in exports(ast.parse(src)) if n not in used)
+
+
+def test_every_export_has_a_user():
+    # the tracer wraps its functions by name, so its WRAPPED strings are uses too
+    sources = [p.read_text() for p in MODULES + sorted(PERFBENCH.rglob("*.py"))]
+    traced = {attr for _, attr in wrapped_functions(TRACER.read_text())}
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced_exports(modules, sources, traced) == sorted(EXPORT_ALLOWLIST)
+
+
+def test_unreferenced_export_detector():
+    module = (
+        '__all__ = ["f", "C", "K", "S", "T", "dead", "traced"]\n'
+        "K = 1\nS = 2\n"
+        "def f(x: 'C') -> None:\n    return K\n"
+        "class C: pass\nclass T: pass\ndef dead(): pass\ndef traced(): pass\n"
+    )
+    user = "import m\nm.T()\nf(1)\n"
+    assert unreferenced_exports({"m": module}, [module, user], {"traced"}) == ["m.S", "m.dead"]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from corpus import case1_scenarios
 from extrapkit.errors import CertificationFailed, DomainError, NormBoundTooSmall
@@ -52,7 +54,7 @@ def test_iterate_norm_doubling_bound():
     w = PowerWeight(Fraction(1, 8)).on_grid(GRID)
     nb = estimate_maximal_norm(2, w, f)
     res = rdf_iterate(f, nb, w, 2)
-    assert res.output_norm <= 2.0 * res.input_norm * 1.01
+    assert res.output_norm <= 2.0 * res.term_norms[0] * 1.01
 
 
 def test_iterate_truncation_control():
@@ -63,10 +65,30 @@ def test_iterate_truncation_control():
     nb = estimate_maximal_norm(2, w, f)
     res = rdf_iterate(f, nb, w, 2)
     K = len(res.term_norms)
-    assert 1 < K <= 24 and res.term_norms[0] == res.input_norm
+    assert 1 < K <= 24 and res.term_norms[0] == measure_norm(f, w, 2) and res.norm_bound == nb
     for k, tn in enumerate(res.term_norms):
-        assert tn <= 2.0**-k * res.input_norm * (1 + 1e-6)
-    assert measure_norm(res.dropped, w, 2) <= 2.0**-K * res.input_norm * (1 + 1e-6)
+        assert tn <= 2.0**-k * res.term_norms[0] * (1 + 1e-6)
+    assert measure_norm(res.dropped, w, 2) <= 2.0**-K * res.term_norms[0] * (1 + 1e-6)
+
+
+SAMPLES = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 7.0, 1e3])
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda k: st.lists(SAMPLES, min_size=2**k, max_size=2**k)),
+    st.one_of(st.none(), st.fractions(Fraction(-1, 2), Fraction(1, 2), max_denominator=8)),
+    st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(3)]),
+)
+def test_iterate_sum_is_positive_in_every_cell(values, alpha, p):
+    # S G >= mean(G) > 0 in every cell (its longest window covers the grid),
+    # and the first term, ||G||/4 with the probed bound, is always added:
+    # so mu = R G needs no floor to be a weight
+    assume(any(values))
+    grid = Grid(4.0, len(values))
+    w = GridWeight.unit(grid) if alpha is None else PowerWeight(alpha).on_grid(grid)
+    G = GridFunction(np.array(values), grid)
+    res = rdf_iterate(G, estimate_maximal_norm(p, w, G), w, p)
+    assert len(res.term_norms) >= 2 and np.all(res.function.samples > 0)
 
 
 def test_iterate_a1_ratio_bound():
@@ -225,7 +247,7 @@ def test_proof_objects_retry_doubles_a_low_norm_bound(monkeypatch):
     f, g, w, pe, rng = _case1()
     po = build_proof_objects(f, g, w, pe, rng, 3)
     assert all(v["ok"] for v in po.certificates.values())
-    assert all(b in (2.0, 4.0, 8.0, 16.0) for b in po.norm_bounds)
+    assert all(b in (2.0, 4.0, 8.0, 16.0) for b in (po.r1.norm_bound, po.r2.norm_bound))
 
 
 def test_proof_objects_retry_gives_up_after_five_attempts(monkeypatch):

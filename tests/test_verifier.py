@@ -64,7 +64,7 @@ def test_bht_weighted_in_class_flag():
 
 def test_bht_divergence_probe():
     # concentration family against |x|^{-1} per factor (outside every
-    # admissible window: alpha * q_i = -2 fails power_in_class)
+    # admissible window: alpha * q_i = -2 fails power_membership)
     spec = FamilySpec("dyadic-concentration", count=6, arity=2)
     w = PowerWeight(Fraction(-1))
     rr = ratio_sweep("bht", 2, 2, w, w, spec, seed=3, resolutions=(2048, 4096, 8192))
@@ -259,3 +259,18 @@ def test_realize_weight_descriptors():
     assert np.all(realize_weight("unit", grid).samples == 1.0)
     pw = realize_weight(PowerWeight(Fraction(1, 2)), grid)
     assert np.allclose(pw.samples, np.abs(grid.x()) ** 0.5)
+
+
+@pytest.mark.parametrize("sweep", ["bht", "mz"])
+def test_bad_weight_descriptor_fails_before_any_work(monkeypatch, sweep):
+    # a descriptor is "unit" or a PowerWeight; a callable is neither
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep built a family for a bad weight descriptor")
+
+    monkeypatch.setattr(verifier, "make_family", no_work)
+    bad = PowerWeight(0).on_grid
+    with pytest.raises(DomainError, match="cannot realize weight descriptor"):
+        if sweep == "bht":
+            ratio_sweep("bht", 2, 2, bad, "unit", SMOOTH8, resolutions=RES)
+        else:
+            mz_sweep([3, 3], Fraction(3, 2), ["unit", bad], SMOOTH8, K=2, resolutions=RES)

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extrapkit.errors import DomainError
-from extrapkit.exponents import INF, Exponent, WeightClassSpec, cjn_index
+from extrapkit.exponents import INF, Exponent, WeightClassSpec, cjn_index, power_membership
 from extrapkit.grid import Grid
-from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants, power_in_class
+from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants
 
 GRID = Grid(8.0, 2**12)
 
@@ -40,7 +40,7 @@ def test_cjn_roundtrip_against_power_closed_forms():
         s = 1 + Fraction(rnd.randint(0, 24), 8)
         alpha = Fraction(rnd.randint(-40, 40), 16)
         q = cjn_index(p, s)
-        lhs = power_in_class(PowerWeight(alpha), WeightClassSpec(p, s))
+        lhs = power_membership(alpha, WeightClassSpec(p, s))[0]
         # closed form for |x|^{alpha*s} in A_q
         a_s = alpha * s.numerator / s.denominator if False else alpha * s
         if q == 1:
@@ -55,22 +55,22 @@ def test_cjn_roundtrip_against_power_closed_forms():
 
 
 def test_power_in_class_lebesgue():
-    assert power_in_class(PowerWeight(0), WeightClassSpec(2, 2))
-    assert power_in_class(PowerWeight(0), WeightClassSpec(1, INF))
+    assert power_membership(0, WeightClassSpec(2, 2))[0]
+    assert power_membership(0, WeightClassSpec(1, INF))[0]
 
 
 def test_power_in_class_boundaries():
     # RH_2 excludes alpha = -1/2
-    assert not power_in_class(PowerWeight(Fraction(-1, 2)), WeightClassSpec(2, 2))
+    assert not power_membership(Fraction(-1, 2), WeightClassSpec(2, 2))[0]
     # A_2 on R is -1 < alpha < 1
-    assert power_in_class(PowerWeight(Fraction(99, 100)), WeightClassSpec(2, 1))
-    assert not power_in_class(PowerWeight(1), WeightClassSpec(2, 1))
+    assert power_membership(Fraction(99, 100), WeightClassSpec(2, 1))[0]
+    assert not power_membership(1, WeightClassSpec(2, 1))[0]
     # A_1 allows alpha = 0 but not positive
-    assert power_in_class(PowerWeight(0), WeightClassSpec(1, 1))
-    assert not power_in_class(PowerWeight(Fraction(1, 8)), WeightClassSpec(1, 1))
+    assert power_membership(0, WeightClassSpec(1, 1))[0]
+    assert not power_membership(Fraction(1, 8), WeightClassSpec(1, 1))[0]
     # RH_inf needs alpha >= 0
-    assert power_in_class(PowerWeight(Fraction(1, 8)), WeightClassSpec(2, INF))
-    assert not power_in_class(PowerWeight(Fraction(-1, 8)), WeightClassSpec(2, INF))
+    assert power_membership(Fraction(1, 8), WeightClassSpec(2, INF))[0]
+    assert not power_membership(Fraction(-1, 8), WeightClassSpec(2, INF))[0]
 
 
 def test_bht_base_window_closed_form():
@@ -86,7 +86,7 @@ def test_bht_base_window_closed_form():
         for num in range(-32, 33):
             a = Fraction(num, 16)
             expected = lo < a < hi or (a == 0)
-            got = power_in_class(PowerWeight(-a), spec)
+            got = power_membership(-a, spec)[0]
             if spec.p == 1:
                 # A_1 edge: alpha = -a <= 0 allowed, so a = 0 passes
                 assert got == (lo < a < hi or a == 0), (q, a)
@@ -106,7 +106,7 @@ def test_factorization_power_exponent_algebra():
         p = 1 + Fraction(rnd.randint(0, 24), 8)
         s = 1 + Fraction(rnd.randint(1, 24), 8)
         out_alpha = a1 / s + a2 * (1 - p)
-        assert power_in_class(PowerWeight(out_alpha), WeightClassSpec(p, s)), (
+        assert power_membership(out_alpha, WeightClassSpec(p, s))[0], (
             a1, a2, p, s, out_alpha,
         )
 
