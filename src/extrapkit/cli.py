@@ -36,6 +36,7 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,11 @@ INFEASIBLE_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -0.5 as values after a flag; -1/8 too
+        self._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$|^-\d+/\d+$")
+
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

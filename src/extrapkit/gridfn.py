@@ -111,19 +111,44 @@ def weighted_norm(f: GridFunction, w: GridWeight, p: ExponentLike) -> float:
 # --------------------------------------------------------------------------
 
 
+_EXACT_BLOCK = 16  # interval lengths per numpy call in `_maximal_exact`
+
+
+def _shift_rows(a: np.ndarray, start: int, step: int, b: int, w: int) -> np.ndarray:
+    """Read-only (b, w) view with element (r, j) = a[start + j + step*r]."""
+    s = a.itemsize
+    return np.lib.stride_tricks.as_strided(a[start:], shape=(b, w), strides=(step * s, s), writeable=False)
+
+
 def _maximal_exact(a: np.ndarray) -> np.ndarray:
-    # sup over all grid-aligned intervals: one O(N) suffix-max sweep per
-    # left endpoint, O(N^2) total -- the brute-force reference.
-    n = a.size
-    pref = np.concatenate(([0.0], np.cumsum(a)))
-    lengths = np.arange(1, n + 1, dtype=float)
-    out = np.full(n, -np.inf)
-    for lo in range(n):
-        avgs = (pref[lo + 1 :] - pref[lo]) / lengths[: n - lo]
-        suff = np.maximum.accumulate(avgs[::-1])[::-1]
-        np.maximum(out[lo:], suff, out=out[lo:])
-    # the degenerate one-cell interval, free of prefix-sum rounding
-    np.maximum(out, a, out=out)
+    # sup over all grid-aligned intervals, by length m from n down to 1.
+    # Invariant: best[j] is the largest average, over the lengths done so
+    # far, of an interval that starts at j.  Once length m is done, cell
+    # j+m-1 takes best[j]: every interval from j of length >= m contains it.
+    # A block of lengths m1..m0 fills X[1:] with (P[j+m] - P[j])/m over the
+    # w = n-m0+1 starts (windows past the end read the -inf padding of P),
+    # runs X[0] = best down the rows with np.maximum, and takes the column
+    # max of the skewed view V of X (row stride w+1) in which row r lines up
+    # with cell m0-1+c; a cell left of a row's start reads the row above
+    # past its last window, which is -inf.  Each average is the expression
+    # fl(fl(P[j+m] - P[j])/m) and max is exact, so the result does not
+    # depend on the order.  O(N^2) element operations in O(N) numpy calls.
+    n, B = a.size, _EXACT_BLOCK
+    pref = np.concatenate(([0.0], np.cumsum(a), np.full(B, -np.inf)))
+    best = np.full(n, -np.inf)
+    out = a.copy()  # the one-cell intervals, free of prefix-sum rounding
+    for m1 in range(n, 0, -B):
+        m0 = max(1, m1 - B + 1)
+        b, w = m1 - m0 + 1, n - m0 + 1
+        X = np.empty((b + 1, w))
+        X[0] = best[:w]
+        np.subtract(_shift_rows(pref, m1, -1, b, w), pref[:w], out=X[1:])
+        np.divide(X[1:], np.arange(m1, m0 - 1, -1, dtype=float)[:, None], out=X[1:])
+        for r in range(1, b + 1):
+            np.maximum(X[r - 1], X[r], out=X[r])
+        best[:w] = X[b]
+        V = _shift_rows(X.ravel(), w + 1 - b, w + 1, b, w)
+        np.maximum(out[m0 - 1 :], V.max(axis=0), out=out[m0 - 1 :])
     return out
 
 
@@ -217,12 +242,6 @@ def hilbert(f: GridFunction) -> GridFunction:
 # --------------------------------------------------------------------------
 
 _BHT_BLOCK = 16  # shifts per numpy call in `bht`
-
-
-def _shift_rows(a: np.ndarray, start: int, step: int, b: int, w: int) -> np.ndarray:
-    """Read-only (b, w) view with element (r, j) = a[start + j + step*r]."""
-    s = a.itemsize
-    return np.lib.stride_tricks.as_strided(a[start:], shape=(b, w), strides=(step * s, s), writeable=False)
 
 
 def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> GridFunction:

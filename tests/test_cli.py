@@ -130,6 +130,30 @@ def test_weights_check(capsys):
     assert rep["data"]["member"] is False and rep["data"]["reasons"]
 
 
+def test_negative_rational_after_its_flag(capsys):
+    # argparse alone reads only -1 and -0.5 as values; -N/D after its flag is
+    # one too, and means what the --flag=-N/D spelling means
+    verify = ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "2", "--N", "256,512"]
+    check = ["weights", "check", "--ap", "2", "--rh", "2"]
+    for spaced, joined in (
+        (verify + ["--a", "-1/8"], verify + ["--a=-1/8"]),
+        (check + ["--alpha", "-1/2"], check + ["--alpha=-1/2"]),
+    ):
+        assert run_cli(spaced, capsys) == run_cli(joined, capsys)
+    assert run_json(check + ["--alpha", "-1/2"], capsys)[1]["data"]["member"] is False
+    # the value reaches the planner, which names it
+    argv = ["plan", "section5", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2",
+            "--g1", "-1/2", "--g2", "1/4", "--g3", "1/2"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: gamma_i must lie in [0, 1), got -1/2, 1/4, 1/2\n"
+    # an exponent flag still reports its own error, not a missing argument
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "bht", "--q1", "-1/2", "--q2", "2"])
+    assert exc.value.code == 1
+    assert "argument --q1: exponent must be nonnegative, got -1/2" in capsys.readouterr().err
+
+
 def test_weights_estimate_csv_roundtrip(tmp_path, capsys):
     grid = Grid(4.0, 512)
     x = grid.x()

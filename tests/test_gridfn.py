@@ -12,9 +12,11 @@ from extrapkit.exponents import INF, Exponent
 from extrapkit.grid import Grid
 from extrapkit.gridfn import (
     _BHT_BLOCK as B,
+    _EXACT_BLOCK as B_EXACT,
     FamilySpec,
     GridFunction,
     _hilbert_kernel_spectrum,
+    _maximal_exact,
     bht,
     hilbert,
     make_family,
@@ -158,6 +160,75 @@ def test_maximal_sliding_brackets_exact():
             slide = maximal(f, "sliding").samples
             assert np.all(slide <= exact + 1e-12)
             assert np.all(exact <= 2 * slide + 1e-12)
+
+
+def _maximal_exact_reference(a):
+    # per left endpoint, the suffix max of the averages over the lengths,
+    # then the one-cell interval: O(N^2) in N numpy rows
+    n = a.size
+    pref = np.concatenate(([0.0], np.cumsum(a)))
+    lengths = np.arange(1, n + 1, dtype=float)
+    out = np.full(n, -np.inf)
+    for lo in range(n):
+        avgs = (pref[lo + 1 :] - pref[lo]) / lengths[: n - lo]
+        suff = np.maximum.accumulate(avgs[::-1])[::-1]
+        np.maximum(out[lo:], suff, out=out[lo:])
+    # the degenerate one-cell interval, free of prefix-sum rounding
+    np.maximum(out, a, out=out)
+    return out
+
+
+def _maximal_exact_inputs(n, rng):
+    spike = np.zeros(n)
+    spike[n // 3] = 1.0
+    edge = (np.arange(n) < max(1, n // 5)).astype(float)  # touches x = -L; reversed, x = L
+    sparse = rng.random(n) * (rng.random(n) < 0.1)
+    return rng.random(n), sparse, spike, edge, edge[::-1], np.zeros(n), rng.lognormal(0.0, 20.0, n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_maximal_exact_reference_is_the_sup_over_intervals(n):
+    # anchor the reference: a pure-Python max over every interval containing i
+    rng = np.random.default_rng(40 + n)
+    for a in _maximal_exact_inputs(n, rng):
+        pref = np.concatenate(([0.0], np.cumsum(a)))
+        want = [
+            max([a[i]] + [(pref[hi] - pref[lo]) / (hi - lo) for lo in range(i + 1) for hi in range(i + 1, n + 1)])
+            for i in range(n)
+        ]
+        assert _maximal_exact_reference(a).tobytes() == np.array(want).tobytes()
+
+
+def _assert_maximal_exact_bitwise(a):
+    assert _maximal_exact(a).tobytes() == _maximal_exact_reference(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 33, 64, 100, 1024])
+def test_maximal_exact_matches_reference_bitwise(n):
+    # below, at and around the block of B_EXACT lengths, and off its multiples
+    assert B_EXACT == 16
+    rng = np.random.default_rng(34)
+    for a in _maximal_exact_inputs(n, rng):
+        _assert_maximal_exact_bitwise(a)
+
+
+@given(
+    log2n=st.integers(1, 9),
+    odd=st.booleans(),
+    density=st.floats(0, 1),
+    sigma=st.floats(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_maximal_exact_matches_reference_property(log2n, odd, density, sigma, seed):
+    n = 2**log2n - odd
+    rng = np.random.default_rng(seed)
+    _assert_maximal_exact_bitwise(rng.lognormal(0.0, sigma, n) * (rng.random(n) < density))
+
+
+def test_maximal_exact_through_maximal_bitwise():
+    rng = np.random.default_rng(35)
+    f = GridFunction(rng.standard_normal(512), Grid(2.0, 512))
+    assert maximal(f).samples.tobytes() == _maximal_exact_reference(np.abs(f.samples)).tobytes()
 
 
 def _maximal_sliding_reference(a):
