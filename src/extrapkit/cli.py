@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -45,7 +44,7 @@ import numpy as np
 from . import applications as app
 from . import verifier as ver
 from .errors import CertificationFailed, DomainError, ExtrapkitError, Infeasible
-from .exponents import Exponent, WeightClassSpec, parse_rational, power_membership
+from .exponents import Exponent, WeightClassSpec, parse_rational, power_membership, rec
 from .extrapolation import ExtrapolationRange, dual_range, proof_exponents
 from .grid import Grid
 from .gridfn import FAMILY_KINDS, FamilySpec, GridFunction, bht, hilbert, maximal, make_family
@@ -89,9 +88,11 @@ def _list(item):
 
 
 def _weight_descriptor(text: str):
-    """argparse type of `rdf demo --w`: the map from a grid to the weight on it."""
+    """argparse type of `rdf demo --w`: the map from a grid to the weight on
+    it.  `unit` is the power weight |x|^0, so it equals `power:0` bit for bit;
+    `file:PATH` reads the weight from a CSV and checks it is on that grid."""
     if text == "unit":
-        return GridWeight.unit
+        return PowerWeight(0).on_grid
     if text.startswith("power:"):
         return PowerWeight(_frac(text[len("power:"):])).on_grid
     if text.startswith("file:"):
@@ -316,23 +317,10 @@ def _cmd_rdf_demo(args):
 
 def _cmd_verify_sweep(args):
     """verify bht | vv | iterated | mz: one ratio sweep, one report."""
-    if args.cmd == "mz":
-        qs = args.q
-    elif args.cmd == "bht" and args.plan_file:
-        if (args.q1, args.q2) != (None, None):
-            raise DomainError("give --plan-file or --q1/--q2, not both")
-        try:
-            with open(args.plan_file) as fh:
-                saved = json.load(fh)
-            qs = [Exponent(saved["data"][k]) for k in ("q1", "q2")]
-        except (OSError, ValueError, KeyError, TypeError, DomainError) as e:
-            raise DomainError(f"{args.plan_file}: not a readable plan report ({e})")
-    else:
-        qs = [args.q1, args.q2]
-    if None in qs:
-        raise DomainError("provide --q1/--q2 or --plan-file")
-    a = getattr(args, "a", None) or Fraction(0)
-    ws = [PowerWeight(-a / q.frac) if a != 0 else "unit" for q in qs]
+    qs = args.q if args.cmd == "mz" else [args.q1, args.q2]
+    a = getattr(args, "a", Fraction(0))
+    # w_i = |x|^(-a/q_i), so w_i^{q_i} = |x|^(-a); a = 0 reads no q, and the planner judges q = 0
+    ws = [PowerWeight(-a * rec(q) if a else 0) for q in qs]
     spec = FamilySpec(kind=args.family, count=args.count, arity=2)
     common = dict(seed=args.seed, resolutions=args.N, L=args.L)
     if args.cmd == "bht":
@@ -456,16 +444,15 @@ def build_parser() -> _Parser:
     vf_sub = vf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     vb = _command(vf_sub, "bht", _cmd_verify_sweep)
-    vb.add_argument("--q1", type=_exp)
-    vb.add_argument("--q2", type=_exp)
-    vb.add_argument("--a", type=_frac, default=None)
-    vb.add_argument("--plan-file", default=None)
+    for flag in ("--q1", "--q2"):
+        vb.add_argument(flag, type=_exp, required=True)
+    vb.add_argument("--a", type=_frac, default=Fraction(0))
     _add_common(vb, grid_default="4096,8192")
 
     vv = _command(vf_sub, "vv", _cmd_verify_sweep)
     for flag in ("--q1", "--q2", "--s1", "--s2"):
         vv.add_argument(flag, type=_exp, required=True)
-    vv.add_argument("--a", type=_frac, default=None)
+    vv.add_argument("--a", type=_frac, default=Fraction(0))
     vv.add_argument("--K", type=int, default=4)
     _add_common(vv, grid_default="2048,4096")
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .exponents import Exponent, ExponentLike, as_exponent
 from .grid import Grid
-from .weights import GridWeight
+from .weights import GridWeight, PowerWeight
 
 __all__ = [
     "GridFunction",
@@ -399,7 +399,7 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
     L = grid.L
     members = []
     if spec.kind in ("smooth-bumps", "modulated"):
-        unit = GridWeight.unit(grid)
+        unit = PowerWeight(0).on_grid(grid)
         for _ in range(spec.count):
             tup = []
             for _ in range(spec.arity):

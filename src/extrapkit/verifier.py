@@ -57,7 +57,7 @@ from .gridfn import (
     make_family,
     measure_norm,
 )
-from .weights import GridWeight, PowerWeight
+from .weights import PowerWeight
 
 __all__ = [
     "RatioReport",
@@ -73,24 +73,6 @@ EVIDENCE_CAVEAT = (
 
 STABLE_TOL = 0.10
 DIVERGENT_GROWTH = 1.5
-
-
-# --------------------------------------------------------------------------
-# weight descriptors (realized per resolution)
-# --------------------------------------------------------------------------
-
-def realize_weight(desc, grid: Grid) -> GridWeight:
-    return GridWeight.unit(grid) if desc == "unit" else desc.on_grid(grid)
-
-
-def _describe_weight(desc) -> str:
-    """The report form of a descriptor; a DomainError if it is neither
-    "unit" nor a PowerWeight."""
-    if desc == "unit":
-        return "unit"
-    if isinstance(desc, PowerWeight):
-        return f"power:{desc.alpha}"
-    raise DomainError(f"cannot realize weight descriptor {desc!r}")
 
 
 # --------------------------------------------------------------------------
@@ -191,14 +173,12 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
     """The one per-resolution loop behind every sweep.
 
     `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
-    = (w1, w2) descriptors; `op` and `levels` as in the module docstring.
+    = (w1, w2) PowerWeights; `op` and `levels` as in the module docstring.
     """
     if not resolutions or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
-    for desc in weights:
-        _describe_weight(desc)  # a bad descriptor fails here, before any grid work
     levels = [(n, tuple(float(e.frac) for e in es)) for n, es in levels]
     q1, q2, q = exps
     size = math.prod(n for n, _ in levels)
@@ -208,7 +188,7 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
     for N in resolutions:
         grid = Grid(L, N)
         members = make_family(spec, seed, grid).members
-        w1, w2 = (realize_weight(d, grid) for d in weights)
+        w1, w2 = (d.on_grid(grid) for d in weights)
         # the densities w^p that `weighted_norm` would take, once per resolution
         v, v1, v2 = (wt.power(p.frac) for wt, p in ((w1 * w2, q), (w1, q1), (w2, q2)))
         ratios, skipped = [], []
@@ -249,8 +229,8 @@ def ratio_sweep(
     op,
     q1: ExponentLike,
     q2: ExponentLike,
-    w1_desc,
-    w2_desc,
+    w1: PowerWeight,
+    w2: PowerWeight,
     family_spec: FamilySpec,
     *,
     seed: int = 7,
@@ -261,10 +241,12 @@ def ratio_sweep(
     with the target norm exponent q = (1/q1 + 1/q2)^(-1).
 
     `op` is "bht" or "product".  For "bht" the (q1, q2) pair is
-    certified through the scalar planner before sweeping, and power weights
+    certified through the scalar planner before sweeping, and the weights
     are checked against its class windows; the verdict of that check is
     recorded (sweeps against out-of-class weights are legitimate divergence
-    probes, so membership failure is noted, not fatal).
+    probes, so membership failure is noted, not fatal).  The weights are
+    :class:`PowerWeight`s; alpha = 0 is the unit weight, reported as `unit`,
+    and with it `weights_in_class` is None (null in JSON).
     """
     if op not in _OPS:
         raise DomainError(f"unknown operator {op!r}")
@@ -275,30 +257,26 @@ def ratio_sweep(
         "q1": q1,
         "q2": q2,
         "q": q,
-        "w1": _describe_weight(w1_desc),
-        "w2": _describe_weight(w2_desc),
+        "w1": str(w1),
+        "w2": str(w2),
         "family": family_spec.kind,
         "count": family_spec.count,
         "L": L,
-        "weights_in_class": _class_check(plan, w1_desc, w2_desc),
+        "weights_in_class": _class_check(plan, w1, w2),
     }
     return _sweep(
-        _OPS[op], op, (q1, q2, q), (w1_desc, w2_desc), family_spec,
+        _OPS[op], op, (q1, q2, q), (w1, w2), family_spec,
         seed, resolutions, L, config, [(1, (q1, q2, q))],
     )
 
 
-def _class_check(plan, w1_desc, w2_desc):
-    """Closed-form membership of power-weight factors in the planned classes."""
-    if plan is None or not (isinstance(w1_desc, PowerWeight) and isinstance(w2_desc, PowerWeight)):
+def _class_check(plan, w1, w2):
+    """Closed-form membership of the factor weights in the planned classes;
+    None without a plan or with a unit weight."""
+    if plan is None or not (w1.alpha and w2.alpha):
         return None
-    ok = True
-    for desc, spec, qi in (
-        (w1_desc, plan.weight_specs[0], plan.q1),
-        (w2_desc, plan.weight_specs[1], plan.q2),
-    ):
-        ok = ok and power_membership(desc.alpha * qi.frac, spec)[0]  # class is on w_i^{q_i}
-    return ok
+    pairs = zip((w1, w2), plan.weight_specs, (plan.q1, plan.q2))
+    return all(power_membership(w.alpha * qi.frac, spec)[0] for w, spec, qi in pairs)  # class is on w_i^{q_i}
 
 
 def vv_sweep(
@@ -306,8 +284,8 @@ def vv_sweep(
     q2: ExponentLike,
     s1: ExponentLike,
     s2: ExponentLike,
-    w1_desc,
-    w2_desc,
+    w1: PowerWeight,
+    w2: PowerWeight,
     family_spec: FamilySpec,
     *,
     K: int,
@@ -319,7 +297,9 @@ def vv_sweep(
 
     K = 1 reproduces :func:`ratio_sweep` bit for bit (the aggregation path
     degenerates to the scalar one).  Feasibility of the (q, s) tuple is
-    certified through the vector-valued planner before sweeping.
+    certified through the vector-valued planner before sweeping.  The
+    weights are :class:`PowerWeight`s, as in :func:`ratio_sweep`; alpha = 0
+    is the unit weight, reported as `unit`.
     """
     plan = bht_vv_plan(q1, q2, s1, s2)
     config = {
@@ -328,13 +308,13 @@ def vv_sweep(
         "s1": plan.s1,
         "s2": plan.s2,
         "K": K,
-        "w1": _describe_weight(w1_desc),
-        "w2": _describe_weight(w2_desc),
+        "w1": str(w1),
+        "w2": str(w2),
         "family": family_spec.kind,
         "L": L,
     }
     return _sweep(
-        _OPS["bht"], "bht", (plan.q1, plan.q2, plan.q), (w1_desc, w2_desc), family_spec,
+        _OPS["bht"], "bht", (plan.q1, plan.q2, plan.q), (w1, w2), family_spec,
         seed, resolutions, L, config, [(K, (plan.s1, plan.s2, plan.s))],
     )
 
@@ -368,7 +348,7 @@ def iterated_vv_sweep(
         "L": L,
     }
     return _sweep(
-        _OPS["bht"], "bht", (inner.q1, inner.q2, inner.q), ("unit", "unit"),
+        _OPS["bht"], "bht", (inner.q1, inner.q2, inner.q), (PowerWeight(0), PowerWeight(0)),
         family_spec, seed, resolutions, L, config,
         [(K, (inner.s1, inner.s2, inner.s)), (J, (outer.s1, outer.s2, outer.s))],
     )
@@ -394,7 +374,8 @@ def mz_sweep(
     transformed once, and its K x K products are formed from those.
 
     The plan (weight classes, range endpoints, r in (1,2)) is validated by
-    :func:`mz_plan` first; r = 2 runs as the base case.
+    :func:`mz_plan` first; r = 2 runs as the base case.  `wjs` are two
+    :class:`PowerWeight`s, alpha = 0 the unit weight; the report omits them.
     """
     if len(qjs) != 2 or len(wjs) != 2:
         raise DomainError("the sweep drives two coordinates (m = 2)")

@@ -34,12 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerWeight:
-    """w(x) = |x|^alpha on the line; alpha is an exact rational."""
+    """w(x) = |x|^alpha on the line, alpha an exact rational; alpha = 0 is the unit weight."""
 
     alpha: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
+
+    def __str__(self) -> str:  # the report form
+        return f"power:{self.alpha}" if self.alpha else "unit"
 
     def on_grid(self, grid: Grid) -> "GridWeight":
         return GridWeight._checked(lambda: np.abs(grid.x()) ** float(self.alpha), f"|x|^{self.alpha}", grid)
@@ -65,10 +68,6 @@ class GridWeight:
             )
         if not np.all(np.isfinite(self.samples)) or np.any(self.samples <= 0):
             raise DomainError("weight samples must be strictly positive and finite")
-
-    @classmethod
-    def unit(cls, grid: Grid) -> "GridWeight":
-        return cls(np.ones(grid.N), grid)
 
     @classmethod
     def _checked(cls, samples, what: str, grid: Grid) -> "GridWeight":
@@ -116,7 +115,7 @@ def estimate_class_constants(
     p, s = spec.p, spec.s
     pf = float(p.frac)
 
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if p == 1:
             dual = 1.0 / v
         else:

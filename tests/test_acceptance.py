@@ -37,7 +37,7 @@ from extrapkit.gridfn import (
 )
 from extrapkit.rdf import build_proof_objects
 from extrapkit.verifier import ratio_sweep
-from extrapkit.weights import GridWeight, PowerWeight, estimate_class_constants
+from extrapkit.weights import PowerWeight, estimate_class_constants
 
 HALF = Fraction(1, 2)
 
@@ -232,7 +232,7 @@ def test_criterion_08_rdf_certificates():
         fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), 100 + i, grid)
         f, gfn = fam.members[0][0].abs(), fam.members[0][1].abs()
         alpha = weights[i % len(weights)]
-        w = GridWeight.unit(grid) if alpha is None else PowerWeight(alpha).on_grid(grid)
+        w = PowerWeight(alpha or 0).on_grid(grid)
         po = build_proof_objects(f, gfn, w, pe, rng, p)
         for tag in ("H1-norm", "H1-f", "H1-pt3", "H2-norm", "H2-pt"):
             assert po.certificates[tag]["ok"], (i, tag)
@@ -254,13 +254,13 @@ def test_criterion_09_verification_sweeps():
     fam = FamilySpec("smooth-bumps", count=64, arity=2)
     res = (2**12, 2**13)
     runs = {}
-    runs["unweighted"] = ratio_sweep("bht", 2, 2, "unit", "unit", fam,
+    runs["unweighted"] = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), fam,
                                      seed=7, resolutions=res)
     for a in (Fraction(1, 4), Fraction(2, 5)):
         w1, w2 = PowerWeight(-a / 2), PowerWeight(-a / 2)
         runs[f"a={a}"] = ratio_sweep("bht", 2, 2, w1, w2, fam,
                                      seed=7, resolutions=res)
-    holder = ratio_sweep("product", 2, 2, "unit", "unit", fam,
+    holder = ratio_sweep("product", 2, 2, PowerWeight(0), PowerWeight(0), fam,
                          seed=7, resolutions=res)
     elapsed = time.monotonic() - t0
     ok = (
@@ -279,14 +279,14 @@ def test_criterion_10_coherence():
 
     fam = FamilySpec("smooth-bumps", count=8, arity=2)
     res = (1024, 2048)
-    scalar = ratio_sweep("bht", 2, 2, "unit", "unit", fam, seed=5, resolutions=res)
-    vv1 = vv_sweep(2, 2, 2, 2, "unit", "unit", fam, K=1, seed=5, resolutions=res)
+    scalar = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), fam, seed=5, resolutions=res)
+    vv1 = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), fam, K=1, seed=5, resolutions=res)
     bit_exact = scalar.ratios == vv1.ratios and scalar.sup_by_resolution == vv1.sup_by_resolution
 
     fam16 = FamilySpec("smooth-bumps", count=16, arity=2)
     nested = iterated_vv_sweep((2, 2), (2, 2), (2, 2), fam16, J=2, K=2,
                                seed=7, resolutions=(1024,))
-    flat = vv_sweep(2, 2, 2, 2, "unit", "unit", fam16, K=4, seed=7, resolutions=(1024,))
+    flat = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), fam16, K=4, seed=7, resolutions=(1024,))
     max_diff = max(abs(a - b) for a, b in zip(nested.ratios, flat.ratios))
     ok = bit_exact and max_diff <= 1e-12 and len(nested.ratios) == len(flat.ratios) > 0
     report(10, ok, f"vv(K=1) == ratio_sweep bit-exact: {bit_exact}; "

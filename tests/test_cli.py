@@ -237,41 +237,36 @@ def test_verify_bht_report_shape(capsys):
     assert rep["grid"]["N"] == [1024, 2048]
 
 
-def test_verify_bht_plan_file_roundtrip(tmp_path, capsys):
-    code, out = run_cli(["plan", "bht", "--q1", "2", "--q2", "2"], capsys)
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(out)
-    code1, rep1 = run_json(
-        ["verify", "bht", "--plan-file", str(plan_path), "--count", "4", "--N", "512,1024"],
-        capsys,
-    )
-    code2, rep2 = run_json(
-        ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "4", "--N", "512,1024"],
-        capsys,
-    )
-    assert rep1["data"]["config"] == rep2["data"]["config"]
-    assert rep1["data"]["ratios"] == rep2["data"]["ratios"]
-
-
-def test_verify_bht_plan_file_excludes_q_flags(tmp_path, capsys):
-    # the plan file's (q1, q2) = (3, 3) used to be swept with --q1 2 --q2 2 ignored
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps({"data": {"q1": "3", "q2": "3"}}))
-    argv = ["verify", "bht", "--plan-file", str(plan_path), "--count", "2", "--N", "256"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv + ["--q1", "2", "--q2", "2"]) == 1
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--q1", "2"], "the following arguments are required: --q2"),
+        (["--plan-file", "x.json", "--q1", "2", "--q2", "2"], "unrecognized arguments: --plan-file x.json"),
+    ],
+    ids=["missing-q2", "plan-file"],
+)
+def test_verify_bht_takes_its_exponents_as_q1_q2(capsys, extra, message):
+    # `--plan-file` read only data.q1 and data.q2 of a saved plan: --q1/--q2 spelled twice
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "bht", *extra, "--count", "2", "--N", "256"])
+    assert exc.value.code == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "error: give --plan-file or --q1/--q2, not both\n"
+    assert out.out == "" and out.err.endswith(f"error: {message}\n")
 
 
-def test_verify_bht_plan_file_bad_exponent_names_the_file(tmp_path, capsys):
-    # a float q1 used to print the bare exponent error without the file name
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(json.dumps({"data": {"q1": 2.5, "q2": "2"}}))
-    assert main(["verify", "bht", "--plan-file", str(plan_path), "--N", "256"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bht", "--q1", "inf", "--q2", "2"],
+        ["verify", "vv", "--q1", "inf", "--q2", "2", "--s1", "2", "--s2", "2"],
+    ],
+    ids=["bht", "vv"],
+)
+def test_infinite_q_with_a_names_the_planner_rule(capsys, argv):
+    # the weight |x|^(-a/q1) used to ask inf for a rational value first
+    assert main(argv + ["--a", "1/2", "--count", "2", "--N", "256,512"]) == 1
     out = capsys.readouterr()
-    assert out.out == "" and out.err.startswith(f"error: {plan_path}: not a readable plan report (")
+    assert out.out == "" and out.err == "error: q1 must satisfy 1 < q1 < inf, got inf\n"
 
 
 def test_verify_mz_zero_sups_are_stable(capsys):
@@ -354,7 +349,6 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
         ["verify", "bht", "--q1", "2", "--q2", "2", "--L", "inf", "--N", "256"],
         ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--K", "0",
          "--count", "2", "--N", "256"],
-        ["verify", "bht", "--plan-file", "no-such-plan.json", "--N", "256"],
         ["verify", "vv", "--q1", "2", "--q2", "2", "--s1", "2", "--s2", "2", "--K", "4",
          "--count", "2", "--N", "256,512"],
         ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "2", "--N", "256", "--seed", "-1"],
@@ -365,10 +359,12 @@ def test_bad_csv_input_exit_1(tmp_path, capsys, rows, cmd):
         ["verify", "bht", "--q1", "2", "--q2", "2", "--a", "3/2", "--count", "2", "--N", "256,256"],
         ["verify", "bht", "--q1", "2", "--q2", "2", "--family", "dyadic-concentration",
          "--count", "4", "--N", "1024,512,256"],
+        # the weight |x|^(-a/q1) divided by q1 = 0 with a ZeroDivisionError
+        ["verify", "bht", "--q1", "0", "--q2", "2", "--a", "1/2", "--count", "2", "--N", "256"],
     ],
-    ids=["odd-grid", "infinite-width", "zero-block", "missing-plan-file", "block-over-count",
+    ids=["odd-grid", "infinite-width", "zero-block", "block-over-count",
          "negative-seed", "rdf-negative-seed", "bht-pair-outside-planner", "repeated-resolution",
-         "descending-resolutions"],
+         "descending-resolutions", "zero-q-with-a"],
 )
 def test_bad_verify_input_exit_1(capsys, argv):
     assert main(argv) == 1
@@ -733,6 +729,17 @@ def test_weights_estimate_names_the_bad_weight_row(tmp_path, capsys, value):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {path}: data row 3: weight samples must be strictly positive and finite\n"
+
+
+def test_weights_estimate_on_huge_constants_warns_nothing(tmp_path, capsys):
+    # the mean of two 1e308 samples overflows, and inf / inf leaked numpy's
+    # "invalid value encountered in divide" RuntimeWarning to stderr
+    path = tmp_path / "w.csv"
+    _write_rows(path, [["x", "re"], ["-0.5", "1e308"], ["0.5", "1e308"]])
+    assert main(["weights", "estimate", "--file", str(path), "--ap", "2", "--rh", "2", "--depth", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["data"]["constants"] == [{"depth": 1, "ap_const": "inf", "rh_const": "inf"}]
 
 
 def test_rdf_demo_reads_a_weight_file(tmp_path, capsys):

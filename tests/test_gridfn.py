@@ -60,7 +60,7 @@ def test_grid_rejects_half_width_whose_cell_width_is_subnormal():
 
 def test_weighted_norm_indicator_unit_weight():
     f = GridFunction.indicator(-1.0, 1.0, G)
-    val = weighted_norm(f, GridWeight.unit(G), 2)
+    val = weighted_norm(f, PowerWeight(0).on_grid(G), 2)
     assert val == pytest.approx(np.sqrt(2.0), rel=2e-3)
 
 
@@ -97,12 +97,12 @@ def test_weighted_norm_sup_mode():
     f = GridFunction(bump(X) * 3.0, G)
     for norm in (weighted_norm, measure_norm):
         with pytest.raises(DomainError, match="infinite exponent"):
-            norm(f, GridWeight.unit(G), INF)
+            norm(f, PowerWeight(0).on_grid(G), INF)
 
 
 def test_norm_grid_mismatch():
     f = GridFunction(bump(X), G)
-    w = GridWeight.unit(Grid(8.0, 2**10))
+    w = PowerWeight(0).on_grid(Grid(8.0, 2**10))
     with pytest.raises(DomainError, match="grids differ"):
         weighted_norm(f, w, 2)
 
@@ -589,7 +589,7 @@ def test_family_deterministic():
 
 def test_family_unit_l2_norm():
     fam = make_family(FamilySpec("smooth-bumps", count=8, arity=2), 1, G)
-    u = GridWeight.unit(G)
+    u = PowerWeight(0).on_grid(G)
     for fn in fam.functions():
         assert measure_norm(fn, u, 2) == pytest.approx(1.0, rel=0.005)
 
@@ -605,7 +605,7 @@ def test_family_supports_inside_half_window():
 def test_dyadic_family_unit_lp_norm():
     p = Fraction(2)
     fam = make_family(FamilySpec("dyadic-concentration", count=5, arity=2), 2, G)
-    u = GridWeight.unit(G)
+    u = PowerWeight(0).on_grid(G)
     for fn in fam.functions():
         assert measure_norm(fn, u, p) == pytest.approx(1.0, rel=0.02)
 

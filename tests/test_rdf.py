@@ -17,7 +17,7 @@ from extrapkit.rdf import (
     rdf_iterate,
     verify_case1_weight,
 )
-from extrapkit.weights import GridWeight, PowerWeight
+from extrapkit.weights import PowerWeight
 
 GRID = Grid(4.0, 2**10)
 
@@ -35,7 +35,7 @@ def test_iterate_constant_closed_form():
     # which is dropped, so K = 12 terms are summed
     c = GridFunction(np.full(GRID.N, 2.5), GRID)
     nb = 2.0
-    res = rdf_iterate(c, nb, GridWeight.unit(GRID), 2)
+    res = rdf_iterate(c, nb, PowerWeight(0).on_grid(GRID), 2)
     assert len(res.term_norms) == 12
     expected = 2.5 * sum((2 * nb) ** -k for k in range(12))
     assert np.allclose(res.function.samples, expected, rtol=1e-12)
@@ -45,7 +45,7 @@ def test_iterate_constant_closed_form():
 
 def test_iterate_majorizes_input_exactly():
     f, _ = _pair()
-    res = rdf_iterate(f, 4.0, GridWeight.unit(GRID), 2)
+    res = rdf_iterate(f, 4.0, PowerWeight(0).on_grid(GRID), 2)
     assert np.all(res.function.samples >= f.samples)
 
 
@@ -61,7 +61,7 @@ def test_iterate_truncation_control():
     # every summed term k obeys ||S^k G / (2B)^k|| <= 2^-k ||G||, and so
     # does the dropped term T_K
     f, _ = _pair(9)
-    w = GridWeight.unit(GRID)
+    w = PowerWeight(0).on_grid(GRID)
     nb = estimate_maximal_norm(2, w, f)
     res = rdf_iterate(f, nb, w, 2)
     K = len(res.term_norms)
@@ -85,7 +85,7 @@ def test_iterate_sum_is_positive_in_every_cell(values, alpha, p):
     # so mu = R G needs no floor to be a weight
     assume(any(values))
     grid = Grid(4.0, len(values))
-    w = GridWeight.unit(grid) if alpha is None else PowerWeight(alpha).on_grid(grid)
+    w = PowerWeight(alpha or 0).on_grid(grid)
     G = GridFunction(np.array(values), grid)
     res = rdf_iterate(G, estimate_maximal_norm(p, w, G), w, p)
     assert len(res.term_norms) >= 2 and np.all(res.function.samples > 0)
@@ -95,7 +95,7 @@ def test_iterate_a1_ratio_bound():
     # the series runs on S = maximal(., "sliding"): S(RG) <= 2B (RG + T_K);
     # with M <= 2S the exact maximal obeys M(RG) <= 4B (RG + T_K)
     f, _ = _pair(13)
-    w = GridWeight.unit(GRID)
+    w = PowerWeight(0).on_grid(GRID)
     nb = estimate_maximal_norm(2, w, f)
     res = rdf_iterate(f, nb, w, 2)
     rg, tail = res.function.samples, res.dropped.samples
@@ -110,13 +110,13 @@ def test_iterate_a1_ratio_bound():
 def test_iterate_rejects_small_norm_bound():
     f, _ = _pair(21)
     with pytest.raises(NormBoundTooSmall):
-        rdf_iterate(f, 1.0, GridWeight.unit(GRID), 2)
+        rdf_iterate(f, 1.0, PowerWeight(0).on_grid(GRID), 2)
 
 
 def test_iterate_rejects_negative_input():
     f = GridFunction(-np.ones(GRID.N), GRID)
     with pytest.raises(DomainError):
-        rdf_iterate(f, 2.0, GridWeight.unit(GRID), 2)
+        rdf_iterate(f, 2.0, PowerWeight(0).on_grid(GRID), 2)
 
 
 @pytest.mark.parametrize(
@@ -125,7 +125,7 @@ def test_iterate_rejects_negative_input():
 def test_iterate_rejects_bad_space(norm_bound, exponent):
     f, _ = _pair(5)
     with pytest.raises(DomainError):
-        rdf_iterate(f, norm_bound, GridWeight.unit(GRID), exponent)
+        rdf_iterate(f, norm_bound, PowerWeight(0).on_grid(GRID), exponent)
 
 
 # -- norm estimation -----------------------------------------------------------
@@ -134,7 +134,7 @@ def test_iterate_rejects_bad_space(norm_bound, exponent):
 def test_estimate_constant_probe_ratio_one():
     # S1 = 1 exactly on the grid, so a constant probe gives the floor, as
     # does the zero probe
-    w = GridWeight.unit(GRID)
+    w = PowerWeight(0).on_grid(GRID)
     assert estimate_maximal_norm(2, w, GridFunction(np.full(GRID.N, 3.0), GRID)) == 2.0
     assert estimate_maximal_norm(2, w, GridFunction(np.zeros(GRID.N), GRID)) == 2.0
 
@@ -156,7 +156,7 @@ def test_proof_objects_unit_weight_diagonal():
     rng = ExtrapolationRange(1, "inf", 2, 2)
     pe = proof_exponents(rng, 3)
     f, g = _pair(42)
-    po = build_proof_objects(f, g, GridWeight.unit(GRID), pe, rng, 3)
+    po = build_proof_objects(f, g, PowerWeight(0).on_grid(GRID), pe, rng, 3)
     assert all(v["ok"] for v in po.certificates.values())
     assert po.C1 == 2.0 ** float(1 + 1 / pe.delta)
     assert po.C2 == 2.0 ** float(1 / pe.beta.frac)
@@ -171,7 +171,7 @@ def test_proof_objects_scale_invariance_in_f():
     rng = ExtrapolationRange(1, "inf", 2, 2)
     pe = proof_exponents(rng, 3)
     f, g = _pair(17)
-    w = GridWeight.unit(GRID)
+    w = PowerWeight(0).on_grid(GRID)
     po1 = build_proof_objects(f, g, w, pe, rng, 3)
     po2 = build_proof_objects(f * 10.0, g, w, pe, rng, 3)
     # h1 is normalized, so H1 is scale-invariant up to roundoff
@@ -196,8 +196,8 @@ def test_verify_unit_weight_constants_near_one():
     rng = ExtrapolationRange(1, "inf", 2, 2)
     pe = proof_exponents(rng, 2)  # diagonal: q = p = 2
     f, _ = _pair(4)
-    po = build_proof_objects(f, f, GridWeight.unit(GRID), pe, rng, 2)
-    rep = verify_case1_weight(po, pe, rng, GridWeight.unit(GRID))
+    po = build_proof_objects(f, f, PowerWeight(0).on_grid(GRID), pe, rng, 2)
+    rep = verify_case1_weight(po, pe, rng, PowerWeight(0).on_grid(GRID))
     assert rep["W_p0_ap_const"] < 50
     assert rep["W_p0_rh_const"] < 10
 
@@ -211,7 +211,7 @@ def test_a1_certificate_can_fail(monkeypatch):
     fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), 100, grid)
     f, g = fam.members[0][0].abs(), fam.members[0][1].abs()
     with pytest.raises(CertificationFailed) as exc:
-        build_proof_objects(f, g, GridWeight.unit(grid), pe, rng, p)
+        build_proof_objects(f, g, PowerWeight(0).on_grid(grid), pe, rng, p)
     assert any(x.startswith("R1-A1:") for x in exc.value.failures)
 
 
@@ -220,7 +220,7 @@ def test_proof_objects_case_guard():
     pe = proof_exponents(rng, 2)
     f, g = _pair(1)
     with pytest.raises(DomainError):
-        build_proof_objects(f, g, GridWeight.unit(GRID), pe, rng, 2)
+        build_proof_objects(f, g, PowerWeight(0).on_grid(GRID), pe, rng, 2)
 
 
 def test_seeded_scenarios_certify():
@@ -229,7 +229,7 @@ def test_seeded_scenarios_certify():
         grid = Grid(4.0, 2**9)
         fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), 100 + i, grid)
         f, g = fam.members[0][0].abs(), fam.members[0][1].abs()
-        w = PowerWeight(Fraction(1, 8)).on_grid(grid) if i % 2 else GridWeight.unit(grid)
+        w = PowerWeight(Fraction(1, 8)).on_grid(grid) if i % 2 else PowerWeight(0).on_grid(grid)
         po = build_proof_objects(f, g, w, pe, rng, p)
         assert all(v["ok"] for v in po.certificates.values())
 

@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 
 from extrapkit import verifier
+from extrapkit.cli import main
 from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import Exponent
 from extrapkit.grid import Grid
@@ -17,7 +18,6 @@ from extrapkit.verifier import (
     iterated_vv_sweep,
     mz_sweep,
     ratio_sweep,
-    realize_weight,
     vv_sweep,
 )
 from extrapkit.weights import PowerWeight
@@ -31,7 +31,7 @@ RES = (1024, 2048)
 
 
 def test_product_operator_holder_baseline():
-    rr = ratio_sweep("product", 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
+    rr = ratio_sweep("product", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
     assert rr.sup_ratio <= 1 + 1e-10
     assert rr.verdict == "BOUNDED-STABLE"
 
@@ -46,7 +46,7 @@ def test_product_holder_with_weights():
 
 
 def test_bht_unweighted_bounded_stable():
-    rr = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
+    rr = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
     assert rr.sup_ratio == max(rr.ratios)
     assert rr.config["weights_in_class"] is None  # unit weights: no check
@@ -76,7 +76,7 @@ def test_bht_divergence_probe():
                          ids=["repeated", "descending", "skipped-doubling", "none"])
 def test_sweep_resolutions_must_double(resolutions):
     with pytest.raises(DomainError, match="twice the one before"):
-        ratio_sweep("product", 2, 2, "unit", "unit", SMOOTH8, resolutions=resolutions)
+        ratio_sweep("product", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=resolutions)
 
 
 def test_verdict_growth_from_zero():
@@ -86,8 +86,8 @@ def test_verdict_growth_from_zero():
 
 
 def test_determinism_same_seed_same_report():
-    a = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
-    b = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
+    a = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
+    b = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
     assert a.ratios == b.ratios and a.sup_by_resolution == b.sup_by_resolution
 
 
@@ -95,21 +95,21 @@ def test_determinism_same_seed_same_report():
 def test_unknown_operator_rejected(op):
     # the sweep runs "bht" and "product" only; an operator is named, never passed
     with pytest.raises(DomainError, match="unknown operator"):
-        ratio_sweep(op, 2, 2, "unit", "unit", SMOOTH8, resolutions=RES)
+        ratio_sweep(op, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
 
 
 # -- vector-valued ---------------------------------------------------------------
 
 
 def test_vv_k1_bit_exact_coherence():
-    a = ratio_sweep("bht", 2, 2, "unit", "unit", SMOOTH8, seed=5, resolutions=RES)
-    b = vv_sweep(2, 2, 2, 2, "unit", "unit", SMOOTH8, K=1, seed=5, resolutions=RES)
+    a = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
+    b = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, K=1, seed=5, resolutions=RES)
     assert a.ratios == b.ratios
     assert a.sup_by_resolution == b.sup_by_resolution
 
 
 def test_vv_aggregated_bounded():
-    rr = vv_sweep(2, 2, 2, 2, "unit", "unit", SMOOTH16, K=8, seed=5, resolutions=RES)
+    rr = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH16, K=8, seed=5, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
 
 
@@ -125,14 +125,14 @@ def test_vv_weighted_power_window():
 
 def test_vv_infeasible_plan_rejected():
     with pytest.raises(Infeasible):
-        vv_sweep(2, 8, 2, Fraction(9, 8), "unit", "unit", SMOOTH8, K=1, resolutions=RES)
+        vv_sweep(2, 8, 2, Fraction(9, 8), PowerWeight(0), PowerWeight(0), SMOOTH8, K=1, resolutions=RES)
 
 
 # -- iterated ---------------------------------------------------------------------
 
 
 def test_iterated_single_outer_reduces_to_vv():
-    flat = vv_sweep(2, 2, 2, 2, "unit", "unit", SMOOTH8, K=2, seed=7, resolutions=(1024,))
+    flat = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, K=2, seed=7, resolutions=(1024,))
     nested = iterated_vv_sweep((2, 2), (2, 2), (2, 2), SMOOTH8, J=1, K=2, seed=7, resolutions=(1024,))
     for x, y in zip(flat.ratios, nested.ratios):
         assert x == pytest.approx(y, rel=1e-14)
@@ -140,7 +140,7 @@ def test_iterated_single_outer_reduces_to_vv():
 
 def test_iterated_t_equals_s_flattens():
     nested = iterated_vv_sweep((2, 2), (2, 2), (2, 2), SMOOTH16, J=2, K=2, seed=7, resolutions=(1024,))
-    flat = vv_sweep(2, 2, 2, 2, "unit", "unit", SMOOTH16, K=4, seed=7, resolutions=(1024,))
+    flat = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH16, K=4, seed=7, resolutions=(1024,))
     assert len(nested.ratios) == len(flat.ratios) > 0
     for x, y in zip(nested.ratios, flat.ratios):
         assert abs(x - y) <= 1e-12
@@ -155,23 +155,23 @@ def test_iterated_bounded_stable():
 
 
 def test_mz_product_identity_r2_cauchy_schwarz():
-    rr = mz_sweep([3, 3], 2, ["unit", "unit"], SMOOTH8, "product-identity", resolutions=(1024,), K=4)
+    rr = mz_sweep([3, 3], 2, [PowerWeight(0), PowerWeight(0)], SMOOTH8, "product-identity", resolutions=(1024,), K=4)
     assert rr.sup_ratio <= 1 + 1e-10
 
 
 def test_mz_tensor_hilbert_bounded():
-    rr = mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "tensor-hilbert", resolutions=RES, K=4)
+    rr = mz_sweep([3, 3], Fraction(3, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, "tensor-hilbert", resolutions=RES, K=4)
     assert rr.verdict == "BOUNDED-STABLE"
 
 
 def test_mz_r_outside_window_rejected():
     with pytest.raises(Infeasible):
-        mz_sweep([3, 3], Fraction(5, 2), ["unit", "unit"], SMOOTH8, K=4, resolutions=RES)
+        mz_sweep([3, 3], Fraction(5, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, K=4, resolutions=RES)
 
 
 def test_mz_unknown_surrogate():
     with pytest.raises(DomainError, match="unknown surrogate"):
-        mz_sweep([3, 3], Fraction(3, 2), ["unit", "unit"], SMOOTH8, "bogus", K=4, resolutions=RES)
+        mz_sweep([3, 3], Fraction(3, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, "bogus", K=4, resolutions=RES)
 
 
 # The surrogates as pairwise operators, each pair transformed afresh: the
@@ -212,7 +212,7 @@ def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, monkeypatc
     want = _pairwise_block_arrays(PAIR_OPS[surrogate])(None, block, levels)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    args = ([2, 2], r, ["unit", "unit"], spec, surrogate)
+    args = ([2, 2], r, [PowerWeight(0), PowerWeight(0)], spec, surrogate)
     kw = dict(seed=3, resolutions=(512, 1024), K=K)
     rr = mz_sweep(*args, **kw)
     monkeypatch.setattr(verifier, "_block_arrays", _pairwise_block_arrays(PAIR_OPS[surrogate]))
@@ -233,7 +233,7 @@ def test_mz_transforms_each_factor_once(surrogate, calls, monkeypatch):
         return hilbert(f)
 
     monkeypatch.setattr(verifier, "hilbert", counting_hilbert)
-    mz_sweep([2, 2], Fraction(3, 2), ["unit", "unit"], SMOOTH8, surrogate, resolutions=(512, 1024), K=4)
+    mz_sweep([2, 2], Fraction(3, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, surrogate, resolutions=(512, 1024), K=4)
     assert len(seen) == calls
 
 
@@ -251,26 +251,19 @@ def test_mz_block_memory_peak_stays_small():
     assert peak <= 2_000_000
 
 
-# -- weight descriptors ---------------------------------------------------------------
+# -- the unit weight -----------------------------------------------------------------
 
 
-def test_realize_weight_descriptors():
-    grid = Grid(4.0, 512)
-    assert np.all(realize_weight("unit", grid).samples == 1.0)
-    pw = realize_weight(PowerWeight(Fraction(1, 2)), grid)
-    assert np.allclose(pw.samples, np.abs(grid.x()) ** 0.5)
-
-
-@pytest.mark.parametrize("sweep", ["bht", "mz"])
-def test_bad_weight_descriptor_fails_before_any_work(monkeypatch, sweep):
-    # a descriptor is "unit" or a PowerWeight; a callable is neither
-    def no_work(*args, **kwargs):
-        raise AssertionError("the sweep built a family for a bad weight descriptor")
-
-    monkeypatch.setattr(verifier, "make_family", no_work)
-    bad = PowerWeight(0).on_grid
-    with pytest.raises(DomainError, match="cannot realize weight descriptor"):
-        if sweep == "bht":
-            ratio_sweep("bht", 2, 2, bad, "unit", SMOOTH8, resolutions=RES)
-        else:
-            mz_sweep([3, 3], Fraction(3, 2), ["unit", bad], SMOOTH8, K=2, resolutions=RES)
+def test_power_weight_zero_is_the_unit_weight(capsys):
+    # |x|^0.0 is exactly 1.0 at every midpoint, so PowerWeight(0) is the unit weight bit for bit
+    for N in (2, 1024, 8192):
+        assert np.array_equal(PowerWeight(0).on_grid(Grid(8.0, N)).samples, np.ones(N))
+    assert [str(PowerWeight(a)) for a in (0, Fraction(1, 8), Fraction(-1, 4))] == ["unit", "power:1/8", "power:-1/4"]
+    rr = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(Fraction(1, 8)), SMOOTH8, resolutions=RES)
+    assert rr.config["weights_in_class"] is None and rr.config["w1"] == "unit"
+    demo = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3", "--N", "256"]
+    outs = []
+    for w in ("unit", "power:0"):
+        assert main(demo + ["--w", w]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]

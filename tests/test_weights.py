@@ -115,7 +115,7 @@ def test_factorization_power_exponent_algebra():
 
 
 def test_estimate_unit_weight_exact_ones():
-    ap, rh = estimate_class_constants(GridWeight.unit(GRID), WeightClassSpec(2, 2), 10)[-1]
+    ap, rh = estimate_class_constants(PowerWeight(0).on_grid(GRID), WeightClassSpec(2, 2), 10)[-1]
     assert ap == 1.0 and rh == 1.0
     # constant weight too
     w = GridWeight(np.full(GRID.N, 3.7), GRID)
@@ -174,7 +174,7 @@ def test_estimate_strong_divergence_rate():
 
 def test_estimate_depth_capped_by_grid():
     # depth log2 N puts one sample in each interval; one more halving is an error
-    w = GridWeight.unit(Grid(8.0, 64))
+    w = PowerWeight(0).on_grid(Grid(8.0, 64))
     assert estimate_class_constants(w, WeightClassSpec(2, 2), 6)[-1] == (1.0, 1.0)
     with pytest.raises(DomainError, match="depth 7 needs at least 2\\^7 samples, got 64"):
         estimate_class_constants(w, WeightClassSpec(2, 2), 7)
