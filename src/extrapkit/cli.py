@@ -283,7 +283,7 @@ def _cmd_rdf_demo(args):
     rng, pe = _range(args)
     grid = Grid(args.L, args.N[0])
     w = args.w(grid)
-    fam = make_family(FamilySpec("smooth-bumps", count=1, arity=2), args.seed, grid)
+    fam = make_family(FamilySpec("smooth-bumps", count=1), args.seed, grid)
     f, g = (c.abs() for c in fam.members[0])
     try:
         po = build_proof_objects(f, g, w, pe, rng, args.p)
@@ -319,9 +319,9 @@ def _cmd_verify_sweep(args):
     """verify bht | vv | iterated | mz: one ratio sweep, one report."""
     qs = args.q if args.cmd == "mz" else [args.q1, args.q2]
     a = getattr(args, "a", Fraction(0))
-    # w_i = |x|^(-a/q_i), so w_i^{q_i} = |x|^(-a); a = 0 reads no q, and the planner judges q = 0
-    ws = [PowerWeight(-a * rec(q) if a else 0) for q in qs]
-    spec = FamilySpec(kind=args.family, count=args.count, arity=2)
+    # w_i = |x|^(-a/q_i), so w_i^{q_i} = |x|^(-a); a = 0 or q = 0 reads no 1/q: the planner judges q = 0
+    ws = [PowerWeight(-a * rec(q) if a and q != 0 else 0) for q in qs]
+    spec = FamilySpec(kind=args.family, count=args.count, arity=len(qs))
     common = dict(seed=args.seed, resolutions=args.N, L=args.L)
     if args.cmd == "bht":
         rr = ver.ratio_sweep("bht", *qs, *ws, spec, **common)

@@ -385,9 +385,9 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
 
     * smooth-bumps: random centers/widths, unit L^2 norm;
     * modulated: smooth bumps times e^{i omega x} with random frequency;
-    * dyadic-concentration: staggered pairs delta^{-1/2} X_[delta, 2*delta]
-      and its reflection, over dyadic delta (unit L^2 norm) -- matched to
-      weights singular at the origin.
+    * dyadic-concentration: delta^{-1/2} X_[delta, 2*delta], its reflection,
+      then the right-hand indicator again in every factor beyond the second,
+      over dyadic delta (unit L^2 norm) -- matched to weights singular at 0.
 
     Supports stay inside [-L/2, L/2].  Same (spec, seed) => identical family
     bit for bit.

@@ -34,8 +34,8 @@ two-sided construction (the `Case I` regime of the planner):
 
 with the twelve certificates
 
-    h1-norm:     ||h1||_{L^q(w^q)} <= 2
-    H1-norm:     ||H1||_{L^q(w^q)} <= 2^(1+1/delta)
+    h1-norm:     ||h1||_{L^q(w^q)} <= 2^max(1, 1/q)   (q-triangle inequality below 1)
+    H1-norm:     ||H1||_{L^q(w^q)} <= 2^(max(1, 1/q) + 1/delta)
     H1-f:        f <= H1 ||f||
     H1-pt3:      g^{p/q} w^{p/q-1} <= H1 ||g||^{p/q}
     H2-norm:     ||H2||_{L^{(q/s)'}(w^q)} <= 2^(1/beta)
@@ -189,7 +189,7 @@ class ProofObjects:
     H2: GridFunction
     W: GridWeight
     W_q0: np.ndarray  # H1^{-alpha q0/s} H2 w^q, stored for bitwise replay
-    C1: float  # 2^(1+1/delta)
+    C1: float  # 2^(max(1, 1/q) + 1/delta)
     C2: float  # 2^(1/beta)
     certificates: dict
     r1: IterationResult  # mu1 = r1.function
@@ -275,7 +275,7 @@ def build_proof_objects(
     beta = pe.beta.frac
     seed2, r2, H2 = _majorant(h2, beta, pe.gamma, pe.tau_prime, w.power(-pe.sigma))
 
-    C1 = 2.0 ** float(1 + 1 / pe.delta)
+    C1 = 2.0 ** float(max(1, 1 / qf) + 1 / pe.delta)
     C2 = 2.0 ** float(1 / beta)
 
     # certificates
@@ -296,7 +296,7 @@ def build_proof_objects(
         if not ok:
             failures.append(f"{tag}: pointwise violation {worst:.3e}")
 
-    _norm_cert("h1-norm", measure_norm(h1, w_q, qf), 2.0)
+    _norm_cert("h1-norm", measure_norm(h1, w_q, qf), 2.0 ** float(max(1, 1 / qf)))
     _norm_cert("H1-norm", measure_norm(H1, w_q, qf), C1)
     _pt_cert("H1-f", f.samples / nf, H1.samples)
     _pt_cert("H1-pt3", dual_term, H1.samples)

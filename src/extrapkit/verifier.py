@@ -8,20 +8,20 @@ and computes the ratio
 
     || op(members) ||_target / product of factor norms
 
-per block, with the exponents `exps` = (q1, q2, q) of the factor and
-target norms read from the caller's plan (1/q = 1/q1 + 1/q2).  The tree
-is a list of levels from the inside out, each (size, (s1, s2, s_out)) with
-exponents from the plan: a level takes the l^s1 / l^s2 / l^s_out norm of
-`size` consecutive entries of the f / g / op-output columns.  A block
-holds the product of the sizes; a trailing partial block is dropped.  The
-operator is a group map: it takes an innermost group of (f_i, g_i)
-members and returns its output samples in aggregation order.
+per block, with the exponents `exps` = (q_1, ..., q_m, q) of the m factor
+norms and the target norm read from the caller's plan (1/q = sum of 1/q_j).
+The tree is a list of levels from the inside out, each (size, (s_1, ...,
+s_m, s_out)) with exponents from the plan: a level takes the l^s_j /
+l^s_out norm of `size` consecutive entries of the f_j / op-output columns.
+A block holds the product of the sizes; a trailing partial block is
+dropped.  The operator is a group map: it takes an innermost group of
+(f_1, ..., f_m) members and returns its output samples in aggregation order.
 
     sweep               levels                  op output per group
     ratio_sweep         [(1, q)]                op(f_i, g_i)
     vv_sweep            [(K, s)]                op(f_i, g_i)
     iterated_vv_sweep   [(K, s), (J, t)]        op(f_i, g_i)
-    mz_sweep            [(K, (r, r, r))]        u(f_i) * u(g_j), every i, j
+    mz_sweep            [(K, (r, ..., r))]      u(f_{1,i_1}) ... u(f_{m,i_m}), every i_1, ..., i_m
 
 The MZ surrogates are tensor products of a per-factor map u, which
 transforms each factor of a group once.
@@ -40,7 +40,10 @@ never proof; every report carries that caveat.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +117,12 @@ def _verdict(sups: list) -> tuple[str, float]:
 
 
 def _tensor(u):
-    """The group map of the surrogate u(f) * u(g): u(f_i) * u(g_j) for every
-    pair of the group, i outer, j inner, with each factor transformed once."""
+    """The group map of the surrogate u(f_1) ... u(f_m): its product over every
+    m-tuple of the group, first factor outermost, each factor transformed once."""
 
     def products(grp):
-        us = [u(f).samples for f, _ in grp]
-        vs = [u(g).samples for _, g in grp]
-        return [a * b for a in us for b in vs]
+        cols = [[u(f).samples for f in col] for col in zip(*grp)]
+        return [functools.reduce(operator.mul, t) for t in itertools.product(*cols)]
 
     return products
 
@@ -155,16 +157,16 @@ def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
 
 
 def _block_arrays(op, block, levels):
-    """(op output, f, g) samples of one block, aggregated through `levels`."""
+    """(op output, f_1, ..., f_m) samples of one block, aggregated through `levels`."""
     inner = levels[0][0]
     outs = [a for k in range(0, len(block), inner) for a in op(block[k : k + inner])]
-    cols = [outs, [f.samples for f, _ in block], [g.samples for _, g in block]]
-    for size, (s1, s2, s_out) in levels:
-        # a group of `size` members gave `size` outputs, or size**2 if a tensor product
-        widths = (len(cols[0]) * size // len(cols[1]), size, size)
+    cols = [outs, *([f.samples for f in col] for col in zip(*block))]
+    for size, (*ss, s_out) in levels:
+        # a group of `size` members gave `size` outputs, or size**m if a tensor product
+        widths = (len(cols[0]) * size // len(cols[1]), *[size] * len(ss))
         cols = [
-            [_aggregate(col[k : k + m], s) for k in range(0, len(col), m)]
-            for col, m, s in zip(cols, widths, (s_out, s1, s2))
+            [_aggregate(col[k : k + n], s) for k in range(0, len(col), n)]
+            for col, n, s in zip(cols, widths, (s_out, *ss))
         ]
     return [col[0] for col in cols]
 
@@ -172,15 +174,15 @@ def _block_arrays(op, block, levels):
 def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, levels) -> RatioReport:
     """The one per-resolution loop behind every sweep.
 
-    `exps` = (q1, q2, q): the factor and target norm exponents; `weights`
-    = (w1, w2) PowerWeights; `op` and `levels` as in the module docstring.
+    `exps` = (q_1, ..., q_m, q): the factor and target norm exponents;
+    `weights` = m PowerWeights; `op` and `levels` as in the module docstring.
     """
     if not resolutions or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
     levels = [(n, tuple(float(e.frac) for e in es)) for n, es in levels]
-    q1, q2, q = exps
+    *qs, q = exps
     size = math.prod(n for n, _ in levels)
     if size > spec.count:
         raise DomainError(f"block size {size} exceeds the family count {spec.count}: nothing to measure")
@@ -188,22 +190,20 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
     for N in resolutions:
         grid = Grid(L, N)
         members = make_family(spec, seed, grid).members
-        w1, w2 = (d.on_grid(grid) for d in weights)
+        ws = [d.on_grid(grid) for d in weights]
         # the densities w^p that `weighted_norm` would take, once per resolution
-        v, v1, v2 = (wt.power(p.frac) for wt, p in ((w1 * w2, q), (w1, q1), (w2, q2)))
+        v = functools.reduce(operator.mul, ws).power(q.frac)
+        vs = [wt.power(p.frac) for wt, p in zip(ws, qs)]
         ratios, skipped = [], []
         for idx, k in enumerate(range(0, len(members) - size + 1, size)):
-            out, f, g = (
-                GridFunction(a, grid)
-                for a in _block_arrays(op, members[k : k + size], levels)
-            )
+            block = _block_arrays(op, members[k : k + size], levels)
+            out, *fs = (GridFunction(a, grid) for a in block)
             num = measure_norm(out, v, q)
-            d1 = measure_norm(f, v1, q1)
-            d2 = measure_norm(g, v2, q2)
-            if d1 == 0 or d2 == 0:
+            ds = [measure_norm(f, vj, qj) for f, vj, qj in zip(fs, vs, qs)]
+            if 0 in ds:
                 skipped.append(idx)
                 continue
-            ratios.append(num / (d1 * d2))
+            ratios.append(num / math.prod(ds))
         sups.append(max(ratios) if ratios else 0.0)
     verdict, stability = _verdict(sups)
     return RatioReport(
@@ -366,19 +366,19 @@ def mz_sweep(
     K: int,
     L: float = 8.0,
 ) -> RatioReport:
-    """l^r Marcinkiewicz-Zygmund aggregation over a K x K double index,
-    using a surrogate bilinear operator (m = 2 coordinates).
+    """l^r Marcinkiewicz-Zygmund aggregation over the K^m multi-index of an
+    m-linear surrogate, m = len(qjs).
 
-    The surrogate is the tensor product u(f_i) * u(g_j) of a per-factor map
-    u (the Hilbert transform or the identity); each factor of a K-block is
-    transformed once, and its K x K products are formed from those.
+    The surrogate is the tensor product u(f_{1,i_1}) ... u(f_{m,i_m}) of a
+    per-factor map u (the Hilbert transform or the identity); each factor of
+    a K-block is transformed once, and its K^m products are formed from those.
 
     The plan (weight classes, range endpoints, r in (1,2)) is validated by
-    :func:`mz_plan` first; r = 2 runs as the base case.  `wjs` are two
-    :class:`PowerWeight`s, alpha = 0 the unit weight; the report omits them.
+    :func:`mz_plan` first; r = 2 runs as the base case.  `wjs` has one
+    :class:`PowerWeight` per target (alpha = 0 the unit); the report omits them.
     """
-    if len(qjs) != 2 or len(wjs) != 2:
-        raise DomainError("the sweep drives two coordinates (m = 2)")
+    if len(wjs) != len(qjs) or family_spec.arity != len(qjs):
+        raise DomainError(f"need one weight and one family factor for each of the {len(qjs)} targets")
     data = mz_plan(qjs, r)["data"]  # raises Infeasible when r is outside (1, 2) u {2}
     if surrogate not in SURROGATES:
         raise DomainError(f"unknown surrogate {surrogate!r}; expected one of {SURROGATES}")
@@ -394,5 +394,5 @@ def mz_sweep(
     }
     return _sweep(
         _MZ_OPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), wjs, family_spec,
-        seed, resolutions, L, config, [(K, (r, r, r))],
+        seed, resolutions, L, config, [(K, (r,) * (len(qjs) + 1))],
     )

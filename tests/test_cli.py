@@ -221,6 +221,22 @@ def test_rdf_demo_json_and_trace(tmp_path, capsys):
     assert all(float(row[5]) > 0 and float(row[6]) > 0 for row in rows[1:])
 
 
+def test_rdf_demo_certifies_a_target_below_one(capsys):
+    # q = 16/19: ||h1|| passes Minkowski's 2 but stays under the q-triangle
+    # bound 2^(1/q), and C1 = 2^(1/q + 1/delta) carries the same factor
+    code, rep = run_json(
+        ["rdf", "demo", "--pm", "32/21", "--pp", "32/5", "--p0", "16/5", "--q0", "8/7",
+         "--p", "8/5", "--N", "512"],
+        capsys,
+    )
+    assert code == 0 and rep["feasible"] is True
+    pe, objs = rep["data"]["proof_exponents"], rep["data"]["objects"]
+    assert pe["q"] == "16/19"
+    h1 = objs["certificates"]["h1-norm"]
+    assert 2.0 < h1["value"] <= h1["bound"] == 2.0 ** float(Fraction(19, 16))
+    assert objs["C1"] == 2.0 ** float(Fraction(19, 16) + 1 / Fraction(pe["delta"]))
+
+
 def test_verify_bht_report_shape(capsys):
     code, rep = run_json(
         ["verify", "bht", "--q1", "2", "--q2", "2", "--a", "2/5",
@@ -267,6 +283,38 @@ def test_infinite_q_with_a_names_the_planner_rule(capsys, argv):
     assert main(argv + ["--a", "1/2", "--count", "2", "--N", "256,512"]) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: q1 must satisfy 1 < q1 < inf, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "bht", "--q1", "0", "--q2", "2"],
+        ["verify", "vv", "--q1", "0", "--q2", "2", "--s1", "2", "--s2", "2"],
+    ],
+    ids=["bht", "vv"],
+)
+def test_zero_q_with_a_names_the_planner_rule(capsys, argv):
+    # the weight |x|^(-a/q1) used to ask for 1/0 first
+    assert main(argv + ["--a", "1/2", "--count", "2", "--N", "256,512"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: q1 must satisfy 1 < q1 < inf, got 0\n"
+
+
+@pytest.mark.parametrize("q", ["3", "3,3,3"], ids=["m1", "m3"])
+def test_plan_and_verify_mz_take_the_same_m(capsys, q):
+    code, plan = run_json(["plan", "mz", "--q", q, "--r", "3/2"], capsys)
+    assert code == 0 and plan["feasible"] is True
+    m = len(plan["data"]["q"])
+    assert m == len(q.split(",")) and len(plan["data"]["steps"]) == m
+    for surrogate in ("tensor-hilbert", "product-identity"):
+        code, rep = run_json(
+            ["verify", "mz", "--q", q, "--r", "3/2", "--surrogate", surrogate, "--K", "2",
+             "--count", "4", "--N", "256,512"],
+            capsys,
+        )
+        assert code == 0 and rep["feasible"] is True
+        assert rep["data"]["verdict"] == "BOUNDED-STABLE"
+        assert rep["data"]["config"]["q"] == plan["data"]["q"]
 
 
 def test_verify_mz_zero_sups_are_stable(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -174,57 +175,110 @@ def test_mz_unknown_surrogate():
         mz_sweep([3, 3], Fraction(3, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, "bogus", K=4, resolutions=RES)
 
 
-# The surrogates as pairwise operators, each pair transformed afresh: the
-# reference that the once-per-factor block must match bit for bit.
-PAIR_OPS = {
-    "tensor-hilbert": lambda f, g: hilbert(f) * hilbert(g),
-    "product-identity": lambda f, g: f * g,
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_mz_three_factor_product_identity_holder(K, a):
+    # the l^r sum over the K^3 tensor factorizes into the three factors' l^r sums,
+    # so Hoelder in L^q(w^q) with w = w1 w2 w3 and 1/q = sum 1/q_j bounds every ratio by 1
+    qs = [3, 3, Fraction(3, 2)]
+    ws = [PowerWeight(-a / q) for q in qs]
+    spec = FamilySpec("smooth-bumps", count=9, arity=3)
+    block = make_family(spec, 7, Grid(8.0, 1024)).members[:K]
+    out, *fs = _block_arrays(_MZ_OPS["product-identity"], block, [(K, (1.5,) * 4)])
+    np.testing.assert_allclose(out, fs[0] * fs[1] * fs[2], rtol=1e-12, atol=0)
+    rr = mz_sweep(qs, Fraction(3, 2), ws, spec, "product-identity", resolutions=(512, 1024), K=K)
+    assert len(rr.ratios) == 9 // K and max(rr.ratios) > 0
+    assert max(rr.ratios) <= 1 + 1e-12
+
+
+@pytest.mark.parametrize("w", [PowerWeight(0), PowerWeight(Fraction(1, 8))])
+@pytest.mark.parametrize("kind", ["smooth-bumps", "modulated", "dyadic-concentration"])
+def test_mz_one_factor_product_identity_is_exactly_one(kind, w):
+    # one factor and the identity: the output column is the factor column, so
+    # numerator and denominator are the same float
+    spec = FamilySpec(kind, count=6, arity=1)
+    rr = mz_sweep([3], Fraction(3, 2), [w], spec, "product-identity", resolutions=(256, 512), K=2)
+    assert rr.ratios == [1.0] * 3 and rr.sup_by_resolution == [1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "qjs,wjs,arity",
+    [([3, 3, 3], [PowerWeight(0)] * 2, 3), ([3], [PowerWeight(0)] * 2, 1), ([3, 3], [PowerWeight(0)] * 2, 3)],
+    ids=["fewer-weights", "more-weights", "arity"],
+)
+def test_mz_needs_one_weight_and_factor_per_target(qjs, wjs, arity):
+    spec = FamilySpec("smooth-bumps", count=8, arity=arity)
+    with pytest.raises(DomainError, match="one weight and one family factor"):
+        mz_sweep(qjs, Fraction(3, 2), wjs, spec, K=2, resolutions=(256,))
+
+
+# The per-factor maps of the surrogates, applied afresh to every factor of
+# every m-tuple: the reference that the once-per-factor block must match bit
+# for bit.
+FACTOR_MAPS = {
+    "tensor-hilbert": hilbert,
+    "product-identity": lambda f: f,
 }
 
 
-def _pairwise_block_arrays(pair_op):
-    """`_block_arrays` for one MZ level, with `pair_op` on every (f_i, g_j)."""
+def _bruteforce_block_arrays(u):
+    """`_block_arrays` for one MZ level, by an m-fold loop over every
+    (f_{1,i_1}, ..., f_{m,i_m}), the first index outermost."""
 
     def block_arrays(op, block, levels):
-        ((_, (r, _, _)),) = levels  # an MZ block is one innermost group
-        outs = [pair_op(f, g).samples for f, _ in block for _, g in block]
-        cols = (outs, [f.samples for f, _ in block], [g.samples for _, g in block])
+        ((_, (r, *_)),) = levels  # an MZ block is one innermost group
+        m = len(block[0])
+        outs = []
+        for idx in itertools.product(range(len(block)), repeat=m):
+            out = u(block[idx[0]][0])
+            for j in range(1, m):
+                out = out * u(block[idx[j]][j])
+            outs.append(out.samples)
+        cols = [outs, *([tup[j].samples for tup in block] for j in range(m))]
         return [_aggregate(col, r) for col in cols]
 
     return block_arrays
 
 
 MZ_CASES = [
-    (surrogate, kind, K, count)
-    for surrogate in PAIR_OPS
+    # m = 2 keeps the ids it had when the engine drove two factors only
+    pytest.param(surrogate, kind, K, count, m, id=f"{surrogate}-{kind}-{K}-{count}" + ("" if m == 2 else f"-m{m}"))
+    for m in (2, 1, 3)
+    for surrogate in FACTOR_MAPS
     for kind in ("smooth-bumps", "modulated")
     for K, count in ((1, 3), (2, 5), (3, 7), (4, 9))  # count % K != 0 from K = 2 on
 ]
 
 
-@pytest.mark.parametrize("surrogate,kind,K,count", MZ_CASES)
-def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, monkeypatch):
-    spec = FamilySpec(kind, count=count, arity=2)
+@pytest.mark.parametrize("surrogate,kind,K,count,m", MZ_CASES)
+def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, m, monkeypatch):
+    spec = FamilySpec(kind, count=count, arity=m)
     r = Fraction(3, 2)
-    levels = [(K, (1.5, 1.5, 1.5))]
+    levels = [(K, (1.5,) * (m + 1))]
     block = make_family(spec, 3, Grid(8.0, 512)).members[:K]
     got = _block_arrays(_MZ_OPS[surrogate], block, levels)
-    want = _pairwise_block_arrays(PAIR_OPS[surrogate])(None, block, levels)
+    want = _bruteforce_block_arrays(FACTOR_MAPS[surrogate])(None, block, levels)
+    assert len(got) == m + 1
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    args = ([2, 2], r, [PowerWeight(0), PowerWeight(0)], spec, surrogate)
+    args = ([2] * m, r, [PowerWeight(0)] * m, spec, surrogate)
     kw = dict(seed=3, resolutions=(512, 1024), K=K)
     rr = mz_sweep(*args, **kw)
-    monkeypatch.setattr(verifier, "_block_arrays", _pairwise_block_arrays(PAIR_OPS[surrogate]))
+    monkeypatch.setattr(verifier, "_block_arrays", _bruteforce_block_arrays(FACTOR_MAPS[surrogate]))
     ref = mz_sweep(*args, **kw)
     assert len(rr.ratios) == count // K
     assert np.array(rr.ratios).tobytes() == np.array(ref.ratios).tobytes()
     assert np.array(rr.sup_by_resolution).tobytes() == np.array(ref.sup_by_resolution).tobytes()
 
 
-@pytest.mark.parametrize("surrogate,calls", [("tensor-hilbert", 32), ("product-identity", 0)])
-def test_mz_transforms_each_factor_once(surrogate, calls, monkeypatch):
-    # 2 resolutions x 2 blocks x (4 f + 4 g) transforms; pairwise would take 128.
+@pytest.mark.parametrize(
+    "surrogate,calls,m",
+    [("tensor-hilbert", 32, 2), ("product-identity", 0, 2), ("tensor-hilbert", 48, 3), ("product-identity", 0, 3)],
+    ids=["tensor-hilbert-32", "product-identity-0", "tensor-hilbert-48-m3", "product-identity-0-m3"],
+)
+def test_mz_transforms_each_factor_once(surrogate, calls, m, monkeypatch):
+    # 2 resolutions x 2 blocks x m factors x K = 4 transforms; pairwise would
+    # take 128 at m = 2 (and m-fold 768 at m = 3).
     # Patching the module attribute also pins the call-time lookup of `hilbert`.
     seen = []
 
@@ -233,7 +287,8 @@ def test_mz_transforms_each_factor_once(surrogate, calls, monkeypatch):
         return hilbert(f)
 
     monkeypatch.setattr(verifier, "hilbert", counting_hilbert)
-    mz_sweep([2, 2], Fraction(3, 2), [PowerWeight(0), PowerWeight(0)], SMOOTH8, surrogate, resolutions=(512, 1024), K=4)
+    spec = FamilySpec("smooth-bumps", count=8, arity=m)
+    mz_sweep([2] * m, Fraction(3, 2), [PowerWeight(0)] * m, spec, surrogate, resolutions=(512, 1024), K=4)
     assert len(seen) == calls
 
 
