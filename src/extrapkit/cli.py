@@ -27,7 +27,9 @@ it is not (the report is still printed), 1 for usage errors and bad input.
 The class of an error alone decides between 1 and 2; `extrapkit.errors`
 lists which class gives which.  `operator apply` is a table command whose
 output is always its CSV table (it takes no --emit); the only file a
-handler writes itself is the `rdf demo --trace` CSV.
+handler writes itself is the `rdf demo --trace` CSV.  The parser is built
+once per process; it holds each handler's name, which `main` looks up in this
+module at call time, so a patched handler is the one that runs.
 """
 
 from __future__ import annotations
@@ -216,6 +218,8 @@ def _cmd_plan_bht(args):
         if args.emit != "csv":
             raise DomainError("--grid tabulates plans and needs --emit csv")
         return {"feasible": True, "data": {}}, lambda: _grid_rows(args.grid, args.s1, args.s2)
+    if args.q1 is None or args.q2 is None:
+        raise DomainError(f"plan {args.cmd} needs --q1 and --q2, or --grid")
     plan, pr = _bht(args.q1, args.q2, args.s1, args.s2)
     data = {**plan.as_dict(), "power_range": pr}
     return {"feasible": True, "data": data, "certified": plan.certified}, lambda: [_flatten(data)]
@@ -301,7 +305,7 @@ def _cmd_rdf_demo(args):
                 wr = csv.writer(fh)
                 wr.writerow(["x", "h1", "H1", "h2", "H2", "mu1", "mu2", "W"])
                 objs = (po.h1, po.H1, po.h2, po.H2, po.r1.function, po.r2.function, po.W)
-                wr.writerows(zip(grid.x(), *(o.samples for o in objs)))
+                wr.writerows(np.column_stack([grid.x(), *(o.samples for o in objs)]).tolist())
         except OSError as e:
             raise DomainError(f"{args.trace}: cannot write: {e.strerror}")
     fields = {
@@ -353,7 +357,7 @@ def _command(sub, name, handler, table=True):
     without a table the report is JSON only."""
     p = sub.add_parser(name)
     p.add_argument("--emit", choices=("json", "csv") if table else ("json",), default="json")
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler.__name__)
     return p
 
 
@@ -377,6 +381,7 @@ def _add_common(p, grid_default="4096", one_member=False):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     root = _Parser(prog="extrapkit", description=__doc__)
     sub = root.add_subparsers(dest="group", required=True, parser_class=_Parser)
@@ -390,8 +395,8 @@ def build_parser() -> _Parser:
 
     for name in ("bht", "bht-vv"):
         pb = _command(plan_sub, name, _cmd_plan_bht)
-        pb.add_argument("--q1", type=_exp, required=True)
-        pb.add_argument("--q2", type=_exp, required=True)
+        for flag in ("--q1", "--q2"):  # --grid ignores them
+            pb.add_argument(flag, type=_exp)
         if name == "bht-vv":
             pb.add_argument("--s1", type=_exp, required=True)
             pb.add_argument("--s2", type=_exp, required=True)
@@ -428,7 +433,7 @@ def build_parser() -> _Parser:
     oa.add_argument("--in", dest="in", required=True)
     oa.add_argument("--in2", default=None)
     oa.add_argument("--tmax", type=float, default=None)
-    oa.set_defaults(handler=_cmd_operator_apply, emit="csv")
+    oa.set_defaults(handler=_cmd_operator_apply.__name__, emit="csv")
 
     rdf = sub.add_parser("rdf")
     rdf_sub = rdf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
@@ -478,7 +483,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fields, rows = args.handler(args)
+        fields, rows = globals()[args.handler](args)
         table = rows() if rows is not None and args.emit == "csv" else None
     except (Infeasible, CertificationFailed) as e:
         fields, table = {"feasible": False, "data": {}, "reason": str(e)}, None

@@ -479,6 +479,19 @@ def test_plan_bht_grid_needs_csv(capsys):
     assert out.out == "" and out.err.startswith("error:") and "--grid" in out.err
     code, text = run_cli(argv + ["--emit", "csv"], capsys)
     assert code == 0 and len(list(csv.reader(io.StringIO(text)))) == 1 + 4
+    # --grid ignores --q1/--q2, so it does not need them
+    assert run_cli(["plan", "bht", "--grid", "2,3", "--emit", "csv"], capsys) == (code, text)
+
+
+@pytest.mark.parametrize(
+    "cmd, extra",
+    [("bht", []), ("bht", ["--q1", "2"]), ("bht-vv", ["--q2", "2", "--s1", "3/2", "--s2", "3/2"])],
+    ids=["bht", "bht-q1-only", "bht-vv-q2-only"],
+)
+def test_plan_bht_without_grid_needs_q1_and_q2(capsys, cmd, extra):
+    assert main(["plan", cmd, *extra]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: plan {cmd} needs --q1 and --q2, or --grid\n"
 
 
 def test_infeasible_report_exits_2(tmp_path, capsys):
@@ -506,6 +519,7 @@ def test_plan_bht_vv_grid_tabulates_vector_valued_plans(capsys):
     assert code == 0 and len(rows) == 4
     assert all(r["s1"] == "3/2" and r["s2"] == "3/2" and r["s"] == "3/4" for r in rows)
     assert "1/s-lt-3/2" in rows[0]["certified"]
+    assert run_cli(["plan", "bht-vv", *argv[6:]], capsys) == (code, text)  # without --q1/--q2
     # each row is the plan `plan bht-vv` prints for that (q1, q2)
     code, one = run_cli(argv[:-4] + ["--emit", "csv"], capsys)
     single = next(csv.DictReader(io.StringIO(one)))
@@ -590,6 +604,33 @@ def test_bad_list_token_is_a_usage_error(capsys, argv, token):
     assert exc.value.code == 1
     out = capsys.readouterr()
     assert out.out == "" and f"error: argument {argv[-1]}:" in out.err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    from extrapkit.cli import build_parser
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    verify = ["verify", "bht", "--q1", "2", "--q2", "2", "--count", "2"]
+    plan = ["plan", "bht", "--q1", "2", "--q2", "2"]
+    # a usage error, then explicit --N / --w / --emit, then the same commands on their defaults
+    explicit = [["plan", "nonsense"], verify + ["--N", "512"], RDF_DEMO + ["--w", "power:1/8"],
+                plan + ["--emit", "csv"]]
+    defaults = [["plan", "nonsense"], verify, RDF_DEMO, plan]
+    warm = [run(argv) for argv in explicit + defaults]
+    fresh = []
+    for argv in explicit + defaults:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert warm == fresh
+    assert [code for code, _, _ in warm] == [1, 0, 0, 0] * 2
+    assert build_parser() is build_parser()
 
 
 def test_rdf_demo_unwritable_trace_exit_1(tmp_path, capsys):
@@ -711,6 +752,9 @@ def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
     def handler(args):
         raise error
 
+    # the parser exists before the patch: it must not hold the handler it found
+    assert main(["plan", "mz", "--q", "3,3", "--r", "3/2"]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(cli, "_cmd_plan_mz", handler)
     assert main(["plan", "mz", "--q", "3,3", "--r", "3/2"]) == code
     out = capsys.readouterr()
