@@ -23,13 +23,14 @@ callable that builds the CSV rows (None when the command has no table).
 `main` alone adds the command name, turns a planner's infeasibility or a
 failed certificate into an infeasible report, prints the envelope or the
 CSV table, and picks the exit code: 0 when the report is feasible, 2 when
-it is not (the report is still printed), 1 for usage errors and bad input.
-The class of an error alone decides between 1 and 2; `extrapkit.errors`
-lists which class gives which.  `operator apply` is a table command whose
-output is always its CSV table (it takes no --emit); the only file a
-handler writes itself is the `rdf demo --trace` CSV.  The parser is built
-once per process; it holds each handler's name, which `main` looks up in this
-module at call time, so a patched handler is the one that runs.
+it is not (the report is still printed), 1 for usage errors, bad input and
+a stdout that closed before the report was written.  The class of an error
+alone decides between 1 and 2; `extrapkit.errors` lists which class gives
+which.  `operator apply` is a table command whose output is always its CSV
+table (it takes no --emit); the only file a handler writes itself is the
+`rdf demo --trace` CSV.  The parser is built once per process; it holds
+each handler's name, which `main` looks up in this module at call time, so
+a patched handler is the one that runs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -383,7 +385,9 @@ def _add_common(p, grid_default="4096", one_member=False):
 
 @functools.cache
 def build_parser() -> _Parser:
-    root = _Parser(prog="extrapkit", description=__doc__)
+    root = _Parser(prog="extrapkit", description="Exact planners for limited-range multilinear extrapolation, "
+                   "and grid-scale checks of the weighted inequalities they plan. Reports are JSON on stdout; "
+                   "the exit code is 0 when feasible, 2 when infeasible and 1 for bad input.")
     sub = root.add_subparsers(dest="group", required=True, parser_class=_Parser)
 
     plan = sub.add_parser("plan")
@@ -491,14 +495,19 @@ def main(argv=None) -> int:
         message = f"a value is outside the float range ({e.args[-1]})" if isinstance(e, OverflowError) else e
         print(f"error: {message}", file=sys.stderr)
         return USAGE_EXIT
-    if table:
-        wr = csv.writer(sys.stdout)
-        keys = list(table[0])
-        wr.writerow(keys)
-        for row in table:
-            wr.writerow([to_jsonable(row.get(k)) for k in keys])
-    else:
-        print(dumps(envelope(**{"command": f"{args.group} {args.cmd}", **fields})))
+    try:
+        if table:
+            wr = csv.writer(sys.stdout)
+            keys = list(table[0])
+            wr.writerow(keys)
+            for row in table:
+                wr.writerow([to_jsonable(row.get(k)) for k in keys])
+        else:
+            print(dumps(envelope(**{"command": f"{args.group} {args.cmd}", **fields})))
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+    except BrokenPipeError:  # the reader left early (`| head`); /dev/null takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if fields["feasible"] else INFEASIBLE_EXIT
 
 

@@ -15,7 +15,7 @@ s_m, s_out)) with exponents from the plan: a level takes the l^s_j /
 l^s_out norm of `size` consecutive entries of the f_j / op-output columns.
 A block holds the product of the sizes; a trailing partial block is
 dropped.  The operator is a group map: it takes an innermost group of
-(f_1, ..., f_m) members and returns its output samples in aggregation order.
+(f_1, ..., f_m) members and yields its output samples in aggregation order.
 
     sweep               levels                  op output per group
     ratio_sweep         [(1, q)]                op(f_i, g_i)
@@ -24,7 +24,8 @@ dropped.  The operator is a group map: it takes an innermost group of
     mz_sweep            [(K, (r, ..., r))]      u(f_{1,i_1}) ... u(f_{m,i_m}), every i_1, ..., i_m
 
 The MZ surrogates are tensor products of a per-factor map u, which
-transforms each factor of a group once.
+transforms each factor of a group once; a block holds O(m K) arrays at a
+time, never its K^m products.
 
 Each resolution must be twice the one before (one resolution alone is
 allowed, none is not).  The sup ratio's behaviour under resolution doubling is
@@ -41,7 +42,6 @@ never proof; every report carries that caveat.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,14 +52,7 @@ from .applications import bht_plan, bht_vv_plan, mz_plan
 from .errors import DomainError
 from .exponents import ExponentLike, as_exponent, harmonic_sum, power_membership
 from .grid import Grid
-from .gridfn import (
-    FamilySpec,
-    GridFunction,
-    bht,
-    hilbert,
-    make_family,
-    measure_norm,
-)
+from .gridfn import FamilySpec, GridFunction, bht, hilbert, make_family, measure_norm
 from .weights import PowerWeight
 
 __all__ = [
@@ -117,12 +110,13 @@ def _verdict(sups: list) -> tuple[str, float]:
 
 
 def _tensor(u):
-    """The group map of the surrogate u(f_1) ... u(f_m): its product over every
-    m-tuple of the group, first factor outermost, each factor transformed once."""
+    """The group map of the surrogate u(f_1) ... u(f_m): it yields the product over
+    every m-tuple of the group, first factor outermost, each factor transformed once
+    and each prefix product formed once, in the left fold of `reduce(operator.mul, t)`."""
 
     def products(grp):
         cols = [[u(f).samples for f in col] for col in zip(*grp)]
-        return [functools.reduce(operator.mul, t) for t in itertools.product(*cols)]
+        return functools.reduce(lambda ps, col: (p * a for p in ps for a in col), cols[1:], cols[0])
 
     return products
 
@@ -130,8 +124,8 @@ def _tensor(u):
 # Lambdas, not the functions themselves: each call looks `bht` / `hilbert`
 # up in this module, so a patched attribute (perfbench's --trace) sees it.
 _OPS = {
-    "bht": lambda grp: [bht(f, g).samples for f, g in grp],
-    "product": lambda grp: [(f * g).samples for f, g in grp],
+    "bht": lambda grp: (bht(f, g).samples for f, g in grp),
+    "product": lambda grp: ((f * g).samples for f, g in grp),
 }
 _MZ_OPS = {
     "tensor-hilbert": _tensor(lambda f: hilbert(f)),
@@ -140,12 +134,14 @@ _MZ_OPS = {
 SURROGATES = tuple(_MZ_OPS)
 
 
-def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
-    """l^s aggregation across a member list; len == 1 skips the power
-    round-trip so single-member aggregation is bitwise the scalar path."""
-    if len(values) == 1:
-        return np.abs(values[0])
-    acc = np.zeros_like(np.abs(values[0]))
+def _aggregate(values, s: float) -> np.ndarray:
+    """l^s aggregation of arrays, adding |v|^s as each arrives; one value skips the
+    power round-trip so single-member aggregation is bitwise the scalar path."""
+    values = iter(values)
+    first, second = np.abs(next(values)), next(values, None)
+    if second is None:
+        return first
+    acc = first**s + np.abs(second) ** s  # the sum from 0.0, since 0.0 + x == x
     for v in values:
         acc += np.abs(v) ** s
     return acc ** (1.0 / s)
@@ -157,16 +153,18 @@ def _aggregate(values: list[np.ndarray], s: float) -> np.ndarray:
 
 
 def _block_arrays(op, block, levels):
-    """(op output, f_1, ..., f_m) samples of one block, aggregated through `levels`."""
-    inner = levels[0][0]
-    outs = [a for k in range(0, len(block), inner) for a in op(block[k : k + inner])]
-    cols = [outs, *([f.samples for f in col] for col in zip(*block))]
-    for size, (*ss, s_out) in levels:
-        # a group of `size` members gave `size` outputs, or size**m if a tensor product
-        widths = (len(cols[0]) * size // len(cols[1]), *[size] * len(ss))
+    """(op output, f_1, ..., f_m) samples of one block, aggregated through `levels`: level 0
+    sums each innermost group's outputs as the group map yields them, and its members."""
+    (inner, (*ss, s_out)), *outer = levels
+    groups = (block[k : k + inner] for k in range(0, len(block), inner))
+    cols = zip(*(
+        [_aggregate(op(g), s_out), *(_aggregate([f.samples for f in c], s) for c, s in zip(zip(*g), ss))]
+        for g in groups
+    ))
+    for size, (*ss, s_out) in outer:
         cols = [
-            [_aggregate(col[k : k + n], s) for k in range(0, len(col), n)]
-            for col, n, s in zip(cols, widths, (s_out, *ss))
+            [_aggregate(col[k : k + size], s) for k in range(0, len(col), size)]
+            for col, s in zip(cols, (s_out, *ss))
         ]
     return [col[0] for col in cols]
 
@@ -371,7 +369,7 @@ def mz_sweep(
 
     The surrogate is the tensor product u(f_{1,i_1}) ... u(f_{m,i_m}) of a
     per-factor map u (the Hilbert transform or the identity); each factor of
-    a K-block is transformed once, and its K^m products are formed from those.
+    a K-block is transformed once, and its K^m products are summed one by one.
 
     The plan (weight classes, range endpoints, r in (1,2)) is validated by
     :func:`mz_plan` first; r = 2 runs as the base case.  `wjs` has one

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -357,6 +358,31 @@ def test_console_script_installed():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["feasible"] is True
+
+
+@pytest.mark.parametrize("emit", ["json", "csv"])
+def test_closed_stdout_exits_1_without_traceback(emit):
+    # the pipe's read end is closed before the child starts, so its first write
+    # fails however small the report is (a pipe buffer would otherwise hide it)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "extrapkit.cli", "plan", "bht", "--q1", "2", "--q2", "2", "--emit", emit],
+            stdout=w, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(w)
+    assert (out.returncode, out.stderr) == (1, "")
+
+
+def test_root_help_is_for_users(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert "{plan,weights,operator,rdf,verify}" in out
+    assert "(fields, rows)" not in out
 
 
 def _write_rows(path, rows):

@@ -243,7 +243,7 @@ def _bruteforce_block_arrays(u):
 MZ_CASES = [
     # m = 2 keeps the ids it had when the engine drove two factors only
     pytest.param(surrogate, kind, K, count, m, id=f"{surrogate}-{kind}-{K}-{count}" + ("" if m == 2 else f"-m{m}"))
-    for m in (2, 1, 3)
+    for m in (2, 1, 3, 4)
     for surrogate in FACTOR_MAPS
     for kind in ("smooth-bumps", "modulated")
     for K, count in ((1, 3), (2, 5), (3, 7), (4, 9))  # count % K != 0 from K = 2 on
@@ -273,12 +273,15 @@ def test_mz_block_bitwise_against_pairwise(surrogate, kind, K, count, m, monkeyp
 
 @pytest.mark.parametrize(
     "surrogate,calls,m",
-    [("tensor-hilbert", 32, 2), ("product-identity", 0, 2), ("tensor-hilbert", 48, 3), ("product-identity", 0, 3)],
-    ids=["tensor-hilbert-32", "product-identity-0", "tensor-hilbert-48-m3", "product-identity-0-m3"],
+    [
+        ("tensor-hilbert", 32, 2), ("product-identity", 0, 2), ("tensor-hilbert", 48, 3), ("product-identity", 0, 3),
+        ("tensor-hilbert", 64, 4),
+    ],
+    ids=["tensor-hilbert-32", "product-identity-0", "tensor-hilbert-48-m3", "product-identity-0-m3", "tensor-hilbert-64-m4"],
 )
 def test_mz_transforms_each_factor_once(surrogate, calls, m, monkeypatch):
     # 2 resolutions x 2 blocks x m factors x K = 4 transforms; pairwise would
-    # take 128 at m = 2 (and m-fold 768 at m = 3).
+    # take 128 at m = 2 (and m-fold 768 at m = 3, 4,096 at m = 4).
     # Patching the module attribute also pins the call-time lookup of `hilbert`.
     seen = []
 
@@ -292,14 +295,16 @@ def test_mz_transforms_each_factor_once(surrogate, calls, m, monkeypatch):
     assert len(seen) == calls
 
 
-def test_mz_block_memory_peak_stays_small():
-    # K transforms of f and of g, then the K^2 products: about 1.6 MB here
-    # (each complex output at N = 4096 is 64 kB)
-    block = make_family(FamilySpec("modulated", count=4, arity=2), 1, Grid(8.0, 4096)).members
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_mz_block_memory_peak_stays_small(m):
+    # the K transforms of each factor, and one running product per factor, not
+    # the K^m products: about 1.0, 1.3 and 1.5 MB here, where holding every
+    # product took 1.6, 5.1 and 17.9 MB (each complex output at N = 4096 is 64 kB)
+    block = make_family(FamilySpec("modulated", count=4, arity=m), 1, Grid(8.0, 4096)).members
     hilbert(block[0][0])  # the kernel spectrum is cached per grid size, outside the block
     tracemalloc.start()
     try:
-        _block_arrays(_MZ_OPS["tensor-hilbert"], block, [(4, (1.5, 1.5, 1.5))])
+        _block_arrays(_MZ_OPS["tensor-hilbert"], block, [(4, (1.5,) * (m + 1))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
