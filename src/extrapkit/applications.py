@@ -12,7 +12,9 @@ exponents are chosen by
 with eta_i > 0 small enough that eta_1 + eta_2 stays under the budget
 3/2 - sum_i max{1/2, 1/q_i} and eta_i < min{1/q_i, 1/q_i'}.  This yields
 1/p = 1/p1 + 1/p2 < 1 and r_i^- = 2p_i/(1+p_i) < q_i < 2p_i = r_i^+, with
-weight classes w_i^{q_i} in A_{q_i/r_i^-} & RH_{(r_i^+/q_i)'}.
+weight classes w_i^{q_i} in A_{q_i/r_i^-} & RH_{(r_i^+/q_i)'}: the one
+limited-range rule :meth:`WeightClassSpec.for_range`, which every planner
+here uses.
 
 The existence proof leaves eta free; for reproducibility this module fixes
 the canonical choice
@@ -29,8 +31,10 @@ s_i = q_i reproduces the scalar planner bit for bit.
 A plan's power-weight window is :meth:`BHTPlan.power_range`, computed from
 the plan in hand.  The generalized three-parameter feasibility system
 (gamma/theta) and the Marcinkiewicz-Zygmund reduction are the remaining
-entry points; each records what was certified, and holds its exponents
-as exact values that only `reports.to_jsonable` writes as strings.
+entry points.  Each planner raises Infeasible when an input hypothesis
+fails and `require`s every clause that its own construction implies; it
+records what was certified, and holds its exponents as exact values that
+only `reports.to_jsonable` writes as strings.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from .exponents import (
     WeightClassSpec,
     as_exponent,
     cjn_index,
-    conjugate_ratio,
     from_rec,
     harmonic_sum,
     rec,
@@ -188,8 +191,7 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
 
     maxes = [max(HALF, 1 / qf[i], 1 / sf[i]) for i in range(2)]
     total = maxes[0] + maxes[1]
-    if not total < THREE_HALVES:
-        raise Infeasible(f"sum of max terms = {total} >= 3/2")
+    require(total < THREE_HALVES, f"sum of max terms = {total} >= 3/2")
     certified.append("sum-max-lt-3/2")
 
     budget = THREE_HALVES - total
@@ -208,29 +210,19 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
     inv_p = [2 * (maxes[i] - HALF + eta) for i in range(2)]
     p1, p2 = from_rec(inv_p[0]), from_rec(inv_p[1])
     inv_p_sum = inv_p[0] + inv_p[1]
-    if not inv_p_sum < 1:
-        raise Infeasible(f"1/p = {inv_p_sum} >= 1")
+    require(inv_p_sum < 1, f"1/p = {inv_p_sum} >= 1")
     certified.append("1/p-lt-1")
 
     r_minus = tuple(from_rec(inv_p[i] / 2 + HALF) for i in range(2))
     r_plus = tuple(from_rec(inv_p[i] / 2) for i in range(2))
-    for i, (q_i, s_i) in enumerate(zip(qf, sf)):
-        lo, hi = rec(r_minus[i]), rec(r_plus[i])
-        for name, val in (("q", q_i), ("s", s_i)):
-            if not (hi < 1 / val < lo):
-                raise Infeasible(f"r_{i+1}^- < {name}_{i+1} < r_{i+1}^+ failed")
+    require(
+        all(rec(hi) < 1 / x < rec(lo) for lo, hi, q, s in zip(r_minus, r_plus, qf, sf) for x in (q, s)),
+        "r_i^- < q_i, s_i < r_i^+ failed",
+    )
     certified.append("r-window")
 
-    specs = []
-    r_equiv = []
-    for i in range(2):
-        ap = Exponent(qf[i] * rec(r_minus[i]))
-        rh = conjugate_ratio(r_plus[i], qf[i])
-        specs.append(WeightClassSpec(ap, rh))
-        inv_r = 2 / qf[i] - inv_p[i]
-        if not (0 < inv_r < 1):
-            raise Infeasible(f"equivalent index r_{i+1} not in (1, inf)")
-        r_equiv.append(Exponent(1 / inv_r))
+    inv_r = [2 / qf[i] - inv_p[i] for i in range(2)]
+    require(all(0 < t < 1 for t in inv_r), f"equivalent indices 1/r_i = {inv_r[0]}, {inv_r[1]} not in (0, 1)")
     certified.append("equivalent-A-form")
 
     return BHTPlan(
@@ -244,11 +236,11 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
         eta2=eta,
         r_minus=r_minus,
         r_plus=r_plus,
-        weight_specs=tuple(specs),
+        weight_specs=tuple(map(WeightClassSpec.for_range, (q1, q2), r_minus, r_plus)),
         q=harmonic_sum([q1, q2]),
         p=from_rec(inv_p_sum),
         s=harmonic_sum([s1, s2]) if vv else None,
-        r_equiv=tuple(r_equiv),
+        r_equiv=tuple(map(from_rec, inv_r)),
         certified=tuple(certified),
     )
 
@@ -264,7 +256,8 @@ def bht_plan(q1: ExponentLike, q2: ExponentLike) -> BHTPlan:
 def bht_vv_plan(
     q1: ExponentLike, q2: ExponentLike, s1: ExponentLike, s2: ExponentLike
 ) -> BHTPlan:
-    """Vector-valued plan; checks the three displayed constraints strictly.
+    """Vector-valued plan; checks its four constraints strictly: 1/q < 3/2,
+    1/s < 3/2, |1/s_i - 1/q_i| < 1/2 and sum_i max{1/q_i, 1/s_i} < 3/2.
 
     With s_i = q_i this reduces bit-exactly to :func:`bht_plan`.
     """
@@ -386,10 +379,8 @@ def section5_weight_classes(p1: ExponentLike, p2: ExponentLike, thetas):
         raise Infeasible(f"theta system sum = {c1 + c2 + c3} != 1")
     r_minus = tuple(from_rec(1 - c) for c in (c1, c2))
     r_plus = (from_rec(th[2] / f1), from_rec(th[2] / f2))
-    specs = (
-        WeightClassSpec(Exponent(1 + (1 - th[0]) * (f1 - 1)), from_rec(1 - th[2])),
-        WeightClassSpec(Exponent(1 + (1 - th[1]) * (f2 - 1)), from_rec(1 - th[2])),
-    )
+    # the display A_{1+(1-theta_i)(p_i-1)} & RH_{1/(1-theta_3)}
+    specs = tuple(map(WeightClassSpec.for_range, (p1, p2), r_minus, r_plus))
     return specs, r_minus, r_plus, p
 
 
@@ -476,11 +467,10 @@ def section5_plan(
     require(p_check == p, f"weight classes give p = {p_check}, not {p}")
     certified.append("p1-2-3:conds")
 
-    for i, (si, qi) in enumerate(pairs):
-        hi_rec = rec(r_plus[i])
-        lo_rec = rec(r_minus[i])
-        if not (hi_rec < min(si, qi) and max(si, qi) < lo_rec):
-            raise Infeasible(f"needed-finish window fails at coordinate {i + 1}")
+    require(
+        all(rec(hi) < min(x) and max(x) < rec(lo) for lo, hi, x in zip(r_minus, r_plus, pairs)),
+        "needed-finish window: 1/r_i^+ < min(1/s_i, 1/q_i) and max(1/s_i, 1/q_i) < 1/r_i^- failed",
+    )
     certified.append("needed-finish")
 
     return Section5Plan(
@@ -523,7 +513,7 @@ def mz_plan(qjs, r: ExponentLike) -> dict:
     if not qjs:
         raise DomainError("need at least one coordinate")
     qjs = _open(**{f"q{j}": q for j, q in enumerate(qjs, start=1)})
-    specs = [WeightClassSpec(q, Exponent(1)) for q in qjs]
+    specs = [WeightClassSpec.for_range(q, 1, INF) for q in qjs]
     base_data = {
         "r": r,
         "q": qjs,

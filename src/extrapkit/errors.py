@@ -4,7 +4,7 @@ The class of an error decides what the CLI makes of it:
 
     DomainError          bad input (a malformed exponent, grid, file,
                          descriptor or option)                  exit 1, `error:` line
-    Infeasible           a hypothesis of a planner or range fails
+    Infeasible           an input hypothesis of a planner or range fails
                          (p_- < p0 < p_+, the validity inequality,
                          1/q < 3/2, ...)                        exit 2, infeasible report
     CertificationFailed  a numeric or exact certificate misses  exit 2, infeasible report
@@ -14,8 +14,11 @@ The class of an error decides what the CLI makes of it:
                          such as an exponent of 10^400          exit 1, `error:` line
 
 Messages carry the violated condition so reports can surface it verbatim.
-Invariants that a certificate rests on are checked with `require`, which
-raises CertificationFailed and, unlike `assert`, survives `python -O`.
+Planners raise Infeasible only for input hypotheses.  What their own
+construction implies (the eta choice, the r-window that
+`WeightClassSpec.for_range` turns into classes, ...) and the invariants a
+certificate rests on are checked with `require`, which raises
+CertificationFailed and, unlike `assert`, survives `python -O`.
 """
 
 

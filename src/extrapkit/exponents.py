@@ -18,7 +18,8 @@ exponents themselves are confined to [0, inf], and :class:`Exponent` has no
 arithmetic: all algebra runs on Fractions through :func:`rec` and :func:`from_rec`.
 
 The weight classes A_p & RH_s are exact index pairs too
-(:class:`WeightClassSpec`); :func:`cjn_index` is the index rule linking them,
+(:class:`WeightClassSpec`; :meth:`WeightClassSpec.for_range` is the one
+limited-range class rule), and :func:`cjn_index` is the index rule linking them,
 
     v in A_p and RH_s   <=>   v^s in A_q,   q = s(p-1) + 1,
 
@@ -239,6 +240,13 @@ class WeightClassSpec:
             raise DomainError("A_p index must be finite")
         if self.p < 1 or self.s < 1:
             raise DomainError(f"class indices must be >= 1, got ({self.p}, {self.s})")
+
+    @classmethod
+    def for_range(cls, q: ExponentLike, r_minus: ExponentLike, r_plus: ExponentLike) -> WeightClassSpec:
+        """w^q in A_{q/r_-} & RH_{(r_+/q)'}, the class of the range (r_-, r_+) at exponent q
+        (Auscher & Martell, 2007); DomainError unless 0 < r_- <= q <= r_+ with q finite."""
+        q = as_exponent(q)
+        return cls(Exponent(q.frac * rec(r_minus)), conjugate_ratio(r_plus, q))
 
 
 def cjn_index(p: ExponentLike, s: ExponentLike) -> Exponent:

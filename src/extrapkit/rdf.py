@@ -49,8 +49,9 @@ with the twelve certificates
 
 where B1, B2 are the bounds on S that the iterations ran with, after any
 retries: mu_i is r_i.function and B_i is r_i.norm_bound.  The norm
-certificates are checked to a 1% quadrature slack (NORM_SLACK), the
-pointwise ones to a relative 1e-9 (POINTWISE_SLACK).
+certificates pass within a relative NORM_SLACK of 1%, the pointwise ones
+within a relative 1e-9 (POINTWISE_SLACK).  Each norm certificate compares
+two discrete norms on one grid, so no quadrature enters it.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, DomainError, NormBoundTooSmall
-from .exponents import Exponent, ExponentLike, WeightClassSpec, as_exponent, conjugate_ratio, rec
+from .exponents import ExponentLike, WeightClassSpec, as_exponent, conjugate_ratio
 from .extrapolation import Case, ExtrapolationRange, ProofExponents
 from .gridfn import GridFunction, maximal, measure_norm, weighted_norm
 from .weights import GridWeight, estimate_class_constants
@@ -353,12 +354,9 @@ def verify_case1_weight(
     if not bitwise:
         raise CertificationFailed(["W^{q0} replay differs from stored array"])
 
-    ap_index = Exponent(rng.p0.frac * rec(rng.p_minus))
-    rh_index = conjugate_ratio(rng.p_plus, rng.p0)  # p0 < p_+ in Case I
+    spec = WeightClassSpec.for_range(rng.p0, rng.p_minus, rng.p_plus)  # p0 < p_+ in Case I
     w_p0 = GridWeight._checked(lambda: po.W_q0 ** float(rng.p0.frac / q0f), f"W^p0 = W^{rng.p0}", w.grid)
-    ap_c, rh_c = estimate_class_constants(
-        w_p0, WeightClassSpec(ap_index, rh_index), WEIGHT_DEPTH
-    )[-1]
+    ap_c, rh_c = estimate_class_constants(w_p0, spec, WEIGHT_DEPTH)[-1]
     finite = bool(np.isfinite(ap_c) and np.isfinite(rh_c))
     if not finite:
         raise CertificationFailed(
@@ -370,8 +368,8 @@ def verify_case1_weight(
         "W_q0_bitwise": bitwise,
         "a1_ratio_mu1": po.r1.a1_ratio,
         "a1_ratio_mu2": po.r2.a1_ratio,
-        "W_p0_ap_index": ap_index,
-        "W_p0_rh_index": rh_index,
+        "W_p0_ap_index": spec.p,
+        "W_p0_rh_index": spec.s,
         "W_p0_ap_const": ap_c,
         "W_p0_rh_const": rh_c,
         "depth": WEIGHT_DEPTH,

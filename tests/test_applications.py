@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +19,7 @@ from extrapkit.applications import (
     section5_weight_classes,
 )
 from extrapkit.errors import DomainError, Infeasible
-from extrapkit.exponents import INF, Exponent, cjn_index, conjugate_ratio, rec
+from extrapkit.exponents import INF, Exponent, WeightClassSpec, cjn_index, conjugate_ratio, from_rec, rec
 
 HALF = Fraction(1, 2)
 
@@ -284,9 +285,21 @@ def test_section5_corpus_certifications():
             assert rec(plan.r_plus[i]) < min(rec(q), rec(s))
             assert max(rec(q), rec(s)) < rec(plan.r_minus[i])
         assert all(0 < t < 1 for t in (plan.theta1, plan.theta2, plan.theta3))
+        # the displayed classes w_i^{p_i} in A_{1+(1-theta_i)(p_i-1)} & RH_{1/(1-theta_3)}
+        for spec, p, th in zip(plan.weight_specs, (plan.p1, plan.p2), (plan.theta1, plan.theta2)):
+            assert spec == WeightClassSpec(Exponent(1 + (1 - th) * (p.frac - 1)), Exponent(1 / (1 - plan.theta3)))
 
 
 # -- Marcinkiewicz-Zygmund -------------------------------------------------------
+
+
+def test_mz_classes_are_a_q_and_rh_1():
+    rnd = random.Random(38)
+    for _ in range(200):
+        qs = [from_rec(Fraction(rnd.randint(1, 23), 24)) for _ in range(rnd.randint(1, 4))]
+        r = rnd.choice([2, Fraction(rnd.randint(25, 47), 24)])
+        specs = mz_plan(qs, r)["data"]["weight_specs"]
+        assert specs == [{"ap": q, "rh": Exponent(1)} for q in qs]
 
 
 def test_mz_plan_valid():
@@ -318,6 +331,47 @@ def test_mz_rejects_bad_targets():
         mz_plan([1, 3], Fraction(3, 2))
     with pytest.raises(DomainError):
         mz_plan([], Fraction(3, 2))
+
+
+# -- what a planner raises -----------------------------------------------------
+
+# the messages of each planner's input hypotheses; every clause its own
+# construction implies is a `require`, so it can only raise CertificationFailed
+ENTRY_HYPOTHESES = {
+    bht_plan: ("1/q = ",),
+    bht_vv_plan: ("1/q = ", "1/s = ", "|1/s", "sum of max{1/q_i, 1/s_i} >= 3/2"),
+    section5_plan: ("1/q = ", "1/s = ", "max(1/s", "min-sum <= "),
+}
+
+
+def _sweep_args(rnd, planner):
+    def inv():  # a reciprocal in (0, 1); small denominators put ties such as 1/q = 1/2 in
+        d = rnd.choice((2, 3, 4, 5, 6, 8, 12, 24, 60, 97))
+        return Fraction(rnd.randint(1, d - 1), d)
+
+    if planner is bht_plan:
+        return [from_rec(inv()) for _ in range(2)]
+    qs = [from_rec(inv()) for _ in range(4)]
+    if planner is bht_vv_plan:
+        return qs
+    d = rnd.choice((2, 3, 4, 8, 16, 60))
+    a, b = sorted(rnd.randint(1, d - 1) for _ in range(2))
+    return qs + [Fraction(a, d), Fraction(b - a, d), Fraction(d - b, d)]
+
+
+@pytest.mark.parametrize("planner", list(ENTRY_HYPOTHESES), ids=lambda f: f.__name__)
+def test_only_entry_hypotheses_are_infeasible(planner):
+    # a seeded sweep over the whole domain: a plan is built or an input
+    # hypothesis fails; a CertificationFailed from an implied clause would escape
+    rnd, outcomes = random.Random(38), set()
+    for _ in range(1500):
+        try:
+            planner(*_sweep_args(rnd, planner))
+            outcomes.add("feasible")
+        except Infeasible as e:
+            assert str(e).startswith(ENTRY_HYPOTHESES[planner]), str(e)
+            outcomes.add("infeasible")
+    assert outcomes == {"feasible", "infeasible"}
 
 
 # -- checks that python -O keeps ---------------------------------------------

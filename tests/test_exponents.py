@@ -10,6 +10,7 @@ from extrapkit.errors import DomainError
 from extrapkit.exponents import (
     INF,
     Exponent,
+    WeightClassSpec,
     as_exponent,
     conjugate_ratio,
     exp_str,
@@ -162,3 +163,25 @@ def test_reciprocal_form_roundtrip(v):
 def test_reciprocal_form_negative_rejected():
     with pytest.raises(DomainError):
         from_rec(Fraction(-1, 2))
+
+
+# -- the limited-range class rule ---------------------------------------------
+
+
+@given(st.fractions(min_value=Fraction(1, 20), max_value=20), st.integers(1, 40), st.integers(1, 40))
+def test_for_range_is_q_over_r_minus_and_conjugate_of_r_plus_over_q(q, lo, hi):
+    r_minus, r_plus = q * Fraction(lo, lo + 1), q * Fraction(hi + 1, hi)
+    spec = WeightClassSpec.for_range(Exponent(q), Exponent(r_minus), Exponent(r_plus))
+    assert spec == WeightClassSpec(Exponent(q / r_minus), Exponent(r_plus / (r_plus - q)))
+
+
+def test_for_range_edges():
+    assert WeightClassSpec.for_range(3, 2, INF) == WeightClassSpec(Exponent(Fraction(3, 2)), Exponent(1))  # RH_1
+    assert WeightClassSpec.for_range(2, 2, 8) == WeightClassSpec(Exponent(1), Exponent(Fraction(4, 3)))  # A_1
+    assert WeightClassSpec.for_range(4, 1, 4) == WeightClassSpec(Exponent(4), INF)  # q = r_+ gives RH_inf
+
+
+@pytest.mark.parametrize("q, r_minus, r_plus", [(5, 2, 4), (2, 3, 8), (INF, 2, INF), (2, 0, 4)])
+def test_for_range_needs_r_minus_le_q_le_r_plus(q, r_minus, r_plus):
+    with pytest.raises(DomainError):
+        WeightClassSpec.for_range(q, r_minus, r_plus)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -10,7 +12,7 @@ from extrapkit.exponents import Exponent
 from extrapkit.extrapolation import ExtrapolationRange, proof_exponents
 from extrapkit.grid import Grid
 from extrapkit.gridfn import FamilySpec, GridFunction, make_family, maximal, measure_norm
-from extrapkit import gridfn, rdf
+from extrapkit import cli, gridfn, rdf
 from extrapkit.rdf import (
     build_proof_objects,
     estimate_maximal_norm,
@@ -232,6 +234,17 @@ def test_seeded_scenarios_certify():
         w = PowerWeight(Fraction(1, 8)).on_grid(grid) if i % 2 else PowerWeight(0).on_grid(grid)
         po = build_proof_objects(f, g, w, pe, rng, p)
         assert all(v["ok"] for v in po.certificates.values())
+
+
+def test_demo_weight_class_is_p0_over_p_minus_and_conjugate_of_p_plus_over_p0(capsys):
+    # W^{p0} is checked against A_{p0/p_-} & RH_{(p_+/p0)'}, written out here
+    for rng, p, _ in case1_scenarios(1000, 8):
+        argv = [str(x) for x in (rng.p_minus, rng.p_plus, rng.p0, rng.q0, p)]
+        assert cli.main(["rdf", "demo", *sum(zip(cli.RANGE_FLAGS, argv), ()), "--N", "256"]) == 0, argv
+        rep = json.loads(capsys.readouterr().out)["data"]["weight_report"]
+        p0, pm, pp = rng.p0.frac, rng.p_minus.frac, rng.p_plus
+        rh = Fraction(1) if pp.is_inf else pp.frac / (pp.frac - p0)  # (p_+/p0)' = p_+/(p_+ - p0)
+        assert (rep["W_p0_ap_index"], rep["W_p0_rh_index"]) == (str(p0 / pm), str(rh)), argv
 
 
 def _case1(grid=Grid(4.0, 2**9)):
