@@ -330,13 +330,11 @@ def _cmd_verify_sweep(args):
     spec = FamilySpec(kind=args.family, count=args.count, arity=len(qs))
     common = dict(seed=args.seed, resolutions=args.N, L=args.L)
     if args.cmd == "bht":
-        rr = ver.ratio_sweep("bht", *qs, *ws, spec, **common)
+        rr = ver.ratio_sweep(qs, ws, spec, **common)
     elif args.cmd == "vv":
-        rr = ver.vv_sweep(*qs, args.s1, args.s2, *ws, spec, K=args.K, **common)
+        rr = ver.vv_sweep(qs, (args.s1, args.s2), ws, spec, K=args.K, **common)
     elif args.cmd == "iterated":
-        rr = ver.iterated_vv_sweep(
-            (args.t1, args.t2), (args.s1, args.s2), qs, spec, J=args.J, K=args.K, **common
-        )
+        rr = ver.iterated_vv_sweep(qs, (args.s1, args.s2), (args.t1, args.t2), spec, J=args.J, K=args.K, **common)
     else:
         rr = ver.mz_sweep(qs, args.r, ws, spec, args.surrogate, K=args.K, **common)
     fields = {

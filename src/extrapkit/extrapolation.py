@@ -132,13 +132,16 @@ def dual_range(rng: ExtrapolationRange) -> tuple[Exponent, Exponent]:
 
 
 def target_exponent(p: ExponentLike, rng: ExtrapolationRange) -> Exponent:
-    """The target q with 1/q = 1/p - (1/p0 - 1/q0), for p in (p_-, p_+)."""
+    """The target q with 1/q = 1/p - (1/p0 - 1/q0), for p in (p_-, p_+).
+
+    Once p < p_+ holds, 1/q > 1/p_+ - 1/p0 + 1/q0 >= 0 by the range's validity
+    inequality, so a nonpositive 1/q is a certificate failure, not an input.
+    """
     p = as_exponent(p)
     if not (rng.p_minus < p < rng.p_plus):
         raise Infeasible(f"p={p} is not inside ({rng.p_minus}, {rng.p_plus})")
     t = rec(p) - rng.shift
-    if t <= 0:
-        raise Infeasible(f"target reciprocal 1/q = {t} is not positive")
+    require(t > 0, f"target reciprocal 1/q = {t} is not positive")
     return from_rec(t)
 
 
@@ -301,8 +304,11 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
     Step j freezes every coordinate but the j-th and extrapolates that one
     from p_j to q_j inside (r_j^-, r_j^+); the aggregate exponent plays the
     target role, so step j's range is (r_j^-, r_j^+) with base pair
-    (p_j, current aggregate).  The final aggregate provably equals the
-    harmonic sum of the targets, and that equality is asserted exactly.
+    (p_j, current aggregate).  Each new aggregate lies in step j's dual
+    interval: r_j^- < q_j < r_j^+ shifted by the step's off-diagonal shift
+    gives q_j^- < aggregate < q_j^+, which is certified with `require`.  The
+    final aggregate provably equals the harmonic sum of the targets, and that
+    equality is asserted exactly.
     Each step validates its own range and target, raising DomainError("step
     j: ..."); a zero p_j already fails the harmonic sum of the bases.
     """
@@ -323,8 +329,7 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
             agg_next = target_exponent(qjs[j], rng)
         except Infeasible as e:
             raise DomainError(f"step {j}: {e}") from e
-        if not (dual[0] < agg_next < dual[1]):
-            raise DomainError(f"step {j}: aggregate left the dual interval")
+        require(dual[0] < agg_next < dual[1], f"step {j}: aggregate left the dual interval")
         steps.append(
             LinearStep(
                 index=j,

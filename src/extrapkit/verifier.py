@@ -18,10 +18,15 @@ dropped.  The operator is a group map: it takes an innermost group of
 (f_1, ..., f_m) members and yields its output samples in aggregation order.
 
     sweep               levels                  op output per group
-    ratio_sweep         [(1, q)]                op(f_i, g_i)
-    vv_sweep            [(K, s)]                op(f_i, g_i)
-    iterated_vv_sweep   [(K, s), (J, t)]        op(f_i, g_i)
+    ratio_sweep         [(1, q)]                bht(f_i, g_i)
+    vv_sweep            [(K, s)]                bht(f_i, g_i)
+    iterated_vv_sweep   [(K, s), (J, t)]        bht(f_i, g_i)
     mz_sweep            [(K, (r, ..., r))]      u(f_{1,i_1}) ... u(f_{m,i_m}), every i_1, ..., i_m
+
+Every sweep takes the factor exponents (q_1, ..., q_m) first, then the
+aggregation exponents, then the m factor weights, then the family.  The
+Hoelder baseline, the plain product f g against the factor norms, is the
+`product-identity` surrogate of :func:`mz_sweep` with r = 2 and K = 1.
 
 The MZ surrogates are tensor products of a per-factor map u, which
 transforms each factor of a group once; a block holds O(m K) arrays at a
@@ -50,7 +55,7 @@ import numpy as np
 
 from .applications import bht_plan, bht_vv_plan, mz_plan
 from .errors import DomainError
-from .exponents import ExponentLike, as_exponent, harmonic_sum, power_membership
+from .exponents import ExponentLike, power_membership
 from .grid import Grid
 from .gridfn import FamilySpec, GridFunction, bht, hilbert, make_family, measure_norm
 from .weights import PowerWeight
@@ -105,8 +110,13 @@ def _verdict(sups: list) -> tuple[str, float]:
 
 
 # --------------------------------------------------------------------------
-# operators by name
+# group maps
 # --------------------------------------------------------------------------
+
+
+def _bht(grp):
+    # looks `bht` up in this module at each call, so a patched attribute (perfbench's --trace) sees it
+    return (bht(f, g).samples for f, g in grp)
 
 
 def _tensor(u):
@@ -121,12 +131,7 @@ def _tensor(u):
     return products
 
 
-# Lambdas, not the functions themselves: each call looks `bht` / `hilbert`
-# up in this module, so a patched attribute (perfbench's --trace) sees it.
-_OPS = {
-    "bht": lambda grp: (bht(f, g).samples for f, g in grp),
-    "product": lambda grp: ((f * g).samples for f, g in grp),
-}
+# A lambda, not `hilbert` itself, for the call-time lookup that `_bht` makes.
 _MZ_OPS = {
     "tensor-hilbert": _tensor(lambda f: hilbert(f)),
     "product-identity": _tensor(lambda f: f),
@@ -175,12 +180,14 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
     `exps` = (q_1, ..., q_m, q): the factor and target norm exponents;
     `weights` = m PowerWeights; `op` and `levels` as in the module docstring.
     """
+    *qs, q = exps
+    if not len(weights) == len(qs) == spec.arity:
+        raise DomainError(f"need one weight and one family factor for each of the {len(qs)} targets")
     if not resolutions or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:])):
         raise DomainError(f"resolutions must be nonempty, each twice the one before, got {list(resolutions)}")
     if any(n < 1 for n, _ in levels):
         raise DomainError(f"block sizes must be >= 1, got {[n for n, _ in levels]}")
     levels = [(n, tuple(float(e.frac) for e in es)) for n, es in levels]
-    *qs, q = exps
     size = math.prod(n for n, _ in levels)
     if size > spec.count:
         raise DomainError(f"block size {size} exceeds the family count {spec.count}: nothing to measure")
@@ -224,66 +231,53 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
 
 
 def ratio_sweep(
-    op,
-    q1: ExponentLike,
-    q2: ExponentLike,
-    w1: PowerWeight,
-    w2: PowerWeight,
+    qs,
+    ws,
     family_spec: FamilySpec,
     *,
     seed: int = 7,
     resolutions,
     L: float = 8.0,
 ) -> RatioReport:
-    """Scalar ratio sweep of a bilinear operator against factor norms,
-    with the target norm exponent q = (1/q1 + 1/q2)^(-1).
+    """Scalar ratio sweep of the bilinear Hilbert transform against the factor
+    norms, with the target norm exponent q = (1/q1 + 1/q2)^(-1).
 
-    `op` is "bht" or "product".  For "bht" the (q1, q2) pair is
-    certified through the scalar planner before sweeping, and the weights
-    are checked against its class windows; the verdict of that check is
-    recorded (sweeps against out-of-class weights are legitimate divergence
-    probes, so membership failure is noted, not fatal).  The weights are
-    :class:`PowerWeight`s; alpha = 0 is the unit weight, reported as `unit`,
-    and with it `weights_in_class` is None (null in JSON).
+    The targets qs = (q1, q2) are certified through the scalar planner before
+    sweeping, and the weights ws = (w1, w2) are checked against its class
+    windows; the verdict of that check is recorded (sweeps against out-of-class
+    weights are legitimate divergence probes, so membership failure is noted,
+    not fatal).  The weights are :class:`PowerWeight`s; alpha = 0 is the unit
+    weight, reported as `unit`, and with it `weights_in_class` is None (null in
+    JSON).
     """
-    if op not in _OPS:
-        raise DomainError(f"unknown operator {op!r}")
-    q1, q2 = as_exponent(q1), as_exponent(q2)
-    plan = bht_plan(q1, q2) if op == "bht" else None
-    q = plan.q if plan else harmonic_sum([q1, q2])
+    plan = bht_plan(*qs)
     config = {
-        "q1": q1,
-        "q2": q2,
-        "q": q,
-        "w1": str(w1),
-        "w2": str(w2),
+        "q1": plan.q1,
+        "q2": plan.q2,
+        "q": plan.q,
+        **{f"w{j}": str(w) for j, w in enumerate(ws, 1)},
         "family": family_spec.kind,
         "count": family_spec.count,
         "L": L,
-        "weights_in_class": _class_check(plan, w1, w2),
+        "weights_in_class": _class_check(plan, ws),
     }
-    return _sweep(
-        _OPS[op], op, (q1, q2, q), (w1, w2), family_spec,
-        seed, resolutions, L, config, [(1, (q1, q2, q))],
-    )
+    exps = (plan.q1, plan.q2, plan.q)
+    return _sweep(_bht, "bht", exps, ws, family_spec, seed, resolutions, L, config, [(1, exps)])
 
 
-def _class_check(plan, w1, w2):
+def _class_check(plan, ws):
     """Closed-form membership of the factor weights in the planned classes;
-    None without a plan or with a unit weight."""
-    if plan is None or not (w1.alpha and w2.alpha):
+    None with a unit weight."""
+    if not all(w.alpha for w in ws):
         return None
-    pairs = zip((w1, w2), plan.weight_specs, (plan.q1, plan.q2))
+    pairs = zip(ws, plan.weight_specs, (plan.q1, plan.q2))
     return all(power_membership(w.alpha * qi.frac, spec)[0] for w, spec, qi in pairs)  # class is on w_i^{q_i}
 
 
 def vv_sweep(
-    q1: ExponentLike,
-    q2: ExponentLike,
-    s1: ExponentLike,
-    s2: ExponentLike,
-    w1: PowerWeight,
-    w2: PowerWeight,
+    qs,
+    ss,
+    ws,
     family_spec: FamilySpec,
     *,
     K: int,
@@ -294,33 +288,32 @@ def vv_sweep(
     """l^s-aggregated sweep over K-member blocks of the family.
 
     K = 1 reproduces :func:`ratio_sweep` bit for bit (the aggregation path
-    degenerates to the scalar one).  Feasibility of the (q, s) tuple is
-    certified through the vector-valued planner before sweeping.  The
-    weights are :class:`PowerWeight`s, as in :func:`ratio_sweep`; alpha = 0
-    is the unit weight, reported as `unit`.
+    degenerates to the scalar one).  Feasibility of the targets qs = (q1, q2)
+    with ss = (s1, s2) is certified through the vector-valued planner before
+    sweeping.  The weights ws = (w1, w2) are :class:`PowerWeight`s, as in
+    :func:`ratio_sweep`; alpha = 0 is the unit weight, reported as `unit`.
     """
-    plan = bht_vv_plan(q1, q2, s1, s2)
+    plan = bht_vv_plan(*qs, *ss)
     config = {
         "q1": plan.q1,
         "q2": plan.q2,
         "s1": plan.s1,
         "s2": plan.s2,
         "K": K,
-        "w1": str(w1),
-        "w2": str(w2),
+        **{f"w{j}": str(w) for j, w in enumerate(ws, 1)},
         "family": family_spec.kind,
         "L": L,
     }
     return _sweep(
-        _OPS["bht"], "bht", (plan.q1, plan.q2, plan.q), (w1, w2), family_spec,
+        _bht, "bht", (plan.q1, plan.q2, plan.q), ws, family_spec,
         seed, resolutions, L, config, [(K, (plan.s1, plan.s2, plan.s))],
     )
 
 
 def iterated_vv_sweep(
-    ts,
-    ss,
     qs,
+    ss,
+    ts,
     family_spec: FamilySpec,
     *,
     J: int,
@@ -329,7 +322,9 @@ def iterated_vv_sweep(
     resolutions,
     L: float = 8.0,
 ) -> RatioReport:
-    """Doubly aggregated sweep: outer l^t over J blocks of inner l^s over K.
+    """Doubly aggregated sweep with unit weights: outer l^t over J blocks of
+    inner l^s over K, for the targets qs = (q1, q2), ss = (s1, s2) and
+    ts = (t1, t2).
 
     With t = s the nested aggregation collapses to one flat l^s aggregation
     over J*K members (norm identity, checked in tests to 1e-12).
@@ -346,16 +341,16 @@ def iterated_vv_sweep(
         "L": L,
     }
     return _sweep(
-        _OPS["bht"], "bht", (inner.q1, inner.q2, inner.q), (PowerWeight(0), PowerWeight(0)),
+        _bht, "bht", (inner.q1, inner.q2, inner.q), (PowerWeight(0), PowerWeight(0)),
         family_spec, seed, resolutions, L, config,
         [(K, (inner.s1, inner.s2, inner.s)), (J, (outer.s1, outer.s2, outer.s))],
     )
 
 
 def mz_sweep(
-    qjs,
+    qs,
     r: ExponentLike,
-    wjs,
+    ws,
     family_spec: FamilySpec,
     surrogate: str = "tensor-hilbert",
     *,
@@ -365,19 +360,18 @@ def mz_sweep(
     L: float = 8.0,
 ) -> RatioReport:
     """l^r Marcinkiewicz-Zygmund aggregation over the K^m multi-index of an
-    m-linear surrogate, m = len(qjs).
+    m-linear surrogate, m = len(qs).
 
     The surrogate is the tensor product u(f_{1,i_1}) ... u(f_{m,i_m}) of a
     per-factor map u (the Hilbert transform or the identity); each factor of
     a K-block is transformed once, and its K^m products are summed one by one.
+    `product-identity` at r = 2 and K = 1 is the Hoelder baseline.
 
     The plan (weight classes, range endpoints, r in (1,2)) is validated by
-    :func:`mz_plan` first; r = 2 runs as the base case.  `wjs` has one
+    :func:`mz_plan` first; r = 2 runs as the base case.  `ws` has one
     :class:`PowerWeight` per target (alpha = 0 the unit); the report omits them.
     """
-    if len(wjs) != len(qjs) or family_spec.arity != len(qjs):
-        raise DomainError(f"need one weight and one family factor for each of the {len(qjs)} targets")
-    data = mz_plan(qjs, r)["data"]  # raises Infeasible when r is outside (1, 2) u {2}
+    data = mz_plan(qs, r)["data"]  # raises Infeasible when r is outside (1, 2) u {2}
     if surrogate not in SURROGATES:
         raise DomainError(f"unknown surrogate {surrogate!r}; expected one of {SURROGATES}")
     r = data["r"]
@@ -391,6 +385,6 @@ def mz_sweep(
         "L": L,
     }
     return _sweep(
-        _MZ_OPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), wjs, family_spec,
-        seed, resolutions, L, config, [(K, (r,) * (len(qjs) + 1))],
+        _MZ_OPS[surrogate], f"mz:{surrogate}", (*data["q"], data["aggregate_q"]), ws, family_spec,
+        seed, resolutions, L, config, [(K, (r,) * (len(qs) + 1))],
     )

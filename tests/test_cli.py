@@ -61,6 +61,7 @@ def test_usage_error_exit_1(capsys):
         ["plan", "nonsense"],
         ["verify", "truncation", "--q", "2", "--ncuts", "1,2"],
         ["operator", "apply", "--op", "bht", "--in", "f.csv", "--in2", "g.csv", "--tmin", "0.01"],
+        ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3", "--w", "bogus"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -177,6 +178,18 @@ def test_weights_estimate_csv_roundtrip(tmp_path, capsys):
     assert all(a <= b + 1e-12 for a, b in zip(aps, aps[1:]))
 
 
+def test_weights_estimate_a1_and_rh_inf(tmp_path, capsys):
+    # v = 1, 2, 3, 4 on [-1, 1]: A_1 takes mean(v) max(1/v), RH_inf max(v) / mean(v);
+    # the whole interval gives the supremum 2.5 and 1.6 at both depths
+    path = tmp_path / "w.csv"
+    _write_rows(path, [["x", "value"]] + [[x, v] for x, v in zip(("-0.75", "-0.25", "0.25", "0.75"), "1234")])
+    argv = ["weights", "estimate", "--file", str(path), "--ap", "1", "--rh", "inf", "--depth", "2"]
+    code, rep = run_json(argv, capsys)
+    assert code == 0 and rep["feasible"] is True
+    assert (rep["data"]["ap"], rep["data"]["rh"]) == ("1", "inf")
+    assert rep["data"]["constants"] == [{"depth": d, "ap_const": 2.5, "rh_const": 1.6} for d in (1, 2)]
+
+
 def test_weights_estimate_rejects_nonuniform(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     with open(path, "w", newline="") as fh:
@@ -222,6 +235,21 @@ def test_rdf_demo_json_and_trace(tmp_path, capsys):
     assert all(float(row[5]) > 0 and float(row[6]) > 0 for row in rows[1:])
 
 
+def test_rdf_demo_reports_its_failed_certificates(tmp_path, monkeypatch, capsys):
+    # with S the identity the A_1 certificates miss (as in test_a1_certificate_can_fail):
+    # the demo reports the failures, exits 2 and writes no trace
+    from extrapkit import gridfn
+
+    monkeypatch.setattr(gridfn, "_maximal_sliding", lambda a: a)
+    trace = tmp_path / "trace.csv"
+    code, rep = run_json(RDF_DEMO + ["--N", "256", "--trace", str(trace)], capsys)
+    assert code == 2 and rep["feasible"] is False
+    assert any(x.startswith("R1-A1:") for x in rep["data"]["failures"])
+    assert rep["reason"] == "; ".join(rep["data"]["failures"])
+    assert rep["certified"] and "H-certificates" not in rep["certified"]
+    assert not trace.exists()
+
+
 def test_rdf_demo_certifies_a_target_below_one(capsys):
     # q = 16/19: ||h1|| passes Minkowski's 2 but stays under the q-triangle
     # bound 2^(1/q), and C1 = 2^(1/q + 1/delta) carries the same factor
@@ -252,6 +280,16 @@ def test_verify_bht_report_shape(capsys):
     assert d["resolutions"] == [1024, 2048]
     assert "evidence" in d["caveat"]
     assert rep["grid"]["N"] == [1024, 2048]
+
+
+def test_verify_iterated_reports_q_s_and_t_as_given(capsys):
+    # --t1/--t2 equal --q1/--q2 in every benchmark task, so only distinct values pin the order
+    argv = ["verify", "iterated", "--q1", "2", "--q2", "2", "--s1", "3", "--s2", "3", "--t1", "3/2", "--t2", "3",
+            "--J", "2", "--K", "2", "--count", "16", "--N", "1024"]
+    code, rep = run_json(argv, capsys)
+    assert code == 0
+    cfg = rep["data"]["config"]
+    assert (cfg["q"], cfg["s"], cfg["t"]) == (["2", "2"], ["3", "3"], ["3/2", "3"])
 
 
 @pytest.mark.parametrize(
@@ -702,6 +740,23 @@ def test_weights_estimate_bad_input_exit_1(tmp_path, capsys, n, depth, message):
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["operator", "apply", "--op", "bht", "--in", "{f}"], "--op bht needs --in2"),
+        (["weights", "check", "--alpha", "0", "--ap", "inf", "--rh", "2"], "A_p index must be finite"),
+        (["verify", "bht", "--q1", "2", "--q2", "2", "--count", "0", "--N", "256"], "count and arity must be >= 1"),
+    ],
+    ids=["bht-without-in2", "infinite-ap", "zero-count"],
+)
+def test_bad_input_names_its_rule_exit_1(tmp_path, capsys, argv, message):
+    path = tmp_path / "f.csv"
+    _write_rows(path, _uniform_rows(8))
+    assert main([a.format(f=path) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 def test_operator_apply_names_the_bad_second_input(tmp_path, capsys):

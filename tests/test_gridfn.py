@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from extrapkit.cli import main
 from extrapkit.errors import DomainError
 from extrapkit.exponents import INF, Exponent
 from extrapkit.grid import Grid
@@ -608,6 +610,21 @@ def test_dyadic_family_unit_lp_norm():
     u = PowerWeight(0).on_grid(G)
     for fn in fam.functions():
         assert measure_norm(fn, u, p) == pytest.approx(1.0, rel=0.02)
+
+
+def test_dyadic_family_fills_extra_factors_with_the_right_indicator(capsys):
+    # arity >= 3: every factor beyond the second is the right-hand indicator again, bit for
+    # bit, and the first two are the arity-2 family's; `verify mz` runs on such a family
+    pairs = make_family(FamilySpec("dyadic-concentration", count=4, arity=2), 2, G).members
+    for arity in (3, 4):
+        members = make_family(FamilySpec("dyadic-concentration", count=4, arity=arity), 2, G).members
+        for tup, pair in zip(members, pairs):
+            assert len(tup) == arity
+            assert [f.samples.tobytes() for f in tup] == [f.samples.tobytes() for f in pair + (pair[0],) * (arity - 2)]
+    argv = ["verify", "mz", "--q", "3,3,3", "--r", "3/2", "--K", "2", "--count", "4",
+            "--family", "dyadic-concentration", "--N", "256,512"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["config"]["family"] == "dyadic-concentration"
 
 
 def test_family_unknown_kind():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -215,6 +216,26 @@ def test_a1_certificate_can_fail(monkeypatch):
     with pytest.raises(CertificationFailed) as exc:
         build_proof_objects(f, g, PowerWeight(0).on_grid(grid), pe, rng, p)
     assert any(x.startswith("R1-A1:") for x in exc.value.failures)
+
+
+def test_norm_certificate_can_fail(monkeypatch):
+    # an iteration whose output norm is three times its first term's misses the
+    # doubling bound ||R G|| <= 2 ||G||; the failure names the value and the bound
+    runs = []
+
+    def inflated(*args, **kwargs):
+        r = rdf_iterate(*args, **kwargs)
+        runs.append(dataclasses.replace(r, output_norm=3.0 * r.term_norms[0]))
+        return runs[-1]
+
+    monkeypatch.setattr(rdf, "rdf_iterate", inflated)
+    rng, p, pe = case1_scenarios(1000, 1)[0]
+    f, g = _pair(1)
+    with pytest.raises(CertificationFailed) as exc:
+        build_proof_objects(f, g, PowerWeight(0).on_grid(GRID), pe, rng, p)
+    assert exc.value.failures == [
+        f"R{i}-doubling: {r.output_norm:.6g} > {2.0 * r.term_norms[0]:.6g}" for i, r in enumerate(runs, 1)
+    ]
 
 
 def test_proof_objects_case_guard():

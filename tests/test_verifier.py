@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from extrapkit import verifier
+from extrapkit.applications import bht_vv_plan
 from extrapkit.cli import main
 from extrapkit.errors import DomainError, Infeasible
 from extrapkit.exponents import Exponent
@@ -32,14 +34,15 @@ RES = (1024, 2048)
 
 
 def test_product_operator_holder_baseline():
-    rr = ratio_sweep("product", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
+    # the plain product f g is the r = 2 base case of the product-identity surrogate at K = 1
+    rr = mz_sweep([2, 2], 2, [PowerWeight(0)] * 2, SMOOTH8, "product-identity", K=1, resolutions=RES)
     assert rr.sup_ratio <= 1 + 1e-10
     assert rr.verdict == "BOUNDED-STABLE"
 
 
 def test_product_holder_with_weights():
     w = PowerWeight(Fraction(-1, 8))
-    rr = ratio_sweep("product", 3, Fraction(3, 2), w, w, SMOOTH8, resolutions=RES)
+    rr = mz_sweep([3, Fraction(3, 2)], 2, [w, w], SMOOTH8, "product-identity", K=1, resolutions=RES)
     assert rr.sup_ratio <= 1 + 1e-10
 
 
@@ -47,7 +50,7 @@ def test_product_holder_with_weights():
 
 
 def test_bht_unweighted_bounded_stable():
-    rr = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
+    rr = ratio_sweep([2, 2], [PowerWeight(0)] * 2, SMOOTH8, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
     assert rr.sup_ratio == max(rr.ratios)
     assert rr.config["weights_in_class"] is None  # unit weights: no check
@@ -55,10 +58,7 @@ def test_bht_unweighted_bounded_stable():
 
 def test_bht_weighted_in_class_flag():
     a = Fraction(1, 4)
-    rr = ratio_sweep(
-        "bht", 2, 2, PowerWeight(-a / 2), PowerWeight(-a / 2),
-        SMOOTH8, resolutions=RES,
-    )
+    rr = ratio_sweep([2, 2], [PowerWeight(-a / 2)] * 2, SMOOTH8, resolutions=RES)
     assert rr.config["weights_in_class"] is True
     assert rr.verdict == "BOUNDED-STABLE"
 
@@ -68,7 +68,7 @@ def test_bht_divergence_probe():
     # admissible window: alpha * q_i = -2 fails power_membership)
     spec = FamilySpec("dyadic-concentration", count=6, arity=2)
     w = PowerWeight(Fraction(-1))
-    rr = ratio_sweep("bht", 2, 2, w, w, spec, seed=3, resolutions=(2048, 4096, 8192))
+    rr = ratio_sweep([2, 2], [w, w], spec, seed=3, resolutions=(2048, 4096, 8192))
     assert rr.config["weights_in_class"] is False
     assert rr.verdict == "DIVERGENT"
 
@@ -77,7 +77,7 @@ def test_bht_divergence_probe():
                          ids=["repeated", "descending", "skipped-doubling", "none"])
 def test_sweep_resolutions_must_double(resolutions):
     with pytest.raises(DomainError, match="twice the one before"):
-        ratio_sweep("product", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=resolutions)
+        ratio_sweep([2, 2], [PowerWeight(0)] * 2, SMOOTH8, resolutions=resolutions)
 
 
 def test_verdict_growth_from_zero():
@@ -87,30 +87,23 @@ def test_verdict_growth_from_zero():
 
 
 def test_determinism_same_seed_same_report():
-    a = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
-    b = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
+    a = ratio_sweep([2, 2], [PowerWeight(0)] * 2, SMOOTH8, seed=5, resolutions=RES)
+    b = ratio_sweep([2, 2], [PowerWeight(0)] * 2, SMOOTH8, seed=5, resolutions=RES)
     assert a.ratios == b.ratios and a.sup_by_resolution == b.sup_by_resolution
-
-
-@pytest.mark.parametrize("op", ["hilbert", lambda f, g: f * g], ids=["name", "callable"])
-def test_unknown_operator_rejected(op):
-    # the sweep runs "bht" and "product" only; an operator is named, never passed
-    with pytest.raises(DomainError, match="unknown operator"):
-        ratio_sweep(op, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, resolutions=RES)
 
 
 # -- vector-valued ---------------------------------------------------------------
 
 
 def test_vv_k1_bit_exact_coherence():
-    a = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, seed=5, resolutions=RES)
-    b = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, K=1, seed=5, resolutions=RES)
+    a = ratio_sweep([2, 2], [PowerWeight(0)] * 2, SMOOTH8, seed=5, resolutions=RES)
+    b = vv_sweep([2, 2], [2, 2], [PowerWeight(0)] * 2, SMOOTH8, K=1, seed=5, resolutions=RES)
     assert a.ratios == b.ratios
     assert a.sup_by_resolution == b.sup_by_resolution
 
 
 def test_vv_aggregated_bounded():
-    rr = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH16, K=8, seed=5, resolutions=RES)
+    rr = vv_sweep([2, 2], [2, 2], [PowerWeight(0)] * 2, SMOOTH16, K=8, seed=5, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
 
 
@@ -120,20 +113,20 @@ def test_vv_weighted_power_window():
     a = Fraction(1, 4)
     w1 = PowerWeight(-a / 2)
     w2 = PowerWeight(-a / 2)
-    rr = vv_sweep(2, 2, 2, t, w1, w2, SMOOTH16, K=4, seed=11, resolutions=RES)
+    rr = vv_sweep([2, 2], [2, t], [w1, w2], SMOOTH16, K=4, seed=11, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
 
 
 def test_vv_infeasible_plan_rejected():
     with pytest.raises(Infeasible):
-        vv_sweep(2, 8, 2, Fraction(9, 8), PowerWeight(0), PowerWeight(0), SMOOTH8, K=1, resolutions=RES)
+        vv_sweep([2, 8], [2, Fraction(9, 8)], [PowerWeight(0)] * 2, SMOOTH8, K=1, resolutions=RES)
 
 
 # -- iterated ---------------------------------------------------------------------
 
 
 def test_iterated_single_outer_reduces_to_vv():
-    flat = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH8, K=2, seed=7, resolutions=(1024,))
+    flat = vv_sweep([2, 2], [2, 2], [PowerWeight(0)] * 2, SMOOTH8, K=2, seed=7, resolutions=(1024,))
     nested = iterated_vv_sweep((2, 2), (2, 2), (2, 2), SMOOTH8, J=1, K=2, seed=7, resolutions=(1024,))
     for x, y in zip(flat.ratios, nested.ratios):
         assert x == pytest.approx(y, rel=1e-14)
@@ -141,7 +134,7 @@ def test_iterated_single_outer_reduces_to_vv():
 
 def test_iterated_t_equals_s_flattens():
     nested = iterated_vv_sweep((2, 2), (2, 2), (2, 2), SMOOTH16, J=2, K=2, seed=7, resolutions=(1024,))
-    flat = vv_sweep(2, 2, 2, 2, PowerWeight(0), PowerWeight(0), SMOOTH16, K=4, seed=7, resolutions=(1024,))
+    flat = vv_sweep([2, 2], [2, 2], [PowerWeight(0)] * 2, SMOOTH16, K=4, seed=7, resolutions=(1024,))
     assert len(nested.ratios) == len(flat.ratios) > 0
     for x, y in zip(nested.ratios, flat.ratios):
         assert abs(x - y) <= 1e-12
@@ -150,6 +143,22 @@ def test_iterated_t_equals_s_flattens():
 def test_iterated_bounded_stable():
     rr = iterated_vv_sweep((2, 2), (2, 2), (2, 2), SMOOTH16, J=2, K=2, resolutions=RES)
     assert rr.verdict == "BOUNDED-STABLE"
+
+
+def test_iterated_keeps_q_s_and_t_apart():
+    # q, s and t all differ, so a swap of any two shows in the config or the ratios
+    q, s, t = (Exponent(2), Exponent(2)), (Exponent(3), Exponent(3)), (Exponent(Fraction(3, 2)), Exponent(3))
+    for agg in (s, t):
+        bht_vv_plan(*q, *agg)  # raises unless the tuple is admissible
+    rr = iterated_vv_sweep(q, s, t, SMOOTH16, J=2, K=2, seed=7, resolutions=(1024,))
+    assert (rr.config["q"], rr.config["s"], rr.config["t"]) == (list(q), list(s), list(t))
+    swapped = iterated_vv_sweep(q, t, s, SMOOTH16, J=2, K=2, seed=7, resolutions=(1024,))
+    assert (swapped.config["s"], swapped.config["t"]) == (list(t), list(s))
+    assert len(rr.ratios) == len(swapped.ratios) == 4 and rr.ratios != swapped.ratios
+    # one outer block leaves the inner l^s level alone: the vv sweep with s, not with t
+    inner = iterated_vv_sweep(q, s, t, SMOOTH16, J=1, K=2, seed=7, resolutions=(1024,))
+    flat = vv_sweep(q, s, [PowerWeight(0)] * 2, SMOOTH16, K=2, seed=7, resolutions=(1024,))
+    assert len(inner.ratios) == 8 and inner.ratios == pytest.approx(flat.ratios, rel=1e-14)
 
 
 # -- Marcinkiewicz-Zygmund ---------------------------------------------------------
@@ -202,14 +211,44 @@ def test_mz_one_factor_product_identity_is_exactly_one(kind, w):
 
 
 @pytest.mark.parametrize(
-    "qjs,wjs,arity",
+    "qs,ws,arity",
     [([3, 3, 3], [PowerWeight(0)] * 2, 3), ([3], [PowerWeight(0)] * 2, 1), ([3, 3], [PowerWeight(0)] * 2, 3)],
     ids=["fewer-weights", "more-weights", "arity"],
 )
-def test_mz_needs_one_weight_and_factor_per_target(qjs, wjs, arity):
+def test_mz_needs_one_weight_and_factor_per_target(qs, ws, arity):
     spec = FamilySpec("smooth-bumps", count=8, arity=arity)
     with pytest.raises(DomainError, match="one weight and one family factor"):
-        mz_sweep(qjs, Fraction(3, 2), wjs, spec, K=2, resolutions=(256,))
+        mz_sweep(qs, Fraction(3, 2), ws, spec, K=2, resolutions=(256,))
+
+
+UNIT2 = [PowerWeight(0)] * 2
+SWEEPS = {
+    "ratio": lambda spec: ratio_sweep([2, 2], UNIT2, spec, resolutions=(256,)),
+    "vv": lambda spec: vv_sweep([2, 2], [2, 2], UNIT2, spec, K=2, resolutions=(256,)),
+    "iterated": lambda spec: iterated_vv_sweep([2, 2], [2, 2], [2, 2], spec, J=2, K=2, resolutions=(256,)),
+    "mz": lambda spec: mz_sweep([3, 3], Fraction(3, 2), UNIT2, spec, K=2, resolutions=(256,)),
+}
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_every_sweep_needs_one_family_factor_per_target(sweep, arity):
+    # the engine checks the count before any group map unpacks a member
+    with pytest.raises(DomainError, match="one weight and one family factor for each of the 2 targets"):
+        SWEEPS[sweep](FamilySpec("smooth-bumps", count=8, arity=arity))
+
+
+def test_skipped_blocks_are_the_members_without_a_midpoint_in_their_support(capsys):
+    # a dyadic-concentration member lives on [delta, 2 delta], delta = L / 2^(j+2); at the
+    # finest grid the members whose support holds no midpoint have zero norm and are skipped
+    argv = ["verify", "bht", "--q1", "2", "--q2", "2", "--family", "dyadic-concentration",
+            "--count", "12", "--N", "1024,2048"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    x = Grid(8.0, 2048).x()
+    empty = [j for j in range(12) if not np.any((x >= 8.0 / 2 ** (j + 2)) & (x <= 2 * 8.0 / 2 ** (j + 2)))]
+    assert data["skipped"] == empty == [11]
+    assert len(data["ratios"]) == 12 - len(empty)
 
 
 # The per-factor maps of the surrogates, applied afresh to every factor of
@@ -319,7 +358,7 @@ def test_power_weight_zero_is_the_unit_weight(capsys):
     for N in (2, 1024, 8192):
         assert np.array_equal(PowerWeight(0).on_grid(Grid(8.0, N)).samples, np.ones(N))
     assert [str(PowerWeight(a)) for a in (0, Fraction(1, 8), Fraction(-1, 4))] == ["unit", "power:1/8", "power:-1/4"]
-    rr = ratio_sweep("bht", 2, 2, PowerWeight(0), PowerWeight(Fraction(1, 8)), SMOOTH8, resolutions=RES)
+    rr = ratio_sweep([2, 2], [PowerWeight(0), PowerWeight(Fraction(1, 8))], SMOOTH8, resolutions=RES)
     assert rr.config["weights_in_class"] is None and rr.config["w1"] == "unit"
     demo = ["rdf", "demo", "--pm", "1", "--pp", "inf", "--p0", "2", "--q0", "2", "--p", "3", "--N", "256"]
     outs = []
