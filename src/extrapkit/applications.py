@@ -98,6 +98,13 @@ def _open(**named: ExponentLike) -> list[Exponent]:
     return xs
 
 
+def _below_three_halves(name: str, a: Exponent, b: Exponent) -> None:
+    """The paper's hypothesis 1/a + 1/b < 3/2 on a target pair; Infeasible naming 1/`name` otherwise."""
+    total = rec(a) + rec(b)
+    if not total < THREE_HALVES:
+        raise Infeasible(f"1/{name} = {total} >= 3/2")
+
+
 # --------------------------------------------------------------------------
 # scalar planner
 # --------------------------------------------------------------------------
@@ -248,8 +255,7 @@ def _build_plan(q1, q2, s1, s2, certified_extra: list[str]) -> BHTPlan:
 def bht_plan(q1: ExponentLike, q2: ExponentLike) -> BHTPlan:
     """Scalar plan for targets (q1, q2); requires 1/q1 + 1/q2 < 3/2."""
     q1, q2 = _open(q1=q1, q2=q2)
-    if not rec(q1) + rec(q2) < THREE_HALVES:
-        raise Infeasible(f"1/q = {rec(q1) + rec(q2)} >= 3/2")
+    _below_three_halves("q", q1, q2)
     return _build_plan(q1, q2, None, None, ["1/q-lt-3/2"])
 
 
@@ -262,21 +268,14 @@ def bht_vv_plan(
     With s_i = q_i this reduces bit-exactly to :func:`bht_plan`.
     """
     q1, q2, s1, s2 = _open(q1=q1, q2=q2, s1=s1, s2=s2)
-    certified = []
-    if not rec(q1) + rec(q2) < THREE_HALVES:
-        raise Infeasible(f"1/q = {rec(q1) + rec(q2)} >= 3/2")
-    certified.append("1/q-lt-3/2")
-    if not rec(s1) + rec(s2) < THREE_HALVES:
-        raise Infeasible(f"1/s = {rec(s1) + rec(s2)} >= 3/2")
-    certified.append("1/s-lt-3/2")
+    _below_three_halves("q", q1, q2)
+    _below_three_halves("s", s1, s2)
     for i, (s, q) in enumerate(((s1, q1), (s2, q2)), start=1):
         if not abs(rec(s) - rec(q)) < HALF:
             raise Infeasible(f"|1/s{i} - 1/q{i}| = {abs(rec(s) - rec(q))} >= 1/2")
-    certified.append("|1/s-1/q|-lt-1/2")
     if not max(rec(q1), rec(s1)) + max(rec(q2), rec(s2)) < THREE_HALVES:
         raise Infeasible("sum of max{1/q_i, 1/s_i} >= 3/2")
-    certified.append("sum-max-qs-lt-3/2")
-    return _build_plan(q1, q2, s1, s2, certified)
+    return _build_plan(q1, q2, s1, s2, ["1/q-lt-3/2", "1/s-lt-3/2", "|1/s-1/q|-lt-1/2", "sum-max-qs-lt-3/2"])
 
 
 # --------------------------------------------------------------------------
@@ -411,14 +410,9 @@ def section5_plan(
     if sum(g) != 1:
         raise DomainError(f"gamma_1 + gamma_2 + gamma_3 = {sum(g)} != 1")
 
-    certified = []
-    inv_q = rec(q1) + rec(q2)
-    inv_s = rec(s1) + rec(s2)
-    if not inv_q < THREE_HALVES:
-        raise Infeasible(f"1/q = {inv_q} >= 3/2")
-    if not inv_s < THREE_HALVES:
-        raise Infeasible(f"1/s = {inv_s} >= 3/2")
-    certified.append("aggregate-targets-lt-3/2")
+    _below_three_halves("q", q1, q2)
+    _below_three_halves("s", s1, s2)
+    certified = ["aggregate-targets-lt-3/2"]
 
     pairs = [(rec(s1), rec(q1)), (rec(s2), rec(q2))]
     for i, (si, qi) in enumerate(pairs, start=1):

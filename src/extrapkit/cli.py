@@ -361,24 +361,28 @@ def _command(sub, name, handler, table=True):
     return p
 
 
-def _add_common(p, grid_default="4096", one_member=False):
+def _group(sub, name):
+    """The required subcommand set of the command group `name`.  It passes no parser_class:
+    add_subparsers builds each parser as its parent's type, so all below the root are `_Parser`s."""
+    return sub.add_parser(name).add_subparsers(dest="cmd", required=True)
+
+
+def _required(p, kind, *flags):
+    """Required flags that all take the argparse type `kind`."""
+    for flag in flags:
+        p.add_argument(flag, type=kind, required=True)
+
+
+def _add_common(p, grid_default, one_member=False):
     """Options of the commands that draw a test family; with one_member the
     handler builds one smooth-bumps member on one resolution."""
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--L", type=float, default=8.0)
-    p.add_argument(
-        "--N",
-        type=_list(int),
-        default=grid_default,
-        help="one resolution" if one_member else "comma-separated resolutions",
-    )
+    p.add_argument("--N", type=_list(int), default=grid_default,
+                   help="one resolution" if one_member else "comma-separated resolutions")
     p.add_argument("--family", choices=("smooth-bumps",) if one_member else FAMILY_KINDS, default="smooth-bumps")
-    p.add_argument(
-        "--count",
-        type=int,
-        default=16,
-        help="not used: this command uses one family member" if one_member else "family members",
-    )
+    p.add_argument("--count", type=int, default=16,
+                   help="not used: this command uses one family member" if one_member else "family members")
 
 
 @functools.cache
@@ -386,93 +390,74 @@ def build_parser() -> _Parser:
     root = _Parser(prog="extrapkit", description="Exact planners for limited-range multilinear extrapolation, "
                    "and grid-scale checks of the weighted inequalities they plan. Reports are JSON on stdout; "
                    "the exit code is 0 when feasible, 2 when infeasible and 1 for bad input.")
-    sub = root.add_subparsers(dest="group", required=True, parser_class=_Parser)
+    sub = root.add_subparsers(dest="group", required=True)
 
-    plan = sub.add_parser("plan")
-    plan_sub = plan.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-
+    plan_sub = _group(sub, "plan")
     pe = _command(plan_sub, "extrapolate", _cmd_plan_extrapolate)
-    for flag in RANGE_FLAGS:
-        pe.add_argument(flag, type=_exp, required=True)
+    _required(pe, _exp, *RANGE_FLAGS)
 
     for name in ("bht", "bht-vv"):
         pb = _command(plan_sub, name, _cmd_plan_bht)
         for flag in ("--q1", "--q2"):  # --grid ignores them
             pb.add_argument(flag, type=_exp)
         if name == "bht-vv":
-            pb.add_argument("--s1", type=_exp, required=True)
-            pb.add_argument("--s2", type=_exp, required=True)
+            _required(pb, _exp, "--s1", "--s2")
         else:
             pb.set_defaults(s1=None, s2=None)
-        pb.add_argument("--grid", type=_list(_exp), default=None)
+        pb.add_argument("--grid", type=_list(_exp))
 
     ps = _command(plan_sub, "section5", _cmd_plan_section5)
-    for flag in ("--q1", "--q2", "--s1", "--s2"):
-        ps.add_argument(flag, type=_exp, required=True)
-    for flag in ("--g1", "--g2", "--g3"):
-        ps.add_argument(flag, type=_frac, required=True)
+    _required(ps, _exp, "--q1", "--q2", "--s1", "--s2")
+    _required(ps, _frac, "--g1", "--g2", "--g3")
 
     pm = _command(plan_sub, "mz", _cmd_plan_mz)
     pm.add_argument("--q", type=_list(_exp), required=True, help="comma-separated targets, e.g. 3,3")
-    pm.add_argument("--r", type=_exp, required=True)
+    _required(pm, _exp, "--r")
 
-    wts = sub.add_parser("weights")
-    wts_sub = wts.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+    wts_sub = _group(sub, "weights")
     wc = _command(wts_sub, "check", _cmd_weights_check, table=False)
-    wc.add_argument("--alpha", type=_frac, required=True)
-    wc.add_argument("--ap", type=_exp, required=True)
-    wc.add_argument("--rh", type=_exp, required=True)
+    _required(wc, _frac, "--alpha")
+    _required(wc, _exp, "--ap", "--rh")
     we = _command(wts_sub, "estimate", _cmd_weights_estimate)
     we.add_argument("--file", required=True)
-    we.add_argument("--ap", type=_exp, required=True)
-    we.add_argument("--rh", type=_exp, required=True)
-    we.add_argument("--depth", type=int, required=True)
+    _required(we, _exp, "--ap", "--rh")
+    _required(we, int, "--depth")
 
-    op = sub.add_parser("operator")
-    op_sub = op.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    oa = op_sub.add_parser("apply")
+    oa = _group(sub, "operator").add_parser("apply")
     oa.add_argument("--op", choices=("maximal", "hilbert", "bht"), required=True)
-    oa.add_argument("--in", dest="in", required=True)
-    oa.add_argument("--in2", default=None)
-    oa.add_argument("--tmax", type=float, default=None)
+    oa.add_argument("--in", required=True)
+    oa.add_argument("--in2")
+    oa.add_argument("--tmax", type=float)
     oa.set_defaults(handler=_cmd_operator_apply.__name__, emit="csv")
 
-    rdf = sub.add_parser("rdf")
-    rdf_sub = rdf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    rd = _command(rdf_sub, "demo", _cmd_rdf_demo, table=False)
+    rd = _command(_group(sub, "rdf"), "demo", _cmd_rdf_demo, table=False)
     rd.add_argument("--case", choices=("I",), default="I")
     rd.add_argument("--w", type=_weight_descriptor, default="unit")
-    for flag in RANGE_FLAGS:
-        rd.add_argument(flag, type=_exp, required=True)
-    rd.add_argument("--trace", default=None)
+    _required(rd, _exp, *RANGE_FLAGS)
+    rd.add_argument("--trace")
     _add_common(rd, grid_default="1024", one_member=True)
 
-    vf = sub.add_parser("verify")
-    vf_sub = vf.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-
+    vf_sub = _group(sub, "verify")
     vb = _command(vf_sub, "bht", _cmd_verify_sweep)
-    for flag in ("--q1", "--q2"):
-        vb.add_argument(flag, type=_exp, required=True)
+    _required(vb, _exp, "--q1", "--q2")
     vb.add_argument("--a", type=_frac, default=Fraction(0))
     _add_common(vb, grid_default="4096,8192")
 
     vv = _command(vf_sub, "vv", _cmd_verify_sweep)
-    for flag in ("--q1", "--q2", "--s1", "--s2"):
-        vv.add_argument(flag, type=_exp, required=True)
+    _required(vv, _exp, "--q1", "--q2", "--s1", "--s2")
     vv.add_argument("--a", type=_frac, default=Fraction(0))
     vv.add_argument("--K", type=int, default=4)
     _add_common(vv, grid_default="2048,4096")
 
     vi = _command(vf_sub, "iterated", _cmd_verify_sweep)
-    for flag in ("--q1", "--q2", "--s1", "--s2", "--t1", "--t2"):
-        vi.add_argument(flag, type=_exp, required=True)
+    _required(vi, _exp, "--q1", "--q2", "--s1", "--s2", "--t1", "--t2")
     vi.add_argument("--J", type=int, default=2)
     vi.add_argument("--K", type=int, default=2)
     _add_common(vi, grid_default="1024,2048")
 
     vm = _command(vf_sub, "mz", _cmd_verify_sweep)
-    vm.add_argument("--q", type=_list(_exp), required=True)
-    vm.add_argument("--r", type=_exp, required=True)
+    _required(vm, _list(_exp), "--q")
+    _required(vm, _exp, "--r")
     vm.add_argument("--surrogate", choices=ver.SURROGATES, default="tensor-hilbert")
     vm.add_argument("--K", type=int, default=4)
     _add_common(vm, grid_default="1024,2048")

@@ -64,6 +64,8 @@ ExponentLike = Union["Exponent", int, Fraction, str]
 class Exponent:
     """A nonnegative rational or +infinity: a pure value type.
 
+    Built from an int, a Fraction or a string (an inf spelling, or a literal
+    of :func:`parse_rational`); :func:`as_exponent` passes an Exponent through.
     Instances are immutable, hashable and totally ordered (infinity is the
     maximum).  They define no arithmetic; all algebra works on plain
     Fractions through :func:`rec` and :func:`from_rec`.
@@ -71,13 +73,12 @@ class Exponent:
 
     __slots__ = ("_num",)
 
-    def __init__(self, value: ExponentLike):
-        if isinstance(value, Exponent):
-            self._num = value._num
-            return
+    def __init__(self, value: int | Fraction | str):
         if isinstance(value, str):
-            self._num = _parse_str(value)
-            return
+            if value.strip().lower() in ("inf", "infinity", "+inf", "oo"):
+                self._num = None
+                return
+            value = parse_rational(value)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise DomainError(f"cannot build an exponent from {value!r}")
         v = Fraction(value)
@@ -142,16 +143,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(t)
     except ZeroDivisionError:
         raise DomainError(f"literal {text!r} has a zero denominator")
-
-
-def _parse_str(text: str) -> Fraction | None:
-    """An exponent literal: an inf spelling, or a nonnegative rational."""
-    if text.strip().lower() in ("inf", "infinity", "+inf", "oo"):
-        return None
-    v = parse_rational(text)
-    if v < 0:
-        raise DomainError(f"exponent must be nonnegative, got {v}")
-    return v
 
 
 INF = Exponent("inf")

@@ -94,10 +94,10 @@ class ExtrapolationRange:
     def __post_init__(self):
         for name in ("p_minus", "p_plus", "p0", "q0"):
             object.__setattr__(self, name, as_exponent(getattr(self, name)))
-        if self.p0.is_inf or self.p0 <= 0:
-            raise Infeasible(f"p0 must be finite positive, got {self.p0}")
-        if self.q0.is_inf or self.q0 <= 0:
-            raise Infeasible(f"q0 must be finite positive, got {self.q0}")
+        for name in ("p0", "q0"):
+            x = getattr(self, name)
+            if x.is_inf or x <= 0:
+                raise Infeasible(f"{name} must be finite positive, got {x}")
         if not (self.p_minus <= self.p0 <= self.p_plus):
             raise Infeasible(
                 f"need p_- <= p0 <= p_+, got {self.p_minus}, {self.p0}, {self.p_plus}"
@@ -274,13 +274,12 @@ def proof_exponents(rng: ExtrapolationRange, p: ExponentLike) -> ProofExponents:
 
 @dataclass(frozen=True)
 class LinearStep:
-    """One coordinate of a multilinear plan, fully certified."""
+    """One coordinate of a multilinear plan, fully certified: its range's base
+    pair (p0, q0) is the coordinate's base exponent p_j and the aggregate in."""
 
     index: int
     range: ExtrapolationRange
-    base: Exponent  # p_j, the coordinate's base exponent
     target: Exponent  # q_j, the coordinate's target exponent
-    aggregate_in: Exponent
     aggregate_out: Exponent
     dual: tuple[Exponent, Exponent]
 
@@ -289,9 +288,9 @@ class LinearStep:
             "index": self.index,
             "p_minus": self.range.p_minus,
             "p_plus": self.range.p_plus,
-            "base": self.base,
+            "base": self.range.p0,
             "target": self.target,
-            "aggregate_in": self.aggregate_in,
+            "aggregate_in": self.range.q0,
             "aggregate_out": self.aggregate_out,
             "q_minus": self.dual[0],
             "q_plus": self.dual[1],
@@ -330,17 +329,7 @@ def multilinear_plan(pjs, r_minus_js, r_plus_js, qjs) -> list[LinearStep]:
         except Infeasible as e:
             raise DomainError(f"step {j}: {e}") from e
         require(dual[0] < agg_next < dual[1], f"step {j}: aggregate left the dual interval")
-        steps.append(
-            LinearStep(
-                index=j,
-                range=rng,
-                base=pjs[j],
-                target=qjs[j],
-                aggregate_in=aggregate,
-                aggregate_out=agg_next,
-                dual=dual,
-            )
-        )
+        steps.append(LinearStep(index=j, range=rng, target=qjs[j], aggregate_out=agg_next, dual=dual))
         aggregate = agg_next
 
     expected = harmonic_sum(qjs)

@@ -230,6 +230,14 @@ def _sweep(op, op_name, exps, weights, spec, seed, resolutions, L, config, level
 # --------------------------------------------------------------------------
 
 
+def _pairs(**named) -> list:
+    """The named BHT sweep arguments, concatenated in order; DomainError unless each has two entries."""
+    for name, xs in named.items():
+        if len(xs) != 2:
+            raise DomainError(f"{name} must hold 2 exponents, one per BHT factor, got {len(xs)}")
+    return [x for xs in named.values() for x in xs]
+
+
 def ratio_sweep(
     qs,
     ws,
@@ -250,7 +258,7 @@ def ratio_sweep(
     weight, reported as `unit`, and with it `weights_in_class` is None (null in
     JSON).
     """
-    plan = bht_plan(*qs)
+    plan = bht_plan(*_pairs(qs=qs))
     config = {
         "q1": plan.q1,
         "q2": plan.q2,
@@ -293,7 +301,7 @@ def vv_sweep(
     sweeping.  The weights ws = (w1, w2) are :class:`PowerWeight`s, as in
     :func:`ratio_sweep`; alpha = 0 is the unit weight, reported as `unit`.
     """
-    plan = bht_vv_plan(*qs, *ss)
+    plan = bht_vv_plan(*_pairs(qs=qs, ss=ss))
     config = {
         "q1": plan.q1,
         "q2": plan.q2,
@@ -329,6 +337,7 @@ def iterated_vv_sweep(
     With t = s the nested aggregation collapses to one flat l^s aggregation
     over J*K members (norm identity, checked in tests to 1e-12).
     """
+    _pairs(qs=qs, ss=ss, ts=ts)
     inner = bht_vv_plan(*qs, *ss)
     outer = bht_vv_plan(*qs, *ts)
     config = {

@@ -396,3 +396,45 @@ def test_violated_invariant_raises_under_python_O():
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CertificationFailed: eta = 0 must satisfy")
+
+
+# -- the 3/2 hypothesis and the Section-5 class system ----------------------------
+
+
+@pytest.mark.parametrize(
+    "planner,args,reason",
+    [
+        (bht_plan, (Fraction(4, 3), Fraction(4, 3)), "1/q = 3/2 >= 3/2"),
+        (bht_vv_plan, (Fraction(6, 5), Fraction(6, 5), Fraction(6, 5), Fraction(6, 5)), "1/q = 5/3 >= 3/2"),
+        (bht_vv_plan, (8, 8, Fraction(8, 7), Fraction(8, 7)), "1/s = 7/4 >= 3/2"),
+        (section5_plan, (Fraction(6, 5), Fraction(6, 5), 2, 2, *[Fraction(1, 3)] * 3), "1/q = 5/3 >= 3/2"),
+        (section5_plan, (2, 2, Fraction(6, 5), Fraction(6, 5), *[Fraction(1, 3)] * 3), "1/s = 5/3 >= 3/2"),
+    ],
+    ids=["bht-q", "vv-q-first", "vv-s", "section5-q", "section5-s"],
+)
+def test_three_halves_hypothesis_names_its_sum(planner, args, reason):
+    with pytest.raises(Infeasible) as exc:
+        planner(*args)
+    assert str(exc.value) == reason
+
+
+def test_three_halves_hypothesis_leads_the_certified_clauses():
+    assert bht_plan(2, 2).certified[0] == "1/q-lt-3/2"
+    vv = ("1/q-lt-3/2", "1/s-lt-3/2", "|1/s-1/q|-lt-1/2", "sum-max-qs-lt-3/2")
+    assert bht_vv_plan(2, 2, 3, 3).certified[:4] == vv
+    assert section5_plan(3, 3, 3, 3, *[Fraction(1, 3)] * 3).certified[0] == "aggregate-targets-lt-3/2"
+
+
+@pytest.mark.parametrize(
+    "p,thetas,reason",
+    [
+        (Fraction(3, 2), (HALF,) * 3, "1/p = 4/3 >= 1"),
+        (4, (Fraction(9, 10), HALF, HALF), "a theta_i/p_i' (or theta_3/p) exceeds 1/2"),
+        (4, (Fraction(1, 3),) * 3, "theta system sum = 2/3 != 1"),
+    ],
+    ids=["p-not-above-1", "theta-over-half", "theta-sum"],
+)
+def test_section5_weight_classes_names_the_failed_condition(p, thetas, reason):
+    with pytest.raises(Infeasible) as exc:
+        section5_weight_classes(p, p, thetas)
+    assert str(exc.value) == reason

@@ -987,3 +987,32 @@ def test_operator_overflow_is_one_named_error(tmp_path, capsys, op, value):
     assert caught == []
     out = capsys.readouterr()
     assert out.out == "" and out.err == f"error: the operator {op} overflows on the grid (L=2.0, N=4)\n"
+
+
+@pytest.mark.parametrize(
+    "p0,q0,reason",
+    [("0", "2", "p0 must be finite positive, got 0"), ("2", "inf", "q0 must be finite positive, got inf")],
+    ids=["p0-zero", "q0-inf"],
+)
+def test_plan_extrapolate_base_pair_must_be_finite_positive(p0, q0, reason, capsys):
+    code, rep = run_json(["plan", "extrapolate", "--pm", "1", "--pp", "4", "--p0", p0, "--q0", q0, "--p", "2"],
+                         capsys)
+    assert code == 2 and rep["feasible"] is False and rep["reason"] == reason
+
+
+# every parser level: the root, its five command groups and their thirteen subcommands
+PARSER_LEVELS = [
+    [], ["plan"], ["weights"], ["operator"], ["rdf"], ["verify"],
+    *(["plan", c] for c in ("extrapolate", "bht", "bht-vv", "section5", "mz")),
+    ["weights", "check"], ["weights", "estimate"], ["operator", "apply"], ["rdf", "demo"],
+    *(["verify", c] for c in ("bht", "vv", "iterated", "mz")),
+]
+
+
+@pytest.mark.parametrize("prefix", PARSER_LEVELS, ids=lambda p: " ".join(p) or "root")
+def test_usage_error_exits_1_at_every_parser_level(prefix, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, "--bogus"])
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "\nerror: " in out.err

@@ -185,3 +185,19 @@ def test_for_range_edges():
 def test_for_range_needs_r_minus_le_q_le_r_plus(q, r_minus, r_plus):
     with pytest.raises(DomainError):
         WeightClassSpec.for_range(q, r_minus, r_plus)
+
+
+@pytest.mark.parametrize("value", [-1, Fraction(-1, 2), "-1/2"], ids=["int", "fraction", "string"])
+def test_negative_exponent_names_its_value(value):
+    # ints, Fractions and parsed strings share the one sign check
+    with pytest.raises(DomainError) as exc:
+        Exponent(value)
+    assert str(exc.value) == f"exponent must be nonnegative, got {Fraction(value)}"
+
+
+def test_as_exponent_is_the_one_coercion_of_an_exponent():
+    # Exponent builds from an int, a Fraction or a string; an Exponent passes through as_exponent
+    with pytest.raises(DomainError, match=r"^cannot build an exponent from Exponent\('inf'\)$"):
+        Exponent(INF)
+    assert as_exponent(INF) is INF
+    assert Exponent(" Infinity ") == INF and Exponent("oo") == INF

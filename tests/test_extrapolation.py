@@ -231,11 +231,11 @@ def test_multilinear_two_coordinate_example():
         [4, 4], [Fraction(8, 5)] * 2, [8] * 2, [2, 2]
     )
     assert len(steps) == 2
-    assert steps[0].aggregate_in == Exponent(2)
+    assert steps[0].range.q0 == Exponent(2)
     assert steps[1].aggregate_out == Exponent(1)
     # every intermediate range passed validity: 1/agg - 1/p_j + 1/r_j^+ >= 0
     for s in steps:
-        assert rec(s.aggregate_in) - rec(s.base) + rec(s.range.p_plus) >= 0
+        assert rec(s.range.q0) - rec(s.range.p0) + rec(s.range.p_plus) >= 0
 
 
 def test_multilinear_boundary_target_invalid():
@@ -261,3 +261,19 @@ def test_multilinear_order_independent_feasibility():
     fwd = multilinear_plan(pjs, [1, 1], [INF, INF], qjs)
     rev = multilinear_plan(pjs[::-1], [1, 1], [INF, INF], qjs[::-1])
     assert fwd[-1].aggregate_out == rev[-1].aggregate_out
+
+
+def test_dual_range_maps_p_minus_zero_to_zero():
+    # 1/0 has no reciprocal: p_- = 0 gives q_- = 0 directly; q_+ = 1/(1/4 + 1/4)
+    assert dual_range(ExtrapolationRange(0, 4, 4, 2)) == (0, 2)
+
+
+def test_linear_step_reads_its_base_pair_from_its_range():
+    # step j's range has base pair (p_j, aggregate in): (4, 2), then (4, (1/2 + 1/4)^-1)
+    steps = multilinear_plan([4, 4], [Fraction(8, 5)] * 2, [8] * 2, [2, 2])
+    assert [(s.range.p0, s.range.q0) for s in steps] == [(4, 2), (4, Fraction(4, 3))]
+    for s in steps:
+        d = s.as_dict()
+        assert list(d) == ["index", "p_minus", "p_plus", "base", "target", "aggregate_in",
+                           "aggregate_out", "q_minus", "q_plus"]
+        assert (d["base"], d["aggregate_in"]) == (s.range.p0, s.range.q0)

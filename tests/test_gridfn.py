@@ -635,3 +635,19 @@ def test_family_unknown_kind():
 def test_modulated_family_complex():
     fam = make_family(FamilySpec("modulated", count=2, arity=2), 3, G)
     assert np.iscomplexobj(fam.members[0][0].samples)
+
+
+def test_grid_function_rejects_a_wrong_shape_or_a_non_finite_sample():
+    grid = Grid(8.0, 4)
+    with pytest.raises(DomainError, match=r"^expected 4 samples, got shape \(3,\)$"):
+        GridFunction(np.ones(3), grid)
+    with pytest.raises(DomainError, match="^samples must be finite$"):
+        GridFunction(np.array([1.0, np.nan, 1.0, 1.0]), grid)
+    with pytest.raises(DomainError, match=r"^expected 4 samples, got shape \(3,\)$"):
+        GridWeight(np.ones(3), grid)
+
+
+def test_measure_norm_needs_a_positive_exponent():
+    grid = Grid(8.0, 4)
+    with pytest.raises(DomainError, match="^norm exponent must be positive, got 0$"):
+        measure_norm(GridFunction(np.ones(4), grid), GridWeight(np.ones(4), grid), 0)

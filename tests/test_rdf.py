@@ -296,3 +296,21 @@ def test_proof_objects_retry_gives_up_after_five_attempts(monkeypatch):
     with pytest.raises(NormBoundTooSmall):
         build_proof_objects(f, g, w, pe, rng, 3)
     assert bounds == [bounds[0] * 2.0**k for k in range(5)]
+
+
+@pytest.mark.parametrize("p", [1, Fraction(1, 2), "inf"])
+def test_estimate_maximal_norm_needs_p_in_1_inf(p):
+    f, _ = _pair(3)
+    with pytest.raises(DomainError, match=rf"^maximal norm estimate needs 1 < p < inf, got {Exponent(p)}$"):
+        estimate_maximal_norm(p, PowerWeight(0).on_grid(GRID), f)
+
+
+def test_proof_objects_need_nonnegative_nonzero_inputs():
+    rng = ExtrapolationRange(1, "inf", 2, 2)
+    pe = proof_exponents(rng, 3)
+    f, g = _pair(42)
+    w = PowerWeight(0).on_grid(GRID)
+    with pytest.raises(DomainError, match="^f must be nonnegative$"):
+        build_proof_objects(f * -1.0, g, w, pe, rng, 3)
+    with pytest.raises(DomainError, match="^f and g must be nonzero on the grid$"):
+        build_proof_objects(f, g * 0.0, w, pe, rng, 3)

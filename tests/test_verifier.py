@@ -366,3 +366,34 @@ def test_power_weight_zero_is_the_unit_weight(capsys):
         assert main(demo + ["--w", w]) == 0
         outs.append(capsys.readouterr())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("sweep", ["ratio", "vv", "iterated"])
+def test_bht_sweeps_need_two_targets(sweep, n):
+    # checked before planning: n targets on an n-factor family pass the engine's count check
+    xs, ws, spec = [2] * n, [PowerWeight(0)] * n, FamilySpec("smooth-bumps", count=8, arity=n)
+    calls = {
+        "ratio": lambda: ratio_sweep(xs, ws, spec, resolutions=(256,)),
+        "vv": lambda: vv_sweep(xs, xs, ws, spec, K=2, resolutions=(256,)),
+        "iterated": lambda: iterated_vv_sweep(xs, xs, xs, spec, J=2, K=2, resolutions=(256,)),
+    }
+    with pytest.raises(DomainError, match=rf"^qs must hold 2 exponents, one per BHT factor, got {n}$"):
+        calls[sweep]()
+
+
+@pytest.mark.parametrize("sweep,name", [("vv", "ss"), ("iterated", "ss"), ("iterated", "ts")])
+def test_bht_sweeps_name_the_aggregation_argument_without_two_entries(sweep, name):
+    spec = FamilySpec("smooth-bumps", count=8)
+    args = {"qs": [2, 2], "ss": [2, 2], "ts": [2, 2], name: [2, 2, 2]}
+    with pytest.raises(DomainError, match=rf"^{name} must hold 2 exponents, one per BHT factor, got 3$"):
+        if sweep == "vv":
+            vv_sweep(args["qs"], args["ss"], UNIT2, spec, K=2, resolutions=(256,))
+        else:
+            iterated_vv_sweep(args["qs"], args["ss"], args["ts"], spec, J=2, K=2, resolutions=(256,))
+
+
+def test_mz_sweep_still_takes_three_targets():
+    spec = FamilySpec("smooth-bumps", count=8, arity=3)
+    rr = mz_sweep([3, 3, 3], Fraction(3, 2), [PowerWeight(0)] * 3, spec, K=2, resolutions=(256,))
+    assert len(rr.ratios) == 4 and rr.config["q"] == [Exponent(3)] * 3
