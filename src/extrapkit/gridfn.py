@@ -263,13 +263,25 @@ def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> Grid
     block.  A block k0..k1 updates the hull of its rows' nonempty spans,
     taken at its extreme shifts (max(af+k0, ag-k1) to min(bf+k1, bg-k0) for
     +t, likewise for -t) and clamped to [k0, n-k0); a block with no
-    nonempty span is skipped.  The operands F[i-k], G[i+k], F[i+k], G[i-k]
-    are strided views of copies of F and G padded with _BHT_BLOCK zeros on
-    each side, so a cell of the hull outside row k's own span reads zeros
-    where the grid ends.  A product with no nonempty span in the block is
-    not formed: if only -t is active the rows are -p2/k, not (+-0 - p2)/k.
-    The rows, each divided by its k, are added to the running sum in k
-    order by `np.add.reduce` over axis 0, which adds row after row.
+    nonempty span is skipped.  The blocks and their widest hull wmax are
+    found first.  Each of F and G is then copied once, with _BHT_BLOCK zeros
+    before it and _BHT_BLOCK + wmax after, and read through one window view
+    W[s, j] = padded[s + j] of width wmax; a block's operands F[i+k], G[i+k]
+    are the ascending row slice W[B+lo+k0 : B+lo+k1+1] and F[i-k], G[i-k]
+    the descending one W[B+lo-k0 : B+lo-k1-1 : -1] (the stop is >= 0, as
+    lo >= k0), cut to the hull's width.  A cell of the hull outside row k's
+    own span reads zeros where the grid ends.  The rows and the second
+    product are written into two buffers allocated once per call.  A
+    product with no nonempty span in the block is not formed: if only -t is
+    active the rows are -p2/k, not (+-0 - p2)/k.  The rows, each divided by
+    its k, are added to the running sum in k order by `np.add.reduce` over
+    axis 0, which adds row after row.
+
+    A real row is divided by k.  A complex row is scaled on its float view
+    by fl(1/k): numpy divides by k + 0j on Smith's branch, with ratio 0 and
+    scale fl(1/k), as ((re + im*0)*fl(1/k), (im - re*0)*fl(1/k)), which is
+    re*fl(1/k), im*fl(1/k) bit for bit on every nonzero part and differs at
+    most in the sign of a zero part.
 
     This is exact, bit for bit, against the unclipped loop over every shift:
     every cell that a shift's span reaches gets the same expression on the
@@ -277,7 +289,8 @@ def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> Grid
     (a product with a zero factor, all samples being finite, or a skipped
     product, which differs from the computed one only in the sign of a
     zero).  Adding +-0 changes no bit of an output that starts at +0.0,
-    since no sum reaches -0.0 from there.
+    since no sum reaches -0.0 from there; the same absorbs the zero signs
+    of the complex scaling.
     """
     f.grid.require_same(g.grid)
     grid = f.grid
@@ -300,7 +313,7 @@ def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> Grid
     minus_ks = ((af - bg + 1) // 2, (bf - ag) // 2)
     k_stop = min(k_max, (n - 1) // 2, max(plus_ks[1], minus_ks[1]))  # also 2k < n
     B = _BHT_BLOCK
-    Fp, Gp = (np.concatenate((np.zeros(B, a.dtype), a, np.zeros(B, a.dtype))) for a in (F, G))
+    blocks = []
     for k0 in range(1, k_stop + 1, B):
         k1 = min(k0 + B - 1, k_stop)
         plus = max(k0, plus_ks[0]) <= min(k1, plus_ks[1])
@@ -310,25 +323,42 @@ def bht(f: GridFunction, g: GridFunction, *, t_max: float | None = None) -> Grid
             spans.append((max(af + k0, ag - k1), min(bf + k1, bg - k0)))
         if minus:
             spans.append((max(af - k1, ag + k0), min(bf - k0, bg + k1)))
-        if not spans:
-            continue
-        lo = max(k0, min(s[0] for s in spans))
-        hi = min(n - k0, max(s[1] for s in spans) + 1)
+        if spans:
+            lo = max(k0, min(s[0] for s in spans))
+            hi = min(n - k0, max(s[1] for s in spans) + 1)
+            blocks.append((k0, k1, plus, minus, lo, hi))
+    if not blocks:
+        return GridFunction(out, grid)
+    wmax = max(hi - lo for *_, lo, hi in blocks)
+    Fw, Gw = (
+        np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.zeros(B, a.dtype), a, np.zeros(B + wmax, a.dtype))), wmax
+        )
+        for a in (F, G)
+    )
+    T_buf = np.empty((B + 1) * wmax, dtype=out.dtype)
+    p2_buf = np.empty(B * wmax, dtype=out.dtype)
+    ks, scale = np.arange(1, k_stop + 1, dtype=float)[:, None], np.divide
+    if np.iscomplexobj(out):  # by fl(1/k), the scale of numpy's division by k + 0j
+        ks, scale = 1.0 / ks, np.multiply
+    for k0, k1, plus, minus, lo, hi in blocks:
         b, w = k1 - k0 + 1, hi - lo
+        asc, desc = slice(B + lo + k0, B + lo + k1 + 1), slice(B + lo - k0, B + lo - k1 - 1, -1)
         # T[0] is the running sum, T[1 + r] the term of shift k0 + r
-        T = np.empty((b + 1, w), dtype=out.dtype)
+        T = T_buf[: (b + 1) * w].reshape(b + 1, w)
         T[0] = out[lo:hi]
         terms = T[1:]
         if plus:
-            np.multiply(_shift_rows(Fp, B + lo - k0, -1, b, w), _shift_rows(Gp, B + lo + k0, 1, b, w), out=terms)
+            np.multiply(Fw[desc, :w], Gw[asc, :w], out=terms)
         if minus:
-            p2 = _shift_rows(Fp, B + lo + k0, 1, b, w) * _shift_rows(Gp, B + lo - k0, -1, b, w)
+            p2 = p2_buf[: b * w].reshape(b, w)
+            np.multiply(Fw[asc, :w], Gw[desc, :w], out=p2)
             if plus:
                 np.subtract(terms, p2, out=terms)
             else:
                 np.negative(p2, out=terms)
-        # each k in the output dtype, as numpy casts a Python int divisor
-        np.divide(terms, np.arange(k0, k1 + 1, dtype=out.dtype)[:, None], out=terms)
+        parts = terms.view(float)
+        scale(parts, ks[k0 - 1 : k1], out=parts)
         np.add.reduce(T, axis=0, out=out[lo:hi])
     return GridFunction(out, grid)
 
@@ -384,7 +414,8 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
     """Deterministic family of compactly supported tuples on the grid.
 
     * smooth-bumps: random centers/widths, unit L^2 norm;
-    * modulated: smooth bumps times e^{i omega x} with random frequency;
+    * modulated: smooth bumps times e^{i omega x} with random frequency,
+      the phase taken on the bump's support only, so samples off it are +0;
     * dyadic-concentration: delta^{-1/2} X_[delta, 2*delta], its reflection,
       then the right-hand indicator again in every factor beyond the second,
       over dyadic delta (unit L^2 norm) -- matched to weights singular at 0.
@@ -408,7 +439,9 @@ def make_family(spec: FamilySpec, seed: int, grid: Grid) -> TestFamily:
                 freq = rng.uniform(4.0, 48.0) / L * (1 if rng.random() < 0.5 else -1)
                 vals = _smooth_bump(x, center, width)
                 if spec.kind == "modulated":
-                    vals = vals * np.exp(1j * 2 * np.pi * freq * x)
+                    on = vals != 0
+                    vals = vals.astype(complex)
+                    vals[on] *= np.exp(1j * 2 * np.pi * freq * x[on])
                 fn = GridFunction(vals, grid)
                 nrm = measure_norm(fn, unit, Exponent(2))
                 if nrm > 0:

@@ -19,6 +19,7 @@ from extrapkit.gridfn import (
     GridFunction,
     _hilbert_kernel_spectrum,
     _maximal_exact,
+    _smooth_bump,
     bht,
     hilbert,
     make_family,
@@ -490,8 +491,8 @@ def _bht_block_edge_cases():
     yield "window-ends-mid-block", n, (q, 3 * q), (q + 5, 2 * q), 2 * B + 5.5
     yield "window-ends-at-block-end", n, (q, 3 * q), (q + 5, 2 * q), 2.0 * B
     # the gap makes k = B, the last row of the first block, the first active shift
-    yield "disjoint-plus-only", n, (q, q + 10), (q + 9 + 2 * B, q + 70), None
-    yield "disjoint-minus-only", n, (q + 9 + 2 * B, q + 70), (q, q + 10), None
+    yield "disjoint-plus-only", n, (q, q + 10), (q + 9 + 2 * B, q + 2 * B + 38), None
+    yield "disjoint-minus-only", n, (q + 9 + 2 * B, q + 2 * B + 38), (q, q + 10), None
     yield "disjoint-plus-only-one-block", n, (q, q + 3), (q + 3, q + 9), None
     yield "both-edges", n, (0, n // 2 + 3), (n // 2 - 3, n), None
     yield "both-edges-reversed", n, (n // 2 - 3, n), (0, n // 2 + 3), float(n)
@@ -533,6 +534,23 @@ def test_bht_sums_shifts_in_k_order():
     ref = _bht_reference(GridFunction(fs, grid), GridFunction(gs, grid))
     assert blockwise.tobytes() != ref.tobytes()
     _assert_bht_bitwise(fs, gs)
+
+
+def test_complex_division_by_k_is_scaling_by_its_reciprocal():
+    # bht scales a complex term's float view by fl(1/k) where the oracle
+    # divides by k: equal as values, and bit for bit on every nonzero part
+    rng = np.random.default_rng(41)
+    parts = rng.standard_normal(2048) * 10.0 ** rng.uniform(-320, 300, 2048)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-315, 1e300, -1e300, 1.7e308, -1.7e308]
+    parts[rng.choice(parts.size, 512, replace=False)] = rng.choice(special, 512)
+    a = parts.view(complex)
+    for k in range(1, 4097):
+        want = a / k
+        got = (parts * (1.0 / k)).view(complex)
+        assert np.array_equal(got, want)
+        w, g = want.view(float), got.view(float)
+        nonzero = w != 0
+        assert g[nonzero].tobytes() == w[nonzero].tobytes()
 
 
 @given(
@@ -635,6 +653,28 @@ def test_family_unknown_kind():
 def test_modulated_family_complex():
     fam = make_family(FamilySpec("modulated", count=2, arity=2), 3, G)
     assert np.iscomplexobj(fam.members[0][0].samples)
+
+
+def test_modulated_family_matches_the_whole_grid_phase():
+    # the phase is taken on the bump's support only; the oracle takes it on
+    # the whole grid, with the same draws, and agrees bit for bit on every
+    # nonzero part
+    spec = FamilySpec("modulated", count=4, arity=2)
+    for n in (1024, 8192):
+        grid = Grid(8.0, n)
+        x, L, unit = grid.x(), grid.L, PowerWeight(0).on_grid(grid)
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            for fn in make_family(spec, seed, grid).functions():
+                center = rng.uniform(-L / 4, L / 4)
+                width = rng.uniform(L / 16, L / 8)
+                freq = rng.uniform(4.0, 48.0) / L * (1 if rng.random() < 0.5 else -1)
+                vals = _smooth_bump(x, center, width) * np.exp(1j * 2 * np.pi * freq * x)
+                ref = (vals / measure_norm(GridFunction(vals, grid), unit, 2)).view(float)
+                got = fn.samples.view(float)
+                nonzero = got != 0
+                assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+                assert np.all(ref[~nonzero] == 0)
 
 
 def test_grid_function_rejects_a_wrong_shape_or_a_non_finite_sample():
